@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate every figure table into ./out (or $STABLERD_OUTPUT_DIR).
 
-fig2 designs 30 quantizers and takes the longest (roughly 10-15 minutes);
-the rest finish in a few minutes combined.  Pass figure names to restrict,
+fig2 designs 30 quantizers and takes the longest (roughly 5 minutes);
+the rest finish in well under a minute combined.  Pass figure names to restrict,
 e.g. `python scripts/reproduce_all.py fig1 fig4`.
 """
 

@@ -814,11 +814,11 @@ def best_uniform_design(source: SourceSpec, alpha: float, M: int, tol: float = 1
     """
     adapter = _DensityAdapter(source)
     scale = adapter.scale
+    h = reference_entropy(ReferenceLaw(alpha, 1))
 
     def strength_of(logd):
         d = math.exp(logd)
         G, _, _ = _truncated_uniform_g(d, M, source, alpha)
-        h = reference_entropy(ReferenceLaw(alpha, 1))
         return _solve_monotone(lambda s: G(s) - h, 0.3 * d, DEFAULT_TOL).value
 
     lo = math.log(6.0 * scale / M ** 1.35)

@@ -78,10 +78,7 @@ def rd_vector_subgaussian(alpha: float, gamma_x: float, d: int, D: float) -> RDP
     """Rate for a d-dimensional sub-Gaussian source; the strength is dimension-free."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if not D > 0.0:
-        raise InvalidDistortion("D must be positive")
-    s = strength_closed_form(alpha, gamma_x)
-    return RDPoint(distortion=float(D), rate=max(math.log(s / D), 0.0))
+    return rd_scalar(alpha, gamma_x, D)
 
 
 def reverse_waterfill(alpha: float, component_strengths, D: float) -> WaterFillAllocation:

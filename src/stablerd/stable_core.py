@@ -254,41 +254,54 @@ def _pdf0_quadrature(alpha: float, u: float) -> float:
     raise QuadratureFailure(f"stable density inversion failed at alpha={alpha}, u={u}")
 
 
+# The series stops at this index, or once a term's envelope ratio is below 1e-18.
+_TAIL_TERMS = 400
+_LOG_TAIL_STOP = math.log(1e-18)
+
+
+@lru_cache(maxsize=64)
+def _tail_coefficients(alpha: float):
+    """The alpha-only parts of the power-tail series, computed once per alpha.
+
+    Returns (lead, terms): lead is the log of the first-order coefficient and
+    terms holds (coef, log_env, slope) for k = 2.._TAIL_TERMS-1, so that the
+    k-th term relative to the first is coef * exp(log_env - slope * ln u).
+    Keep each expression and its operation order as it is: the series sums
+    must be bit-identical to evaluating every term in full.
+    """
+    lead = gammaln(alpha + 1.0) + math.log(abs(math.sin(math.pi * alpha / 2.0))) \
+        - math.log(math.pi)
+    s1 = math.sin(math.pi * alpha / 2.0)
+    terms = tuple(
+        (
+            (-1.0) ** (k - 1) * (math.sin(k * math.pi * alpha / 2.0) / s1),
+            float(gammaln(alpha * k + 1.0) - gammaln(k + 1.0) - gammaln(alpha + 1.0)),
+            alpha * (k - 1),
+        )
+        for k in range(2, _TAIL_TERMS)
+    )
+    return lead, terms
+
+
 def _log_pdf0_tail(alpha: float, u) -> np.ndarray:
     """log f0(u) for |u| >= TAIL_CUTOFF via the power-tail series (vectorized)."""
     u = np.abs(np.asarray(u, dtype=float))
     log_u = np.log(u)
+    lead, terms = _tail_coefficients(float(alpha))
     # First-order term in log space, then log1p of the summed correction ratio.
-    lead = gammaln(alpha + 1.0) + math.log(abs(math.sin(math.pi * alpha / 2.0))) \
-        - math.log(math.pi)
     log_t1 = lead - (alpha + 1.0) * log_u
     corr = np.zeros_like(u)
     umin_log = float(np.min(log_u))
     last_env = math.inf
-    s1 = math.sin(math.pi * alpha / 2.0)
-    for k in range(2, 400):
+    for coef, log_env, slope in terms:
         # envelope ratio to the leading term, at the smallest |u| present
-        log_env_min = (
-            gammaln(alpha * k + 1.0) - gammaln(k + 1.0)
-            - gammaln(alpha + 1.0)
-            - alpha * (k - 1) * umin_log
-        )
+        log_env_min = log_env - slope * umin_log
         if log_env_min > last_env:
             break  # asymptotic series started diverging; stop at best term
         last_env = log_env_min
-        sk = math.sin(k * math.pi * alpha / 2.0)
-        if sk != 0.0:
-            term = (
-                (-1.0) ** (k - 1)
-                * (sk / s1)
-                * np.exp(
-                    gammaln(alpha * k + 1.0) - gammaln(k + 1.0)
-                    - gammaln(alpha + 1.0)
-                    - alpha * (k - 1) * log_u
-                )
-            )
-            corr += term
-        if log_env_min < math.log(1e-18):
+        if coef != 0.0:  # sin(k pi a/2) vanishes
+            corr += coef * np.exp(log_env - slope * log_u)
+        if log_env_min < _LOG_TAIL_STOP:
             break
     return log_t1 + np.log1p(corr)
 
@@ -448,7 +461,6 @@ def pdf(params: StableParams, x: float) -> float:
             )
         if a == 1.0:
             return g / (math.pi * (g * g + (x - d) ** 2))
-        eng = standard_density(a)
         if abs(u) >= TAIL_CUTOFF:
             return float(_pdf0_tail(a, u)) / g
         return _pdf0_quadrature(a, u) / g
@@ -535,8 +547,13 @@ def log_pdf_reference(ref: ReferenceLaw, x) -> float:
     return _log_pdf_reference_multid(ref, r)
 
 
+@lru_cache(maxsize=None)
 def _gauss_legendre(n: int = 16):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only."""
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    xg.flags.writeable = False
+    wg.flags.writeable = False
+    return xg, wg
 
 
 def _panel_integral(fn, edges: np.ndarray, n: int = 16) -> float:

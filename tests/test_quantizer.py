@@ -262,6 +262,12 @@ class TestDesign:
         assert np.all(np.diff(trace) <= 0.0)
         assert r1.seed == 5
 
+    def test_pinned_cauchy_design(self):
+        # recorded before the quadrature caches landed: caching must be bit-identical
+        report = design_optimal(cauchy_source(1.0), 1.0, 2, seed=7)
+        assert report.error_strength == 0.7172356202174565
+        assert report.quantizer.points.tolist() == [-0.7895263207070173, 0.7895263207070173]
+
     def test_scale_equivariance(self):
         base = design_optimal(cauchy_source(1.0), 1.0, 2, seed=2)
         for c in (2.0, 5.0):

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from scipy.special import gammaln
 
 from stablerd import (
     AlphaMismatch,
@@ -19,7 +22,13 @@ from stablerd import (
     sample,
     scale_shift,
 )
-from stablerd.stable_core import _log_pdf0_tail, _pdf0_quadrature, _pdf_by_inversion
+from stablerd.stable_core import (
+    TAIL_CUTOFF,
+    _gauss_legendre,
+    _log_pdf0_tail,
+    _pdf0_quadrature,
+    _pdf_by_inversion,
+)
 
 # oracle values, frozen from independent computations:
 #  - CHAR_SKEW: 50-digit mpmath evaluation of the characteristic-function formula
@@ -138,6 +147,114 @@ class TestPdf:
             q = _pdf0_quadrature(alpha, 30.0)
             s = math.exp(float(_log_pdf0_tail(alpha, 30.0)))
             assert abs(q - s) / q < 1e-4
+
+
+    def test_tail_series_against_cauchy_closed_form(self):
+        # at alpha = 1 the tail series must reproduce -ln(pi) - ln(1 + u^2)
+        u = np.geomspace(TAIL_CUTOFF, 1e6, 120)
+        exact = -math.log(math.pi) - np.log1p(u * u)
+        np.testing.assert_allclose(_log_pdf0_tail(1.0, u), exact, rtol=1e-14, atol=0.0)
+        pointwise = np.array([float(_log_pdf0_tail(1.0, x)) for x in u])
+        np.testing.assert_allclose(pointwise, exact, rtol=1e-14, atol=0.0)
+
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.35, 0.5, 0.8, 1.0, 1.2, 1.5, 1.8, 1.99])
+    def test_tail_series_bitwise_equal_to_loop_reference(self, alpha):
+        # the cached coefficients must not change a single bit of the sum
+        grids = [
+            np.geomspace(TAIL_CUTOFF, 5e12, 60),
+            np.geomspace(1e4, 1e9, 7),
+            np.array([TAIL_CUTOFF]),
+            np.array([5.0, 31.7, 1e3]),
+        ]
+        for u in grids:
+            assert _log_pdf0_tail(alpha, u).tobytes() == _log_pdf0_tail_loop(alpha, u).tobytes()
+
+
+def _log_pdf0_tail_loop(alpha, u):
+    """The power-tail series evaluated term by term, every coefficient per call."""
+    u = np.abs(np.asarray(u, dtype=float))
+    log_u = np.log(u)
+    lead = gammaln(alpha + 1.0) + math.log(abs(math.sin(math.pi * alpha / 2.0))) \
+        - math.log(math.pi)
+    log_t1 = lead - (alpha + 1.0) * log_u
+    corr = np.zeros_like(u)
+    umin_log = float(np.min(log_u))
+    last_env = math.inf
+    s1 = math.sin(math.pi * alpha / 2.0)
+    for k in range(2, 400):
+        log_env_min = (
+            gammaln(alpha * k + 1.0) - gammaln(k + 1.0)
+            - gammaln(alpha + 1.0)
+            - alpha * (k - 1) * umin_log
+        )
+        if log_env_min > last_env:
+            break
+        last_env = log_env_min
+        sk = math.sin(k * math.pi * alpha / 2.0)
+        if sk != 0.0:
+            corr += (-1.0) ** (k - 1) * (sk / s1) * np.exp(
+                gammaln(alpha * k + 1.0) - gammaln(k + 1.0)
+                - gammaln(alpha + 1.0)
+                - alpha * (k - 1) * log_u
+            )
+        if log_env_min < math.log(1e-18):
+            break
+    return log_t1 + np.log1p(corr)
+
+
+class TestGaussLegendreCache:
+    ORDERS = (14, 16, 32, 48)
+
+    def test_bitwise_equal_to_leggauss(self):
+        for n in self.ORDERS:
+            xg, wg = _gauss_legendre(n)
+            x0, w0 = np.polynomial.legendre.leggauss(n)
+            assert xg.tobytes() == x0.tobytes()
+            assert wg.tobytes() == w0.tobytes()
+
+    def test_same_objects_on_repeat(self):
+        for n in self.ORDERS:
+            xg, wg = _gauss_legendre(n)
+            again = _gauss_legendre(n)
+            assert again[0] is xg and again[1] is wg
+
+    def test_read_only(self):
+        xg, wg = _gauss_legendre(16)
+        with pytest.raises(ValueError):
+            xg[0] = 0.0
+        with pytest.raises(ValueError):
+            wg[:] = 1.0
+        x0, w0 = np.polynomial.legendre.leggauss(16)
+        assert xg.tobytes() == x0.tobytes() and wg.tobytes() == w0.tobytes()
+
+    def test_concurrent_first_calls(self):
+        # four threads fill the cold cache at once; all must see the same rules
+        _gauss_legendre.cache_clear()
+        barrier = threading.Barrier(4, timeout=30)
+        results = [None] * 4
+
+        def work(i):
+            barrier.wait()
+            results[i] = [_gauss_legendre(n) for n in self.ORDERS]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for rules in results:
+            assert rules is not None
+            for (xg, wg), n in zip(rules, self.ORDERS):
+                x0, w0 = np.polynomial.legendre.leggauss(n)
+                assert xg.tobytes() == x0.tobytes() and wg.tobytes() == w0.tobytes()
+                assert not xg.flags.writeable and not wg.flags.writeable
 
 
 class TestReferenceLogPdf:
