@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from . import stable_core
 from .errors import (
@@ -126,9 +126,12 @@ class DesignReport:
 class UniformSpec:
     """Uniform quantizer with region width delta.
 
-    `k_max` bounds the indices treated term-by-term; regions beyond it are
-    absorbed through a tail-mass grouping whose contribution to the defining
-    equation is controlled below 1e-9 nats.  None selects it automatically.
+    `k_max` bounds only the direct route, which sums the source density over
+    regions |k| <= k_max term by term and absorbs the regions beyond through
+    a tail-mass grouping whose contribution to the defining equation is
+    controlled below 1e-10 nats.  None selects it automatically.  Symmetric
+    stable sources take the aliasing series instead whenever it is no longer
+    than the 2 k_max + 1 terms of the direct sum.
     """
 
     delta: float
@@ -677,12 +680,9 @@ def design_optimal(
 # uniform quantizers
 
 
-def _uniform_weights(spec: UniformSpec, adapter: _DensityAdapter, n_nodes: int = 48):
-    """Precompute offset nodes u_i and weights W_i with
-    G(s) = sum_i W_i psi(u_i / s) for the untruncated uniform quantizer."""
+def _direct_radius(spec: UniformSpec, adapter: _DensityAdapter) -> int:
+    """Regions k_core on each side of zero that the direct route sums term by term."""
     delta = spec.delta
-    xg, wg = stable_core._gauss_legendre(n_nodes)
-    u = 0.5 * delta * xg  # offsets within a region
     if spec.k_max is not None:
         k_core = int(spec.k_max)
     else:
@@ -696,15 +696,74 @@ def _uniform_weights(spec: UniformSpec, adapter: _DensityAdapter, n_nodes: int =
             bound = (delta ** 2 / 24.0) * k_x * (a_s + 1.0) * (a_s + 2.0) * 6.0
             x_req = max(x_req, (bound / 1e-10) ** (1.0 / (a_s + 2.0)))
         k_core = int(math.ceil(x_req / delta)) + 2
-    k_core = min(k_core, 200_000)
+    return min(k_core, 200_000)
+
+
+def _direct_weights(delta: float, adapter: _DensityAdapter, k_core: int, n_nodes: int = 48):
+    """(u, W) from the lattice density summed term by term over |k| <= k_core,
+    with all remaining regions grouped through their exact tail mass."""
+    xg, wg = stable_core._gauss_legendre(n_nodes)
+    u = 0.5 * delta * xg  # offsets within a region
     ks = np.arange(-k_core, k_core + 1)
     nodes = ks[:, None] * delta + u[None, :]
     fsum = adapter.pdf_vec(nodes.ravel()).reshape(nodes.shape).sum(axis=0)
-    edge = k_core * delta + 0.5 * delta
-    tail = adapter.tail_mass(edge)
+    tail = adapter.tail_mass(k_core * delta + 0.5 * delta)
     fsum = fsum + 2.0 * tail / delta  # grouped mass of all remaining regions
-    W = 0.5 * delta * wg * fsum
-    return u, W, ks, edge
+    return u, 0.5 * delta * wg * fsum
+
+
+_ALIAS_TOL = 1e-16  # bound on the dropped aliasing terms; the m = 0 term is 1
+
+
+def _aliasing_terms(delta: float, adapter: _DensityAdapter):
+    """Length m_max of the aliasing series for a symmetric stable source.
+
+    With c = 2 pi gamma / delta, the dropped terms 2 sum_{m > m_max}
+    exp(-(c m)^alpha) are bounded by the integral test,
+    2 int_{m_max}^inf exp(-(c x)^alpha) dx
+    = (2 / (c alpha)) Gamma(1/alpha) Q(1/alpha, (c m_max)^alpha),
+    and m_max is the smallest integer taking that bound below _ALIAS_TOL.
+    Returns math.inf when the count would not fit in a float.
+    """
+    a = adapter.alpha_src
+    c = 2.0 * math.pi * adapter.scale / delta
+    log_q = math.log(_ALIAS_TOL * c * a / 2.0) - special.gammaln(1.0 / a)
+    if log_q >= 0.0:
+        return 0  # the bound holds with no term at all
+    y = float(special.gammainccinv(1.0 / a, math.exp(log_q)))
+    log_m = math.log(y) / a - math.log(c)
+    return math.ceil(math.exp(log_m)) if log_m < 700.0 else math.inf
+
+
+def _aliasing_weights(delta: float, adapter: _DensityAdapter, m_max: int, n_nodes: int = 48):
+    """(u, W) from the lattice density of a symmetric stable source by Poisson
+    summation: with u = (delta/2) x and phi(t) = exp(-(gamma |t|)^alpha),
+
+        delta * sum_k f(k delta + u) = 1 + 2 sum_{m >= 1} phi(2 pi m / delta) cos(pi m x),
+
+    truncated after m_max terms."""
+    xg, wg = stable_core._gauss_legendre(n_nodes)
+    c = 2.0 * math.pi * adapter.scale / delta
+    m = np.arange(1, m_max + 1)
+    amp = np.exp(-((c * m) ** adapter.alpha_src))
+    alias = 1.0 + 2.0 * (amp @ np.cos(np.pi * np.outer(m, xg)))
+    return 0.5 * delta * xg, 0.5 * wg * alias
+
+
+def _uniform_weights(spec: UniformSpec, adapter: _DensityAdapter, n_nodes: int = 48):
+    """Offset nodes u_i and weights W_i = (delta/2) w_i sum_k f(k delta + u_i)
+    with G(s) = sum_i W_i psi(u_i / s) for the untruncated uniform quantizer.
+
+    A symmetric stable source takes the aliasing series whenever it needs no
+    more terms than the 2 k_core + 1 regions of the direct sum; every other
+    case sums the lattice directly.
+    """
+    k_core = _direct_radius(spec, adapter)
+    if isinstance(adapter.source, SymmetricStableSource):
+        m_max = _aliasing_terms(spec.delta, adapter)
+        if m_max <= 2 * k_core + 1:
+            return _aliasing_weights(spec.delta, adapter, m_max, n_nodes)
+    return _direct_weights(spec.delta, adapter, k_core, n_nodes)
 
 
 def uniform_error_strength(
@@ -713,7 +772,15 @@ def uniform_error_strength(
     alpha: float,
     tol: float = DEFAULT_TOL,
 ) -> StrengthSolution:
-    """Error strength of the uniform quantizer x -> round(x / delta) * delta."""
+    """Error strength of the uniform quantizer x -> round(x / delta) * delta.
+
+    The error's density is the lattice sum sum_k f(k delta + u).  For a
+    symmetric stable source it comes from the Poisson summation formula,
+    delta * sum_k f(k delta + u) = sum_m phi(2 pi m / delta) exp(2 pi i m u / delta),
+    whose terms phi(t) = exp(-(gamma |t|)^alpha) die so fast that at high rate
+    the error is uniform to machine precision (Sripad & Snyder); see
+    `UniformSpec` for when the lattice is summed directly instead.
+    """
     if isinstance(source, EmpiricalSource):
         vals = source.batch.values
         offs = vals - np.round(vals / spec.delta) * spec.delta
@@ -726,7 +793,7 @@ def uniform_error_strength(
         )
     adapter = _DensityAdapter(source)
     psi = reference_neg_log_density(alpha)
-    u, W, _, _ = _uniform_weights(spec, adapter)
+    u, W = _uniform_weights(spec, adapter)
     h = reference_entropy(ReferenceLaw(alpha, 1))
 
     def fn(s):

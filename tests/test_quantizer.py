@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from scipy.special import gamma as gamma_fn
+from scipy.special import gammaincc
 
 from stablerd import (
     NotSorted,
@@ -13,6 +15,8 @@ from stablerd import (
     Quantizer,
     SampleBatch,
     EmpiricalSource,
+    StableParams,
+    SymmetricStableSource,
     UniformSpec,
     cauchy_source,
     design_optimal,
@@ -30,10 +34,17 @@ from stablerd import (
     uniform_error_strength,
 )
 from stablerd.quantizer import (
+    _DensityAdapter,
+    _aliasing_terms,
+    _aliasing_weights,
+    _direct_radius,
+    _direct_weights,
     _error_strength_raw,
+    _uniform_weights,
     truncated_uniform,
     uniform_levels_strength,
 )
+from stablerd.stable_core import _gauss_legendre
 
 
 def cauchy_psi(z):
@@ -151,12 +162,16 @@ class TestErrorStrength:
 
 class TestUniform:
     def test_high_rate_cauchy(self):
-        sol = uniform_error_strength(UniformSpec(0.01), cauchy_source(1.0), 1.0)
-        assert sol.value / 0.01 == pytest.approx(0.1359, abs=0.1359 * 0.02)
+        # the lattice density is flat to 1e-27 at these widths, so s/delta is
+        # the arctan root s_1(U) up to the solver
+        for d in (0.1, 0.01, 0.001):
+            sol = uniform_error_strength(UniformSpec(d), cauchy_source(1.0), 1.0)
+            assert sol.value / d == pytest.approx(strength_of_uniform(1.0), rel=1e-12)
 
     def test_high_rate_gaussian(self):
-        sol = uniform_error_strength(UniformSpec(0.01), gaussian_source(1.0), 2.0)
-        assert sol.value / 0.01 == pytest.approx(1.0 / math.sqrt(12.0), rel=0.02)
+        for d in (0.1, 0.01, 0.001):
+            sol = uniform_error_strength(UniformSpec(d), gaussian_source(1.0), 2.0)
+            assert sol.value / d == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-12)
 
     def test_wide_width_against_dense_oracle(self):
         # Delta = 1 sits outside the high-rate regime; an independent
@@ -217,6 +232,67 @@ class TestUniform:
     def test_uniform_spec_validation(self):
         with pytest.raises(ValueError):
             UniformSpec(0.0)
+
+
+def _stable_adapter(alpha, gamma=1.0):
+    return _DensityAdapter(SymmetricStableSource(StableParams(alpha, 0.0, gamma, 0.0)))
+
+
+class TestUniformAliasing:
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 4.0, 20.0])
+    def test_cauchy_lattice_sum_closed_form(self, ratio):
+        # delta * sum_k f(k delta + u) for a Cauchy(gamma) density equals
+        # sinh(c) / (cosh(c) - cos(2 pi u / delta)), c = 2 pi gamma / delta
+        gamma = 1.3
+        delta = ratio * gamma
+        adapter = _stable_adapter(1.0, gamma)
+        u, W = _aliasing_weights(delta, adapter, _aliasing_terms(delta, adapter))
+        _, wg = _gauss_legendre(48)
+        c = 2.0 * math.pi * gamma / delta
+        closed = np.sinh(c) / (np.cosh(c) - np.cos(2.0 * math.pi * u / delta))
+        np.testing.assert_allclose(W / (0.5 * wg), closed, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("delta", [0.5, 2.0, 20.0])
+    def test_truncation_bound(self, alpha, delta):
+        # integral-test bound on the dropped terms: below 1e-16 at m_max,
+        # not yet at m_max - 1
+        adapter = _stable_adapter(alpha)
+        c = 2.0 * math.pi / delta
+
+        def dropped(m):
+            return 2.0 / (c * alpha) * gamma_fn(1.0 / alpha) * gammaincc(
+                1.0 / alpha, (c * m) ** alpha)
+
+        m_max = _aliasing_terms(delta, adapter)
+        assert dropped(m_max) < 1e-16 <= dropped(m_max - 1)
+
+    # the direct route reads table densities at alpha 0.5 and 1.5, good to
+    # about 1e-9 relative; at alpha 1 it uses the closed form, leaving only
+    # its grouped-tail error
+    @pytest.mark.parametrize("alpha, rtol", [(0.5, 1e-9), (1.0, 1e-10), (1.5, 1e-9)])
+    @pytest.mark.parametrize("delta", [0.5, 2.0])
+    def test_direct_and_aliasing_agree(self, alpha, rtol, delta):
+        adapter = _stable_adapter(alpha)
+        spec = UniformSpec(delta)
+        u1, W1 = _direct_weights(delta, adapter, _direct_radius(spec, adapter))
+        u2, W2 = _aliasing_weights(delta, adapter, _aliasing_terms(delta, adapter))
+        np.testing.assert_array_equal(u1, u2)
+        np.testing.assert_allclose(W2, W1, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("alpha, delta, series", [
+        (0.3, 2.0, False),  # m_max 115,982 against 14,761 direct regions
+        (1.5, 0.01, True),
+    ])
+    def test_route_choice(self, alpha, delta, series):
+        adapter = _stable_adapter(alpha)
+        spec = UniformSpec(delta)
+        if series:
+            expected = _aliasing_weights(delta, adapter, _aliasing_terms(delta, adapter))
+        else:
+            expected = _direct_weights(delta, adapter, _direct_radius(spec, adapter))
+        for got, want in zip(_uniform_weights(spec, adapter), expected):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestOutputEntropy:

@@ -28,6 +28,7 @@ from stablerd.stable_core import (
     _log_pdf0_tail,
     _pdf0_quadrature,
     _pdf_by_inversion,
+    _reference_entropy_cached,
 )
 
 # oracle values, frozen from independent computations:
@@ -322,7 +323,10 @@ class TestReferenceEntropy:
         assert reference_entropy(ref) == pytest.approx(mc, abs=4e-3)
 
     def test_cached(self):
-        assert reference_entropy(ReferenceLaw(1.0)) is reference_entropy(ReferenceLaw(1.0)) or True
+        first = reference_entropy(ReferenceLaw(1.5))
+        hits = _reference_entropy_cached.cache_info().hits
+        assert reference_entropy(ReferenceLaw(1.5)) is first
+        assert _reference_entropy_cached.cache_info().hits == hits + 1
         assert ReferenceLaw(1.0).entropy == reference_entropy(ReferenceLaw(1.0))
 
 
