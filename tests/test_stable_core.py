@@ -1,13 +1,18 @@
 import math
 import sys
 import threading
+from functools import lru_cache
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from scipy import integrate
 from scipy.special import gammaln
 
+from stablerd import stable_core
 from stablerd import (
     AlphaMismatch,
     ReferenceLaw,
@@ -24,8 +29,11 @@ from stablerd import (
 )
 from stablerd.stable_core import (
     TAIL_CUTOFF,
+    _LOG_EPS,
+    _StandardDensity,
     _gauss_legendre,
     _log_pdf0_tail,
+    _n_osc,
     _pdf0_quadrature,
     _pdf_by_inversion,
     _reference_entropy_cached,
@@ -256,6 +264,181 @@ class TestGaussLegendreCache:
                 x0, w0 = np.polynomial.legendre.leggauss(n)
                 assert xg.tobytes() == x0.tobytes() and wg.tobytes() == w0.tobytes()
                 assert not xg.flags.writeable and not wg.flags.writeable
+
+
+def _capture_table(alpha):
+    """Build a fresh alpha table; return its nodes u, its node values log f0 and
+    the u of every call the build makes to the scalar route."""
+    seen = {"quad": []}
+    real_spline = stable_core.CubicSpline
+    real_quad = stable_core._pdf0_quadrature
+
+    def spline(t, y, **kw):
+        seen["u"], seen["y"] = np.exp(t), np.array(y)
+        return real_spline(t, y, **kw)
+
+    def quad(a, u):
+        seen["quad"].append(u)
+        return real_quad(a, u)
+
+    with mock.patch.object(stable_core, "CubicSpline", spline), \
+            mock.patch.object(stable_core, "_pdf0_quadrature", quad):
+        _StandardDensity(alpha)._build_table()
+    return seen["u"], seen["y"], seen["quad"]
+
+
+_table_nodes = lru_cache(maxsize=None)(_capture_table)
+
+
+@lru_cache(maxsize=None)
+def _series_coefficients(alpha, terms=120):
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        return tuple(
+            (-1) ** k * mpmath.gamma((2 * k + 1) / a) / mpmath.factorial(2 * k)
+            for k in range(terms)
+        )
+
+
+def _log_small_u_series(alpha, u):
+    """log f0(u) from (1/(pi a)) sum_k (-1)^k Gamma((2k+1)/a)/(2k)! u^(2k) at 40 digits.
+
+    The series converges for alpha > 1 and is only asymptotic below 1: None
+    unless a term falls below 1e-20 of the sum before the terms start to grow.
+    """
+    with mpmath.workdps(40):
+        u2 = mpmath.mpf(u) ** 2
+        total, power, last = mpmath.mpf(0), mpmath.mpf(1), None
+        for k, c in enumerate(_series_coefficients(alpha)):
+            term = c * power
+            total += term
+            if abs(term) < mpmath.mpf(1e-20) * abs(total):
+                return float(mpmath.log(total / (mpmath.pi * mpmath.mpf(alpha))))
+            if k >= 2 and abs(term) > last:
+                return None
+            last = abs(term)
+            power *= u2
+    return None
+
+
+def _pdf0_adaptive(alpha, u):
+    """f0(u) by adaptive QUADPACK on [0, T], split at the zeros of cos(t u)."""
+    T = _LOG_EPS ** (1.0 / alpha)
+    half = math.pi / (2.0 * u)
+    zeros = half * (2 * np.arange(0, min(40, int(T / (2.0 * half)) + 1)) + 1)
+    value, _ = integrate.quad(
+        lambda t: math.exp(-(t ** alpha)) * math.cos(t * u), 0.0, T,
+        points=list(zeros[zeros < T]) or None, epsabs=1e-13, epsrel=1e-11, limit=300,
+    )
+    return value / math.pi
+
+
+class TestTableBuild:
+    """The spline table's nodes: the batched plain rule and its scalar fallback."""
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 1.5])
+    def test_plain_nodes_against_small_u_series(self, alpha):
+        u, y, _ = _table_nodes(alpha)
+        plain = _n_osc(alpha, u) <= 8.0
+        err = []
+        for x, v in zip(u[plain], y[plain]):
+            ref = _log_small_u_series(alpha, x)
+            if ref is not None:
+                err.append(abs(v - ref))
+        assert len(err) >= 0.75 * plain.sum()
+        assert max(err) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.65, 1.05, 1.35, 1.99])
+    def test_plain_nodes_against_adaptive_quadrature(self, alpha):
+        u, y, quad = _table_nodes(alpha)
+        plain = _n_osc(alpha, u) <= 8.0
+        ref = np.array([math.log(_pdf0_adaptive(alpha, x)) for x in u[plain]])
+        assert np.max(np.abs(y[plain] - ref)) <= 2e-12
+        # every oscillatory node, and only those, goes through the scalar route
+        assert quad == list(u[~plain])
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.65, 1.35, 1.99])
+    def test_plain_rule_continuous_across_switch(self, alpha):
+        # just past n_osc = 8 the Fourier route takes over; both must agree there
+        u, y, _ = _table_nodes(alpha)
+        first = np.flatnonzero(_n_osc(alpha, u) > 8.0)[:5]
+        plain = np.log(stable_core._pdf0_plain_vec(alpha, u[first]))
+        np.testing.assert_allclose(plain, y[first], rtol=0.0, atol=1e-12)
+
+    def test_rejected_plain_nodes_take_the_scalar_route(self):
+        alpha = 0.65
+        u, y, _ = _table_nodes(alpha)
+        plain = np.flatnonzero(_n_osc(alpha, u) <= 8.0)
+        # where the Zolotarev fallback is accurate (u >= 1e-3 at this alpha)
+        chosen = u[plain[[-200, -100, -1]]]
+        assert chosen.min() >= 1e-3
+        real = stable_core._pdf0_plain_vec
+
+        def reject(a, x):
+            f = real(a, x)
+            f[np.isin(x, chosen)] = np.nan
+            return f
+
+        with mock.patch.object(stable_core, "_pdf0_plain_vec", reject):
+            u2, y2, quad = _capture_table(alpha)
+            scalar = [math.log(_pdf0_quadrature(alpha, x)) for x in chosen]
+        hit = np.isin(u2, chosen)
+        assert u2.tobytes() == u.tobytes()
+        assert list(y2[hit]) == scalar
+        assert set(chosen) <= set(quad)
+        np.testing.assert_allclose(y2[hit], y[hit], rtol=0.0, atol=1e-12)
+        assert y2[~hit].tobytes() == y[~hit].tobytes()
+
+    def test_alpha_01_table_is_all_scalar(self):
+        u, y, quad = _table_nodes(0.1)
+        assert not np.any(_n_osc(0.1, u) <= 8.0)
+        assert quad == list(u)
+        scalar = np.array([math.log(_pdf0_quadrature(0.1, x)) for x in u])
+        assert y.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.65, 1.5, 1.99])
+    def test_last_interval_matches_accurate_route(self, alpha):
+        # the end condition at ln 30 must not bend the last spline interval
+        eng = _StandardDensity(alpha)
+        t = eng._build_table().x
+        for lo, hi in zip(t[-4:-1], t[-3:]):
+            for m in np.linspace(lo, hi, 5)[1:-1]:
+                exact = math.log(_pdf0_quadrature(alpha, math.exp(m)))
+                assert abs(float(eng.log_pdf_vec(math.exp(m))) - exact) <= 1e-9
+
+    def test_concurrent_first_builds(self):
+        # two threads hit a cold engine at once: one build, identical answers
+        builds = []
+        real = _StandardDensity._build_table
+
+        def counted(self):
+            builds.append(self.alpha)
+            return real(self)
+
+        eng = _StandardDensity(1.5)
+        u = np.geomspace(1e-16, 1e3, 400)
+        barrier = threading.Barrier(2, timeout=30)
+        results = [None] * 2
+
+        def work(i):
+            barrier.wait()
+            results[i] = eng.log_pdf_vec(u)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(_StandardDensity, "_build_table", counted):
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert builds == [1.5]
+        assert results[0] is not None and results[1] is not None
+        assert results[0].tobytes() == results[1].tobytes()
 
 
 class TestReferenceLogPdf:
