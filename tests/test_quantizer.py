@@ -433,3 +433,14 @@ class TestUniformSpecKmax:
         auto = uniform_error_strength(UniformSpec(0.5), cauchy_source(1.0), 1.0)
         manual = uniform_error_strength(UniformSpec(0.5, k_max=5000), cauchy_source(1.0), 1.0)
         assert manual.value == pytest.approx(auto.value, rel=1e-9)
+
+
+class TestStableTailMass:
+    # independent route: the Cauchy survival function 1/2 - arctan(x/gamma)/pi;
+    # x/gamma = 5 lies inside the core, the rest on the power-tail series
+    @pytest.mark.parametrize("gamma", [0.5, 1.3, 3.0])
+    @pytest.mark.parametrize("ratio", [5.0, 30.0, 100.0, 1e4])
+    def test_cauchy_tail_mass_matches_arctan(self, gamma, ratio):
+        got = _stable_adapter(1.0, gamma).tail_mass(ratio * gamma)
+        want = 0.5 - math.atan(ratio) / math.pi
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
