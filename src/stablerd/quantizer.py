@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize, special
 
-from . import stable_core
+from . import stable_core, strength
 from .errors import (
     DegenerateDesignWarning,
     NonSymmetricSource,
     NotSorted,
     OutOfRange,
 )
-from .stable_core import ReferenceLaw, reference_entropy, standard_density
+from .stable_core import ReferenceLaw, reference_entropy
 from .strength import (
     DEFAULT_TOL,
     EmpiricalSource,
@@ -32,7 +32,6 @@ from .strength import (
     StrengthSolution,
     SymmetricStableSource,
     TabulatedSource,
-    UniformSource,
     _solve_monotone,
     reference_neg_log_density,
     solve_strength,
@@ -167,125 +166,10 @@ def _quantize_vec(q: Quantizer, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# source adapters: vectorized density + tail handling for region integrals
-
-
-class _DensityAdapter:
-    """Vectorized density, mass and tail machinery for analytic sources."""
-
-    def __init__(self, source: SourceSpec):
-        self.source = source
-        if isinstance(source, SymmetricStableSource):
-            p = source.params
-            self.alpha_src = p.alpha
-            self.scale = p.gamma
-            self.engine = standard_density(p.alpha)
-            self.core_extent = stable_core.TAIL_CUTOFF * p.gamma
-            self.breakpoints = ()
-            self.compact = p.alpha == 2.0  # effectively: Gaussian tails die fast
-            self.tail_k = self.engine.tail_constant() * p.gamma ** p.alpha
-        elif isinstance(source, UniformSource):
-            self.alpha_src = None
-            self.scale = source.half_width
-            self.core_extent = source.half_width
-            self.breakpoints = (-source.half_width, source.half_width)
-            self.compact = True
-            self.tail_k = 0.0
-        elif isinstance(source, TabulatedSource):
-            self.alpha_src = None
-            lo, hi = source.support
-            self.compact = math.isfinite(lo) and math.isfinite(hi)
-            self.core_extent = min(
-                max(abs(x) for x in source.support if math.isfinite(x)) if self.compact else 64.0,
-                1e6,
-            )
-            self.scale = max(self.core_extent / 4.0, 1e-6)
-            self.breakpoints = tuple(x for x in source.support if math.isfinite(x))
-            self.tail_k = 0.0
-            self._tab = np.vectorize(source.density, otypes=[float])
-        else:
-            raise TypeError("adapter requires a density-backed source")
-
-    def pdf_vec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        src = self.source
-        if isinstance(src, SymmetricStableSource):
-            return self.engine.pdf_vec(x / self.scale) / self.scale
-        if isinstance(src, UniformSource):
-            w = src.half_width
-            return np.where(np.abs(x) < w, 0.5 / w, 0.0)
-        vals = self._tab(x)
-        lo, hi = src.support
-        return np.where((x >= lo) & (x <= hi), vals, 0.0)
-
-    def mass(self, a: float, b: float) -> float:
-        """Integral of the density over [a, b]."""
-        if b <= a:
-            return 0.0
-        src = self.source
-        if isinstance(src, UniformSource):
-            w = src.half_width
-            return max(0.0, (min(b, w) - max(a, -w))) / (2.0 * w)
-        if isinstance(src, TabulatedSource):
-            return integrate.quad(src.density, a, b, limit=300)[0]
-        # stable: split at the tail cutoff
-        pieces = 0.0
-        cut = self.core_extent
-        lo, hi = a, b
-        core_lo, core_hi = max(lo, -cut), min(hi, cut)
-        if core_hi > core_lo:
-            n_lin = max(8, min(int(16 * (core_hi - core_lo) / (1 + cut)) + 2, 64))
-            edges = np.linspace(core_lo, core_hi, n_lin)
-            if core_lo < 0.0 < core_hi:  # resolve the density peak
-                peak = self.scale * np.geomspace(1e-7, 1.0, 10)
-                extra = np.concatenate([-peak[::-1], peak])
-                extra = extra[(extra > core_lo) & (extra < core_hi)]
-                edges = np.unique(np.concatenate([edges, extra]))
-            pieces += stable_core._panel_integral(self.pdf_vec, edges)
-        if hi > cut:
-            pieces += self.tail_mass(max(lo, cut)) - self.tail_mass(hi)
-        if lo < -cut:
-            pieces += self.tail_mass(-min(hi, -cut)) - self.tail_mass(-lo)
-        return pieces
-
-    def tail_mass(self, x0: float) -> float:
-        """P(X > x0) for x0 at or beyond the core extent (symmetric sources)."""
-        src = self.source
-        if isinstance(src, UniformSource):
-            w = src.half_width
-            return max(0.0, (w - x0)) / (2.0 * w) if x0 < w else 0.0
-        if isinstance(src, TabulatedSource):
-            hi = src.support[1]
-            if x0 >= hi:
-                return 0.0
-            return integrate.quad(src.density, x0, hi, limit=300)[0]
-        a_s = self.alpha_src
-        if a_s == 2.0:
-            from scipy.special import erfc
-
-            return 0.5 * erfc(x0 / (2.0 * self.scale))
-        u0 = x0 / self.scale
-        if u0 < stable_core.TAIL_CUTOFF:
-            return self.mass(x0, self.core_extent) + self.tail_mass(self.core_extent)
-        # integrate the tail series in log space, then a first-order remainder
-        y_max = 60.0 / a_s + math.log(u0) + 5.0
-        y_edges = np.linspace(math.log(u0), y_max, 50)
-
-        def fn(y):
-            u = np.exp(y)
-            return np.exp(stable_core._log_pdf0_tail(a_s, u)) * u
-
-        val = stable_core._panel_integral(fn, y_edges)
-        k0 = self.engine.tail_constant()
-        val += k0 * math.exp(-a_s * y_max) / a_s
-        return val
-
-
-# ---------------------------------------------------------------------------
 # error strength of a quantizer
 
 
-def _region_edges(a: float, b: float, rep: float, s_scale: float, adapter) -> np.ndarray:
+def _region_edges(a: float, b: float, rep: float, s_scale: float, source) -> np.ndarray:
     """Panel edges inside [a, b] refined around the representation point,
     around the source peak, and at density breakpoints."""
     ladder = rep + s_scale * np.array(
@@ -294,9 +178,9 @@ def _region_edges(a: float, b: float, rep: float, s_scale: float, adapter) -> np
     edges = [a, b]
     edges.extend(ladder[(ladder > a) & (ladder < b)])
     if a < 0.0 < b:
-        peak = adapter.scale * np.array([-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0])
+        peak = source.scale * np.array([-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0])
         edges.extend(peak[(peak > a) & (peak < b)])
-    for brk in adapter.breakpoints:
+    for brk in source.breakpoints:
         if a < brk < b:
             edges.append(brk)
     edges = np.unique(np.asarray(edges, dtype=float))
@@ -312,56 +196,44 @@ def _region_edges(a: float, b: float, rep: float, s_scale: float, adapter) -> np
     return np.asarray(out)
 
 
-def _outer_region_integral(adapter, psi, rep: float, r0: float, s: float) -> float:
+def _outer_region_integral(source, psi, rep: float, r0: float, s: float) -> float:
     """Integral of f(x) psi((x - rep)/s) over (r0, infinity)."""
-    s_scale = s * 3.0
-    C = max(r0 + 80.0 * s_scale, 2.0 * abs(r0) + 4.0 * adapter.scale, adapter.core_extent)
-    if isinstance(adapter.source, TabulatedSource):
-        hi = adapter.source.support[1]
+    if isinstance(source, TabulatedSource):
         val, _ = integrate.quad(
-            lambda x: float(adapter.pdf_vec(np.array([x]))[0] * psi(np.array([(x - rep) / s]))[0]),
+            lambda x: float(source.pdf_vec(np.array([x]))[0] * psi(np.array([(x - rep) / s]))[0]),
             r0,
-            hi,
+            source.support[1],
             limit=400,
         )
         return val
-    if adapter.compact and not isinstance(adapter.source, SymmetricStableSource):
-        C = min(C, adapter.core_extent)
-        if C <= r0:
-            return 0.0
+    s_scale = s * 3.0
+    C = max(r0 + 80.0 * s_scale, 2.0 * abs(r0) + 4.0 * source.scale, source.core_extent)
+    C = min(C, source.support[1])
+    if C <= r0:
+        return 0.0
 
     def fn(x):
-        return adapter.pdf_vec(x) * psi((x - rep) / s)
+        return source.pdf_vec(x) * psi((x - rep) / s)
 
-    edges = _region_edges(r0, C, min(max(rep, r0), C), s_scale, adapter)
+    edges = _region_edges(r0, C, min(max(rep, r0), C), s_scale, source)
     val = stable_core._panel_integral(fn, edges)
-    if isinstance(adapter.source, UniformSource):
-        return val
-    a_s = adapter.alpha_src
-    if a_s == 2.0 and C >= adapter.core_extent:
-        return val  # Gaussian mass beyond the core extent is below 1e-98
-    # log-space continuation against the source tail series
-    y_max = 60.0 / a_s + math.log(C / adapter.scale) + 5.0
-    y_edges = np.linspace(math.log(C / adapter.scale), y_max, 32)
-
-    def tail_fn(y):
-        u = np.exp(y)
-        x = adapter.scale * u
-        return (
-            np.exp(stable_core._log_pdf0_tail(a_s, u))
-            * psi((x - rep) / s)
-            * u
-        )
-
-    val += stable_core._panel_integral(tail_fn, y_edges)
+    k = source.tail_k
+    if k == 0.0:
+        return val  # no power tail: no mass beyond C (Gaussian: below 1e-98)
+    # continuation against the stable tail series beyond the core extent
+    a_s, g = source.params.alpha, source.scale
+    y_max = 60.0 / a_s + math.log(C / g) + 5.0
+    val += stable_core._tail_integral(
+        a_s, lambda u, lp: np.exp(lp) * psi((g * u - rep) / s), C / g, y_max, 32
+    )
     # first-order remainder beyond exp(y_max), with psi frozen at the cutoff
-    X = adapter.scale * math.exp(y_max)
+    X = g * math.exp(y_max)
     psi_X = float(psi(np.array([(X - rep) / s]))[0])
-    val += adapter.tail_k * X ** (-a_s) / a_s * psi_X
+    val += k * X ** (-a_s) / a_s * psi_X
     return val
 
 
-def _g_of_partition(points, boundaries, source, alpha, psi, adapter):
+def _g_of_partition(points, boundaries, source, psi):
     """Return G(s) = sum_j int_{R_j} f(x) psi((x - x_j)/s) dx as a callable."""
     points = np.asarray(points, dtype=float)
     boundaries = np.asarray(boundaries, dtype=float)
@@ -408,7 +280,7 @@ def _g_of_partition(points, boundaries, source, alpha, psi, adapter):
             xg, wg = stable_core._gauss_legendre(14)
             for j in range(1, points.size - 1):
                 a, b = boundaries[j - 1], boundaries[j]
-                edges = _region_edges(a, b, points[j], s_scale, adapter)
+                edges = _region_edges(a, b, points[j], s_scale, source)
                 mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
                 half = 0.5 * (edges[1:] - edges[:-1])[:, None]
                 nodes = mid + half * xg[None, :]
@@ -420,16 +292,16 @@ def _g_of_partition(points, boundaries, source, alpha, psi, adapter):
                 weights = np.concatenate(all_weights)
                 reps = np.concatenate(all_reps)
                 total += float(
-                    np.sum(weights * adapter.pdf_vec(nodes) * psi((nodes - reps) / s))
+                    np.sum(weights * source.pdf_vec(nodes) * psi((nodes - reps) / s))
                 )
-            total += _outer_region_integral(adapter, psi, points[-1], boundaries[-1], s)
+            total += _outer_region_integral(source, psi, points[-1], boundaries[-1], s)
             # left outer region by reflection (psi is even, the density symmetric)
-            total += _outer_region_integral(adapter, psi, -points[0], -boundaries[0], s)
+            total += _outer_region_integral(source, psi, -points[0], -boundaries[0], s)
         else:
             # single region covering the line, split at the representation point
             rep = points[0]
-            total += _outer_region_integral(adapter, psi, rep, rep, s)
-            total += _outer_region_integral(adapter, psi, -rep, -rep, s)
+            total += _outer_region_integral(source, psi, rep, rep, s)
+            total += _outer_region_integral(source, psi, -rep, -rep, s)
         return total
 
     return G
@@ -444,10 +316,7 @@ def _error_strength_raw(
     s_hint: float | None = None,
 ) -> StrengthSolution:
     psi = reference_neg_log_density(alpha)
-    adapter = None
-    if not isinstance(source, EmpiricalSource):
-        adapter = _DensityAdapter(source)
-    G = _g_of_partition(points, boundaries, source, alpha, psi, adapter)
+    G = _g_of_partition(points, boundaries, source, psi)
     h = reference_entropy(ReferenceLaw(alpha, 1))
     tight = s_hint is not None and s_hint > 0.0
     if tight:
@@ -457,9 +326,7 @@ def _error_strength_raw(
         if pts.size > 1:
             s0 = max(float(np.median(np.diff(pts))) * 0.3, 1e-12)
         else:
-            s0 = adapter.scale if adapter is not None else max(
-                float(np.median(np.abs(source.batch.values))), 1e-12
-            )
+            s0 = max(source.scale, 1e-12)
     return _solve_monotone(lambda s: G(s) - h, s0, tol, tight=tight)
 
 
@@ -486,7 +353,6 @@ def output_entropy(q: Quantizer, source: SourceSpec) -> float:
         counts = np.bincount(idx, minlength=q.levels).astype(float)
         p = counts / counts.sum()
     else:
-        adapter = _DensityAdapter(source)
         edges = np.concatenate([[-np.inf], q.boundaries, [np.inf]])
         p = np.empty(q.levels)
         for j in range(q.levels):
@@ -494,11 +360,11 @@ def output_entropy(q: Quantizer, source: SourceSpec) -> float:
             if a == -np.inf and b == np.inf:
                 p[j] = 1.0
             elif a == -np.inf:
-                p[j] = adapter.tail_mass(-b)
+                p[j] = source.tail_mass(-b)
             elif b == np.inf:
-                p[j] = adapter.tail_mass(a)
+                p[j] = source.tail_mass(a)
             else:
-                p[j] = adapter.mass(a, b)
+                p[j] = source.mass(a, b)
     p = np.clip(p, 0.0, 1.0)
     p = p[p > 0.0]
     return float(-np.sum(p * np.log(p)))
@@ -515,40 +381,16 @@ def _mirror(free_positive: np.ndarray, M: int) -> np.ndarray:
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
-def _abs_quantile(source: SourceSpec, p: float, adapter=None) -> float:
-    if isinstance(source, EmpiricalSource):
-        vals = np.abs(source.batch.values)
-        return float(np.quantile(vals, p))
-    if isinstance(source, UniformSource):
-        return p * source.half_width
-    if adapter is None:
-        adapter = _DensityAdapter(source)
-
-    def fn(x):
-        return adapter.mass(-x, x) - p
-
-    hi = adapter.scale
-    for _ in range(80):
-        if fn(hi) > 0.0:
-            break
-        hi *= 2.0
-    return float(optimize.brentq(fn, 1e-12 * adapter.scale, hi, rtol=1e-10))
-
-
 def _check_symmetric_unimodal(source: SourceSpec) -> None:
-    if isinstance(source, EmpiricalSource):
-        vals = source.batch.values
-        scale = float(np.median(np.abs(vals)))
-        if scale == 0.0:
-            return
-        if abs(float(np.median(vals))) > 0.1 * scale:
+    if isinstance(source, EmpiricalSource):  # samples: compare medians
+        scale = source.scale
+        if scale > 0.0 and abs(float(np.median(source.batch.values))) > 0.1 * scale:
             raise NonSymmetricSource("sample median is far from 0")
         return
-    adapter = _DensityAdapter(source)
-    xs = adapter.scale * np.linspace(0.05, 4.0, 10)
-    fp = adapter.pdf_vec(xs)
-    fm = adapter.pdf_vec(-xs)
-    ref = adapter.pdf_vec(np.array([0.0]))[0]
+    xs = source.scale * np.linspace(0.05, 4.0, 10)
+    fp = source.pdf_vec(xs)
+    fm = source.pdf_vec(-xs)
+    ref = source.pdf_vec(np.array([0.0]))[0]
     if np.any(np.abs(fp - fm) > 1e-6 * (ref + fp)):
         raise NonSymmetricSource("density is not symmetric about 0")
     seq = np.concatenate([[ref], fp])
@@ -587,9 +429,8 @@ def design_optimal(
         )
 
     m = M // 2
-    adapter = None if isinstance(source, EmpiricalSource) else _DensityAdapter(source)
     levels = (2.0 * np.arange(m) + 1.0) / (2.0 * M)
-    init = np.array([_abs_quantile(source, p, adapter) for p in levels])
+    init = np.array([source.abs_quantile(p) for p in levels])
     init = np.maximum(init, 1e-9)
     init *= np.exp(0.05 * rng.standard_normal(m))
     init = np.sort(init)
@@ -680,7 +521,7 @@ def design_optimal(
 # uniform quantizers
 
 
-def _direct_radius(spec: UniformSpec, adapter: _DensityAdapter) -> int:
+def _direct_radius(spec: UniformSpec, source: SourceSpec) -> int:
     """Regions k_core on each side of zero that the direct route sums term by term."""
     delta = spec.delta
     if spec.k_max is not None:
@@ -689,33 +530,34 @@ def _direct_radius(spec: UniformSpec, adapter: _DensityAdapter) -> int:
         # exact summation radius: beyond it the density sits in its power tail
         # and the flat-grouping (midpoint) error, bounded through |f''|, stays
         # below 1e-10 nats
-        x_req = 3.0 * adapter.core_extent
-        k_x = adapter.tail_k
+        x_req = 3.0 * source.core_extent
+        k_x = source.tail_k
         if k_x > 0.0:
-            a_s = adapter.alpha_src
+            a_s = source.params.alpha
             bound = (delta ** 2 / 24.0) * k_x * (a_s + 1.0) * (a_s + 2.0) * 6.0
             x_req = max(x_req, (bound / 1e-10) ** (1.0 / (a_s + 2.0)))
         k_core = int(math.ceil(x_req / delta)) + 2
     return min(k_core, 200_000)
 
 
-def _direct_weights(delta: float, adapter: _DensityAdapter, k_core: int, n_nodes: int = 48):
+def _direct_weights(delta: float, source: SourceSpec, k_core: int):
     """(u, W) from the lattice density summed term by term over |k| <= k_core,
     with all remaining regions grouped through their exact tail mass."""
-    xg, wg = stable_core._gauss_legendre(n_nodes)
+    xg, wg = stable_core._gauss_legendre(_LATTICE_NODES)
     u = 0.5 * delta * xg  # offsets within a region
     ks = np.arange(-k_core, k_core + 1)
     nodes = ks[:, None] * delta + u[None, :]
-    fsum = adapter.pdf_vec(nodes.ravel()).reshape(nodes.shape).sum(axis=0)
-    tail = adapter.tail_mass(k_core * delta + 0.5 * delta)
+    fsum = source.pdf_vec(nodes.ravel()).reshape(nodes.shape).sum(axis=0)
+    tail = source.tail_mass(k_core * delta + 0.5 * delta)
     fsum = fsum + 2.0 * tail / delta  # grouped mass of all remaining regions
     return u, 0.5 * delta * wg * fsum
 
 
 _ALIAS_TOL = 1e-16  # bound on the dropped aliasing terms; the m = 0 term is 1
+_LATTICE_NODES = 48  # Gauss-Legendre nodes across one region of width delta
 
 
-def _aliasing_terms(delta: float, adapter: _DensityAdapter):
+def _aliasing_terms(delta: float, source: SymmetricStableSource):
     """Length m_max of the aliasing series for a symmetric stable source.
 
     With c = 2 pi gamma / delta, the dropped terms 2 sum_{m > m_max}
@@ -725,8 +567,8 @@ def _aliasing_terms(delta: float, adapter: _DensityAdapter):
     and m_max is the smallest integer taking that bound below _ALIAS_TOL.
     Returns math.inf when the count would not fit in a float.
     """
-    a = adapter.alpha_src
-    c = 2.0 * math.pi * adapter.scale / delta
+    a = source.params.alpha
+    c = 2.0 * math.pi * source.scale / delta
     log_q = math.log(_ALIAS_TOL * c * a / 2.0) - special.gammaln(1.0 / a)
     if log_q >= 0.0:
         return 0  # the bound holds with no term at all
@@ -735,22 +577,22 @@ def _aliasing_terms(delta: float, adapter: _DensityAdapter):
     return math.ceil(math.exp(log_m)) if log_m < 700.0 else math.inf
 
 
-def _aliasing_weights(delta: float, adapter: _DensityAdapter, m_max: int, n_nodes: int = 48):
+def _aliasing_weights(delta: float, source: SymmetricStableSource, m_max: int):
     """(u, W) from the lattice density of a symmetric stable source by Poisson
     summation: with u = (delta/2) x and phi(t) = exp(-(gamma |t|)^alpha),
 
         delta * sum_k f(k delta + u) = 1 + 2 sum_{m >= 1} phi(2 pi m / delta) cos(pi m x),
 
     truncated after m_max terms."""
-    xg, wg = stable_core._gauss_legendre(n_nodes)
-    c = 2.0 * math.pi * adapter.scale / delta
+    xg, wg = stable_core._gauss_legendre(_LATTICE_NODES)
+    c = 2.0 * math.pi * source.scale / delta
     m = np.arange(1, m_max + 1)
-    amp = np.exp(-((c * m) ** adapter.alpha_src))
+    amp = np.exp(-((c * m) ** source.params.alpha))
     alias = 1.0 + 2.0 * (amp @ np.cos(np.pi * np.outer(m, xg)))
     return 0.5 * delta * xg, 0.5 * wg * alias
 
 
-def _uniform_weights(spec: UniformSpec, adapter: _DensityAdapter, n_nodes: int = 48):
+def _uniform_weights(spec: UniformSpec, source: SourceSpec):
     """Offset nodes u_i and weights W_i = (delta/2) w_i sum_k f(k delta + u_i)
     with G(s) = sum_i W_i psi(u_i / s) for the untruncated uniform quantizer.
 
@@ -758,12 +600,12 @@ def _uniform_weights(spec: UniformSpec, adapter: _DensityAdapter, n_nodes: int =
     more terms than the 2 k_core + 1 regions of the direct sum; every other
     case sums the lattice directly.
     """
-    k_core = _direct_radius(spec, adapter)
-    if isinstance(adapter.source, SymmetricStableSource):
-        m_max = _aliasing_terms(spec.delta, adapter)
+    k_core = _direct_radius(spec, source)
+    if isinstance(source, SymmetricStableSource):
+        m_max = _aliasing_terms(spec.delta, source)
         if m_max <= 2 * k_core + 1:
-            return _aliasing_weights(spec.delta, adapter, m_max, n_nodes)
-    return _direct_weights(spec.delta, adapter, k_core, n_nodes)
+            return _aliasing_weights(spec.delta, source, m_max)
+    return _direct_weights(spec.delta, source, k_core)
 
 
 def uniform_error_strength(
@@ -791,9 +633,8 @@ def uniform_error_strength(
             0.2 * spec.delta,
             tol,
         )
-    adapter = _DensityAdapter(source)
     psi = reference_neg_log_density(alpha)
-    u, W = _uniform_weights(spec, adapter)
+    u, W = _uniform_weights(spec, source)
     h = reference_entropy(ReferenceLaw(alpha, 1))
 
     def fn(s):
@@ -804,11 +645,9 @@ def uniform_error_strength(
 
 def high_rate_prediction(alpha: float, delta: float) -> float:
     """High-rate limit of the uniform error strength: delta * s_alpha(U)."""
-    from .strength import strength_of_uniform
-
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    return delta * strength_of_uniform(alpha)
+    return delta * strength.strength_of_uniform(alpha)
 
 
 def truncated_uniform(delta: float, M: int) -> Quantizer:
@@ -830,7 +669,6 @@ def truncated_uniform(delta: float, M: int) -> Quantizer:
 
 def _truncated_uniform_g(delta, M, source, alpha):
     """G(s) callable plus region masses for the M-level uniform quantizer."""
-    adapter = _DensityAdapter(source)
     psi = reference_neg_log_density(alpha)
     q = truncated_uniform(delta, M)
     pts = q.points
@@ -842,7 +680,7 @@ def _truncated_uniform_g(delta, M, source, alpha):
     if n_inner > 0:
         inner_pts = pts[1:-1]
         nodes = inner_pts[:, None] + u[None, :]
-        fvals = adapter.pdf_vec(nodes.ravel()).reshape(nodes.shape)
+        fvals = source.pdf_vec(nodes.ravel()).reshape(nodes.shape)
         fsum = fvals.sum(axis=0)
         W = 0.5 * delta * wg * fsum
         p_inner = (0.5 * delta * wg[None, :] * fvals).sum(axis=1)
@@ -852,10 +690,10 @@ def _truncated_uniform_g(delta, M, source, alpha):
 
     def G(s):
         total = float(np.sum(W * psi(u / s))) if n_inner > 0 else 0.0
-        total += 2.0 * _outer_region_integral(adapter, psi, top, edge, s)
+        total += 2.0 * _outer_region_integral(source, psi, top, edge, s)
         return total
 
-    p_outer = adapter.tail_mass(edge)
+    p_outer = source.tail_mass(edge)
     probs = np.concatenate([[p_outer], p_inner, [p_outer]])
     return G, probs, q
 
@@ -879,8 +717,7 @@ def best_uniform_design(source: SourceSpec, alpha: float, M: int, tol: float = 1
 
     Returns (delta, strength solution, output entropy, quantizer).
     """
-    adapter = _DensityAdapter(source)
-    scale = adapter.scale
+    scale = source.scale
     h = reference_entropy(ReferenceLaw(alpha, 1))
 
     def strength_of(logd):

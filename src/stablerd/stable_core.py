@@ -164,7 +164,7 @@ def char_fn(params: StableParams, omega: float) -> complex:
 # (convergent for alpha < 1, asymptotic with certified truncation otherwise).
 
 
-def _quad_result(out, epsabs, what):
+def _quad_result(out, epsabs):
     value, abserr = out[0], out[1]
     ok = len(out) == 3 or abserr <= max(epsabs * 100.0, abs(value) * 1e-7)
     if not math.isfinite(value):
@@ -226,7 +226,7 @@ def _pdf0_qawf(alpha: float, u: float):
         limit=400,
         full_output=1,
     )
-    return _quad_result(out, _QUAD_EPSABS, "qawf")
+    return _quad_result(out, _QUAD_EPSABS)
 
 
 def _pdf0_zolotarev(alpha: float, u: float) -> float:
@@ -249,12 +249,25 @@ def _pdf0_zolotarev(alpha: float, u: float) -> float:
         integrand, 0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-12, limit=300,
         full_output=1,
     )
-    value, _, ok = _quad_result(out, 1e-14, "zolotarev")
-    if not ok:
+    value, _, ok = _quad_result(out, 1e-14)
+    f = value * alpha / (math.pi * abs(alpha - 1.0) * u)
+    # The quadrature can miss the narrow peak of g exp(-g) and return a tiny
+    # value with a tiny error estimate, so check against the lower bound
+    # from cos x >= 1 - x^2 / 2.
+    if not (ok and math.isfinite(f) and f > 0.0 and f >= (1.0 - 1e-6) * _pdf0_floor(alpha, u)):
         raise QuadratureFailure(
             f"stable density inversion failed at alpha={alpha}, u={u}"
         )
-    return value * alpha / (math.pi * abs(alpha - 1.0) * u)
+    return f
+
+
+def _pdf0_floor(alpha: float, u: float) -> float:
+    """f0(0) - u^2 Gamma(3/alpha) / (2 pi alpha), a lower bound on f0(u)."""
+    log_f00 = gammaln(1.0 + 1.0 / alpha) - math.log(math.pi)
+    log_drop = gammaln(3.0 / alpha) + 2.0 * math.log(u) - math.log(2.0 * math.pi * alpha)
+    if log_drop >= log_f00:
+        return 0.0
+    return math.exp(log_f00) - math.exp(log_drop)
 
 
 def _pdf0_quadrature(alpha: float, u: float) -> float:
@@ -466,7 +479,7 @@ def _pdf_skewed_quadrature(params: StableParams, x: float) -> float:
         integrand, 0.0, T, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
         limit=800, full_output=1,
     )
-    value, abserr, ok = _quad_result(out, _QUAD_EPSABS, "skewed")
+    value, abserr, ok = _quad_result(out, _QUAD_EPSABS)
     if not ok and abserr > 1e-9:
         raise QuadratureFailure(
             f"skewed density inversion failed at {params}, x={x}"
@@ -548,7 +561,7 @@ def _log_pdf_reference_multid(ref: ReferenceLaw, r: float) -> float:
         integrand, 0.0, T, points=pts or None, epsabs=1e-11, epsrel=1e-8,
         limit=400, full_output=1,
     )
-    value, _, ok = _quad_result(out, 1e-11, "hankel")
+    value, _, ok = _quad_result(out, 1e-11)
     if not ok or value <= 0.0:
         raise QuadratureFailure(
             f"d-dimensional reference density inversion failed at r={r}"
@@ -598,6 +611,20 @@ def _panel_integral(fn, edges: np.ndarray, n: int = 16) -> float:
     return float(np.sum(vals * wg[None, :] * half))
 
 
+def _tail_integral(alpha: float, g, u0: float, y_max: float, n_edges: int) -> float:
+    """int_{u0}^{exp(y_max)} g(u, log f0(u)) du against the power-tail series.
+
+    u0 >= TAIL_CUTOFF.  The range is cut into n_edges - 1 equal Gauss-Legendre
+    panels in y = ln u; the caller adds its own remainder beyond exp(y_max).
+    """
+
+    def fn(y):
+        u = np.exp(y)
+        return g(u, _log_pdf0_tail(alpha, u)) * u
+
+    return _panel_integral(fn, np.linspace(math.log(u0), y_max, n_edges))
+
+
 def _standard_entropy(alpha: float) -> float:
     """Differential entropy of the standard symmetric stable density (gamma=1)."""
     if alpha == 2.0:
@@ -617,16 +644,9 @@ def _standard_entropy(alpha: float) -> float:
     )
     core = _panel_integral(neg_flogf, edges)
 
-    # tail in y = ln u out to where the integrand is ~1e-18 of the total
+    # tail out to where the integrand is ~1e-18 of the total
     y_max = (_LOG_EPS + 10.0) / alpha + math.log(TAIL_CUTOFF)
-    y_edges = np.linspace(math.log(TAIL_CUTOFF), y_max, 80)
-
-    def tail_integrand(y):
-        u = np.exp(y)
-        lp = _log_pdf0_tail(alpha, u)
-        return -np.exp(lp) * lp * u
-
-    tail = _panel_integral(tail_integrand, y_edges)
+    tail = _tail_integral(alpha, lambda u, lp: -np.exp(lp) * lp, TAIL_CUTOFF, y_max, 80)
 
     # analytic first-order remainder beyond exp(y_max)
     X = math.exp(y_max)

@@ -12,15 +12,17 @@ bracket expansion followed by Brent's method.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, erfc, gammaln
 
 from . import stable_core
-from .errors import BracketFailure, NonFiniteLogMoment, QuadratureFailure
+from .errors import BracketFailure, NonFiniteLogMoment
 from .stable_core import ReferenceLaw, SampleBatch, StableParams, standard_density
 
 __all__ = [
@@ -44,26 +46,175 @@ _BRACKET_FACTOR = 4.0
 _BRACKET_BUDGET = 60
 
 
+class _Source:
+    """The protocol every source kind implements, with the shared defaults.
+
+    Every kind has `dim`, `is_zero`, `scale` (for panel placement), `start_scale`
+    (where strength root solves start), `tail_k`, `expect(phi)` and
+    `abs_quantile(p)`.  Density-backed kinds also have `support`,
+    `core_extent` (beyond it a kind's own tail handling takes over),
+    `breakpoints`, `pdf_vec(x)`, `mass(a, b)` and `tail_mass(x)`.  A new kind
+    implements these on its own class; the strength and quantizer code calls
+    only them.
+    """
+
+    dim = 1
+    is_zero = False
+    # k with f(x) ~ k |x|^-(a+1), 0 < a < 2, for a power tail; 0 without one
+    tail_k = 0.0
+
+    @property
+    def start_scale(self) -> float:
+        return self.scale
+
+    @property
+    def breakpoints(self) -> tuple:
+        """Finite ends of the support, where the density may jump."""
+        return tuple(x for x in self.support if math.isfinite(x))
+
+    def tail_mass(self, x0: float) -> float:
+        """P(X > x0)."""
+        return self.mass(x0, self.support[1])
+
+    def abs_quantile(self, p: float) -> float:
+        """The p-quantile of |X|, by root finding on the mass of [-x, x]."""
+
+        def fn(x):
+            return self.mass(-x, x) - p
+
+        hi = self.scale
+        for _ in range(80):
+            if fn(hi) > 0.0:
+                break
+            hi *= 2.0
+        return float(optimize.brentq(fn, 1e-12 * self.scale, hi, rtol=1e-10))
+
+
 @dataclass(frozen=True)
-class SymmetricStableSource:
+class SymmetricStableSource(_Source):
     """A symmetric stable scalar source (beta = delta = 0)."""
 
     params: StableParams
+
+    support = (-math.inf, math.inf)
 
     def __post_init__(self):
         if self.params.beta != 0.0 or self.params.delta != 0.0:
             raise ValueError("symmetric stable source requires beta = delta = 0")
 
+    @property
+    def scale(self) -> float:
+        return self.params.gamma
+
+    @property
+    def core_extent(self) -> float:
+        return stable_core.TAIL_CUTOFF * self.params.gamma
+
+    @cached_property
+    def tail_k(self) -> float:
+        p = self.params
+        return standard_density(p.alpha).tail_constant() * p.gamma ** p.alpha
+
+    def pdf_vec(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        g = self.params.gamma
+        return standard_density(self.params.alpha).pdf_vec(x / g) / g
+
+    def mass(self, a: float, b: float) -> float:
+        """Integral of the density over [a, b], split at the core extent."""
+        if b <= a:
+            return 0.0
+        pieces = 0.0
+        cut = self.core_extent
+        core_lo, core_hi = max(a, -cut), min(b, cut)
+        if core_hi > core_lo:
+            n_lin = max(8, min(int(16 * (core_hi - core_lo) / (1 + cut)) + 2, 64))
+            edges = np.linspace(core_lo, core_hi, n_lin)
+            if core_lo < 0.0 < core_hi:  # resolve the density peak
+                peak = self.scale * np.geomspace(1e-7, 1.0, 10)
+                extra = np.concatenate([-peak[::-1], peak])
+                extra = extra[(extra > core_lo) & (extra < core_hi)]
+                edges = np.unique(np.concatenate([edges, extra]))
+            pieces += stable_core._panel_integral(self.pdf_vec, edges)
+        if b > cut:
+            pieces += self.tail_mass(max(a, cut)) - self.tail_mass(b)
+        if a < -cut:
+            pieces += self.tail_mass(-min(b, -cut)) - self.tail_mass(-a)
+        return pieces
+
+    def tail_mass(self, x0: float) -> float:
+        """P(X > x0)."""
+        a_s, g = self.params.alpha, self.params.gamma
+        if a_s == 2.0:
+            return 0.5 * erfc(x0 / (2.0 * g))
+        u0 = x0 / g
+        if u0 < stable_core.TAIL_CUTOFF:
+            return self.mass(x0, self.core_extent) + self.tail_mass(self.core_extent)
+        # the tail series in log space, then a first-order remainder
+        y_max = 60.0 / a_s + math.log(u0) + 5.0
+        val = stable_core._tail_integral(a_s, lambda u, lp: np.exp(lp), u0, y_max, 50)
+        return val + standard_density(a_s).tail_constant() * math.exp(-a_s * y_max) / a_s
+
+    def expect(self, phi_vec) -> float:
+        """E[phi(X)] for an even, log-growth phi."""
+        a_s = self.params.alpha
+        g_s = self.params.gamma
+        eng = standard_density(a_s)
+
+        def core_fn(t):
+            return eng.pdf_vec(t) * phi_vec(g_s * t)
+
+        edges = np.concatenate([[0.0], np.geomspace(1e-13, stable_core.TAIL_CUTOFF, 90)])
+        core = stable_core._panel_integral(core_fn, edges)
+        if a_s == 2.0:
+            return 2.0 * core  # the Gaussian envelope is spent well inside the core
+        y_max = 55.0 / a_s + math.log(stable_core.TAIL_CUTOFF) + 5.0
+        tail = stable_core._tail_integral(
+            a_s, lambda u, lp: np.exp(lp) * phi_vec(g_s * u), stable_core.TAIL_CUTOFF, y_max, 70
+        )
+        return 2.0 * (core + tail)
+
 
 @dataclass(frozen=True)
-class EmpiricalSource:
+class EmpiricalSource(_Source):
     """A source given by i.i.d. samples (scalars, or rows of d-vectors)."""
 
     batch: SampleBatch
 
+    @property
+    def dim(self) -> int:
+        vals = self.batch.values
+        return vals.shape[1] if vals.ndim == 2 else 1
+
+    @property
+    def is_zero(self) -> bool:
+        return bool(np.all(self.batch.values == 0.0))
+
+    @property
+    def scale(self) -> float:
+        """The median of |x| over all sample entries."""
+        return float(np.median(np.abs(self.batch.values)))
+
+    @property
+    def start_scale(self) -> float:
+        """The median of |X| (vector norms for d >= 2), or its mean if that is 0."""
+        vals = self.batch.values
+        r = np.sqrt(np.einsum("ij,ij->i", vals, vals)) if vals.ndim == 2 else np.abs(vals)
+        med = float(np.median(r))
+        return med if med > 0.0 else float(np.mean(r))
+
+    def expect(self, phi_vec) -> float:
+        vals = self.batch.values
+        if vals.ndim != 1:
+            raise ValueError("scalar expectation requires 1-d samples")
+        return float(np.mean(phi_vec(vals)))
+
+    def abs_quantile(self, p: float) -> float:
+        return float(np.quantile(np.abs(self.batch.values), p))
+
 
 @dataclass(frozen=True)
-class TabulatedSource:
+class TabulatedSource(_Source):
     """A source given by a density callback with support hints.
 
     `density` maps a scalar x to f(x); `support` is (lo, hi) and may be
@@ -79,9 +230,105 @@ class TabulatedSource:
         if abs(mass - 1.0) > 1e-6:
             raise ValueError(f"tabulated density has mass {mass}, expected 1 +- 1e-6")
 
+    @property
+    def core_extent(self) -> float:
+        ends = self.breakpoints
+        return min(max(abs(x) for x in ends) if len(ends) == 2 else 64.0, 1e6)
+
+    @property
+    def scale(self) -> float:
+        return max(self.core_extent / 4.0, 1e-6)
+
+    @property
+    def start_scale(self) -> float:
+        """The median of |X| by bisection on the mass; 1 if that fails.
+
+        Rough accuracy is fine here, so integration warnings on
+        slowly-decaying tails are muted.
+        """
+        lo, hi = self.support
+        f = self.density
+
+        def mass_above(c):
+            pieces = 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                if hi > c:
+                    pieces += integrate.quad(f, c, hi, limit=200)[0]
+                if lo < -c:
+                    pieces += integrate.quad(f, lo, -c, limit=200)[0]
+            return pieces - 0.5
+
+        try:
+            return optimize.brentq(mass_above, 1e-12, 1e6)
+        except ValueError:
+            return 1.0
+
+    @cached_property
+    def _density_vec(self):
+        return np.vectorize(self.density, otypes=[float])
+
+    def pdf_vec(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        vals = self._density_vec(x)
+        lo, hi = self.support
+        return np.where((x >= lo) & (x <= hi), vals, 0.0)
+
+    def mass(self, a: float, b: float) -> float:
+        if b <= a:
+            return 0.0
+        return integrate.quad(self.density, a, b, limit=300)[0]
+
+    def expect(self, phi_vec) -> float:
+        """E[phi(X)] with divergence detection.
+
+        Infinite tails are accumulated over doubling segments; if the segment
+        contributions fail to decay the log-moment proxy is declared divergent.
+        """
+        lo, hi = self.support
+        f = self.density
+
+        def seg(a, b):
+            val, _ = integrate.quad(
+                lambda x: f(x) * float(phi_vec(np.asarray([x], dtype=float))[0]), a, b,
+                limit=300, epsabs=1e-12, epsrel=1e-10,
+            )
+            return val
+
+        total = 0.0
+        c = 64.0
+        finite_lo = math.isfinite(lo)
+        finite_hi = math.isfinite(hi)
+        a = lo if finite_lo else -c
+        b = hi if finite_hi else c
+        total += seg(a, b)
+        for sign, open_end in ((1.0, not finite_hi), (-1.0, not finite_lo)):
+            if not open_end:
+                continue
+            prev = math.inf
+            x0 = c
+            for k in range(_BRACKET_BUDGET):
+                piece = seg(sign * x0, sign * 2.0 * x0) * sign
+                total += piece
+                if abs(piece) < 1e-13 * max(abs(total), 1.0):
+                    break
+                if k > 6 and abs(piece) > prev:
+                    raise NonFiniteLogMoment(
+                        "tail integral fails to decay; log-moment proxy diverges"
+                    )
+                prev = abs(piece)
+                x0 *= 2.0
+            else:
+                raise NonFiniteLogMoment(
+                    "tail integral did not converge within the doubling budget"
+                )
+        if not math.isfinite(total):
+            raise NonFiniteLogMoment("expectation evaluated to a non-finite value")
+        return total
+
 
 @dataclass(frozen=True)
-class UniformSource:
+class UniformSource(_Source):
     """Uniform on (-half_width, half_width)."""
 
     half_width: float
@@ -89,6 +336,40 @@ class UniformSource:
     def __post_init__(self):
         if self.half_width < 0.0:
             raise ValueError("half_width must be nonnegative")
+
+    @property
+    def is_zero(self) -> bool:
+        return self.half_width == 0.0
+
+    @property
+    def scale(self) -> float:
+        return self.half_width
+
+    @property
+    def support(self) -> tuple:
+        return (-self.half_width, self.half_width)
+
+    @property
+    def core_extent(self) -> float:
+        return self.half_width
+
+    def pdf_vec(self, x) -> np.ndarray:
+        w = self.half_width
+        return np.where(np.abs(np.asarray(x, dtype=float)) < w, 0.5 / w, 0.0)
+
+    def mass(self, a: float, b: float) -> float:
+        if b <= a:
+            return 0.0
+        w = self.half_width
+        return max(0.0, (min(b, w) - max(a, -w))) / (2.0 * w)
+
+    def expect(self, phi_vec) -> float:
+        w = self.half_width
+        edges = np.concatenate([[0.0], np.geomspace(w * 1e-13, w, 60)])
+        return stable_core._panel_integral(phi_vec, edges) / w
+
+    def abs_quantile(self, p: float) -> float:
+        return p * self.half_width
 
 
 SourceSpec = Union[SymmetricStableSource, EmpiricalSource, TabulatedSource, UniformSource]
@@ -129,133 +410,23 @@ def reference_neg_log_density(alpha: float):
     return psi
 
 
-def _expect_even_stable(src: SymmetricStableSource, phi_vec) -> float:
-    """E[phi(X)] for an even, log-growth phi against a symmetric stable source."""
-    a_s = src.params.alpha
-    g_s = src.params.gamma
-    eng = standard_density(a_s)
-
-    def core_fn(t):
-        return eng.pdf_vec(t) * phi_vec(g_s * t)
-
-    edges = np.concatenate([[0.0], np.geomspace(1e-13, stable_core.TAIL_CUTOFF, 90)])
-    core = stable_core._panel_integral(core_fn, edges)
-    if a_s == 2.0:
-        return 2.0 * core  # the Gaussian envelope is spent well inside the core
-    y_max = 55.0 / a_s + math.log(stable_core.TAIL_CUTOFF) + 5.0
-
-    def tail_fn(y):
-        t = np.exp(y)
-        return np.exp(stable_core._log_pdf0_tail(a_s, t)) * phi_vec(g_s * t) * t
-
-    y_edges = np.linspace(math.log(stable_core.TAIL_CUTOFF), y_max, 70)
-    tail = stable_core._panel_integral(tail_fn, y_edges)
-    return 2.0 * (core + tail)
-
-
-def _expect_even_uniform(src: UniformSource, phi_vec) -> float:
-    w = src.half_width
-    edges = np.concatenate([[0.0], np.geomspace(w * 1e-13, w, 60)])
-    return stable_core._panel_integral(phi_vec, edges) / w
-
-
-def _expect_tabulated(src: TabulatedSource, phi_scalar) -> float:
-    """E[phi(X)] against a tabulated density, with divergence detection.
-
-    Infinite tails are accumulated over doubling segments; if the segment
-    contributions fail to decay the log-moment proxy is declared divergent.
-    """
-    lo, hi = src.support
-    f = src.density
-
-    def seg(a, b):
-        val, _ = integrate.quad(
-            lambda x: f(x) * float(phi_scalar(x)), a, b, limit=300,
-            epsabs=1e-12, epsrel=1e-10,
-        )
-        return val
-
-    total = 0.0
-    c = 64.0
-    finite_lo = math.isfinite(lo)
-    finite_hi = math.isfinite(hi)
-    a = lo if finite_lo else -c
-    b = hi if finite_hi else c
-    total += seg(a, b)
-    for sign, open_end in ((1.0, not finite_hi), (-1.0, not finite_lo)):
-        if not open_end:
-            continue
-        prev = math.inf
-        x0 = c
-        for k in range(_BRACKET_BUDGET):
-            piece = seg(sign * x0, sign * 2.0 * x0) * sign
-            total += piece
-            if abs(piece) < 1e-13 * max(abs(total), 1.0):
-                break
-            if k > 6 and abs(piece) > prev:
-                raise NonFiniteLogMoment(
-                    "tail integral fails to decay; log-moment proxy diverges"
-                )
-            prev = abs(piece)
-            x0 *= 2.0
-        else:
-            raise NonFiniteLogMoment(
-                "tail integral did not converge within the doubling budget"
-            )
-    if not math.isfinite(total):
-        raise NonFiniteLogMoment("expectation evaluated to a non-finite value")
-    return total
-
-
-def _as_scalar_fn(phi_vec):
-    def phi(x):
-        return float(phi_vec(np.asarray([x], dtype=float))[0])
-
-    return phi
-
-
-def _expect(source: SourceSpec, phi_vec) -> float:
-    if isinstance(source, EmpiricalSource):
-        vals = source.batch.values
-        if vals.ndim != 1:
-            raise ValueError("scalar expectation requires 1-d samples")
-        return float(np.mean(phi_vec(vals)))
-    if isinstance(source, SymmetricStableSource):
-        return _expect_even_stable(source, phi_vec)
-    if isinstance(source, UniformSource):
-        return _expect_even_uniform(source, phi_vec)
-    if isinstance(source, TabulatedSource):
-        return _expect_tabulated(source, _as_scalar_fn(phi_vec))
-    raise TypeError(f"unsupported source kind: {type(source).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # g and the strength solver
-
-
-def _source_dimension(source: SourceSpec) -> int:
-    if isinstance(source, EmpiricalSource) and source.batch.values.ndim == 2:
-        return source.batch.values.shape[1]
-    return 1
 
 
 def g_value(source: SourceSpec, alpha: float, s: float) -> float:
     """g(s) = -E[log f_ref(X / s)] in nats."""
     if not s > 0.0:
         raise ValueError("s must be positive")
-    d = _source_dimension(source)
+    d = source.dim
     if d == 1:
-        if (
-            alpha == 2.0
-            and isinstance(source, SymmetricStableSource)
-            and source.params.alpha < 2.0
-        ):
+        if alpha == 2.0 and source.tail_k > 0.0:
             raise NonFiniteLogMoment(
                 "a heavy-tailed source has no finite second moment, so g "
                 "diverges at alpha = 2"
             )
         psi = reference_neg_log_density(alpha)
-        return _expect(source, lambda x: psi(np.asarray(x) / s))
+        return source.expect(lambda x: psi(np.asarray(x) / s))
     # d-dimensional empirical path
     ref = ReferenceLaw(alpha, d)
     vals = source.batch.values / s
@@ -277,50 +448,6 @@ def g_value(source: SourceSpec, alpha: float, s: float) -> float:
             [stable_core.log_pdf_reference(ref, v) for v in vals]
         )
     )
-
-
-def _is_zero_source(source: SourceSpec) -> bool:
-    if isinstance(source, EmpiricalSource):
-        return bool(np.all(source.batch.values == 0.0))
-    if isinstance(source, UniformSource):
-        return source.half_width == 0.0
-    return False
-
-
-def _scale_proxy(source: SourceSpec) -> float:
-    if isinstance(source, EmpiricalSource):
-        vals = np.abs(source.batch.values)
-        if vals.ndim == 2:
-            vals = np.sqrt(np.einsum("ij,ij->i", source.batch.values, source.batch.values))
-        med = float(np.median(vals))
-        if med > 0.0:
-            return med
-        return float(np.mean(vals))
-    if isinstance(source, SymmetricStableSource):
-        return source.params.gamma
-    if isinstance(source, UniformSource):
-        return source.half_width
-    # tabulated: median of |X| by bisection on the mass; rough accuracy is
-    # fine here, so integration warnings on slowly-decaying tails are muted
-    lo, hi = source.support
-    f = source.density
-
-    def mass_above(c):
-        import warnings
-
-        pieces = 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            if hi > c:
-                pieces += integrate.quad(f, c, hi, limit=200)[0]
-            if lo < -c:
-                pieces += integrate.quad(f, lo, -c, limit=200)[0]
-        return pieces - 0.5
-
-    try:
-        return optimize.brentq(mass_above, 1e-12, 1e6)
-    except ValueError:
-        return 1.0
 
 
 def _solve_monotone(fn, s0: float, tol: float, tight: bool = False) -> StrengthSolution:
@@ -386,11 +513,10 @@ def _solve_monotone(fn, s0: float, tol: float, tight: bool = False) -> StrengthS
 
 def solve_strength(source: SourceSpec, alpha: float, tol: float = DEFAULT_TOL) -> StrengthSolution:
     """Solve g(s) = h(ref) for the strength of the source at index alpha."""
-    if _is_zero_source(source):
+    if source.is_zero:
         return StrengthSolution(0.0, 0.0, (0.0, 0.0), 0)
-    d = _source_dimension(source)
-    h = stable_core.reference_entropy(ReferenceLaw(alpha, d))
-    s0 = _scale_proxy(source)
+    h = stable_core.reference_entropy(ReferenceLaw(alpha, source.dim))
+    s0 = source.start_scale
     if not s0 > 0.0:
         s0 = 1.0
     return _solve_monotone(lambda s: g_value(source, alpha, s) - h, s0, tol)
@@ -410,7 +536,7 @@ def cb_strength(source: SourceSpec, d: int = 1, tol: float = DEFAULT_TOL) -> flo
     ln 4 + psi((d+1)/2) + euler_gamma (which reduces to ln 4 when d = 1)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if _is_zero_source(source):
+    if source.is_zero:
         return 0.0
     rhs = math.log(4.0) + digamma((d + 1.0) / 2.0) + np.euler_gamma
     if isinstance(source, EmpiricalSource) and source.batch.values.ndim == 2:
@@ -426,9 +552,9 @@ def cb_strength(source: SourceSpec, d: int = 1, tol: float = DEFAULT_TOL) -> flo
             raise ValueError("d >= 2 requires d-dimensional samples")
 
         def fn(s):
-            return _expect(source, lambda x: np.log1p((np.asarray(x) / s) ** 2)) - rhs
+            return source.expect(lambda x: np.log1p((np.asarray(x) / s) ** 2)) - rhs
 
-    s0 = _scale_proxy(source)
+    s0 = source.start_scale
     if not s0 > 0.0:
         s0 = 1.0
     return _solve_monotone(fn, s0, tol).value

@@ -34,7 +34,6 @@ from stablerd import (
     uniform_error_strength,
 )
 from stablerd.quantizer import (
-    _DensityAdapter,
     _aliasing_terms,
     _aliasing_weights,
     _direct_radius,
@@ -235,7 +234,7 @@ class TestUniform:
 
 
 def _stable_adapter(alpha, gamma=1.0):
-    return _DensityAdapter(SymmetricStableSource(StableParams(alpha, 0.0, gamma, 0.0)))
+    return SymmetricStableSource(StableParams(alpha, 0.0, gamma, 0.0))
 
 
 class TestUniformAliasing:

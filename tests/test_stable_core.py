@@ -15,6 +15,7 @@ from scipy.special import gammaln
 from stablerd import stable_core
 from stablerd import (
     AlphaMismatch,
+    QuadratureFailure,
     ReferenceLaw,
     SampleBatch,
     StableParams,
@@ -439,6 +440,24 @@ class TestTableBuild:
         assert builds == [1.5]
         assert results[0] is not None and results[1] is not None
         assert results[0].tobytes() == results[1].tobytes()
+
+
+class TestZolotarevFallback:
+    """The non-oscillatory fallback must fail loudly where its quadrature misses
+    the narrow peak of g exp(-g), not return a tiny value."""
+
+    # true f0: 0.4349 at alpha 0.65 and 0.2919 at alpha 1.35
+    @pytest.mark.parametrize("alpha, u", [
+        (0.65, 1e-14), (0.65, 1e-6), (0.65, 1e-4), (1.35, 1e-14),
+    ])
+    def test_missed_peak_raises(self, alpha, u):
+        with pytest.raises(QuadratureFailure):
+            stable_core._pdf0_zolotarev(alpha, u)
+
+    @pytest.mark.parametrize("alpha, u", [(0.65, 5.0), (1.35, 2.0), (0.3, 10.0)])
+    def test_matches_quadrature_where_accurate(self, alpha, u):
+        want = _pdf0_quadrature(alpha, u)
+        assert stable_core._pdf0_zolotarev(alpha, u) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestReferenceLogPdf:
