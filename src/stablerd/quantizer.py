@@ -169,31 +169,46 @@ def _quantize_vec(q: Quantizer, x: np.ndarray) -> np.ndarray:
 # error strength of a quantizer
 
 
+_LADDER = (-60.0, -25.0, -10.0, -4.0, -1.5, -0.5, 0.0, 0.5, 1.5, 4.0, 10.0, 25.0, 60.0)
+_PEAK = (-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0)
+
+
 def _region_edges(a: float, b: float, rep: float, s_scale: float, source) -> np.ndarray:
     """Panel edges inside [a, b] refined around the representation point,
-    around the source peak, and at density breakpoints."""
-    ladder = rep + s_scale * np.array(
-        [-60.0, -25.0, -10.0, -4.0, -1.5, -0.5, 0.0, 0.5, 1.5, 4.0, 10.0, 25.0, 60.0]
-    )
-    edges = [a, b]
-    edges.extend(ladder[(ladder > a) & (ladder < b)])
+    around the source peak, and at density breakpoints.
+
+    Plain floats: at a few dozen edges NumPy's per-call overhead costs more
+    than the arithmetic.  Each capped gap is filled with the points of
+    np.linspace(prev, e, n + 2)[1:-1], computed as k * step + prev.
+    """
+    a, b, rep, s_scale = float(a), float(b), float(rep), float(s_scale)
+    edges = {a, b}
+    for c in _LADDER:
+        x = rep + s_scale * c
+        if a < x < b:
+            edges.add(x)
     if a < 0.0 < b:
-        peak = source.scale * np.array([-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0])
-        edges.extend(peak[(peak > a) & (peak < b)])
+        g = source.scale
+        for c in _PEAK:
+            x = g * c
+            if a < x < b:
+                edges.add(x)
     for brk in source.breakpoints:
         if a < brk < b:
-            edges.append(brk)
-    edges = np.unique(np.asarray(edges, dtype=float))
+            edges.add(float(brk))
+    edges = sorted(edges)
     # cap the widest panels
-    out = [edges[0]]
+    prev = edges[0]
+    out = [prev]
     cap = max((b - a) / 8.0, 4.0 * s_scale)
     for e in edges[1:]:
-        prev = out[-1]
-        n_extra = min(int((e - prev) / cap), 24)
+        n_extra = int((e - prev) / cap)  # at most 8: cap >= (b - a) / 8
         if n_extra >= 1:
-            out.extend(np.linspace(prev, e, n_extra + 2)[1:-1])
+            step = (e - prev) / (n_extra + 1)
+            out.extend([k * step + prev for k in range(1, n_extra + 1)])
         out.append(e)
-    return np.asarray(out)
+        prev = e
+    return np.array(out)
 
 
 def _outer_region_integral(source, psi, rep: float, r0: float, s: float) -> float:
@@ -252,7 +267,7 @@ def _g_of_partition(points, boundaries, source, psi):
         def G(s):
             total = 0.0
             lo, hi = source.support
-            edges = np.concatenate([[lo], boundaries, [hi]])
+            edges = np.concatenate([[lo], np.clip(boundaries, lo, hi), [hi]])
             for j in range(points.size):
                 a, b = edges[j], edges[j + 1]
                 if b <= a:
@@ -268,6 +283,13 @@ def _g_of_partition(points, boundaries, source, psi):
             return total
 
         return G
+
+    # Both outer regions of a mirrored partition (every design candidate) are
+    # the same integral: the right one is added twice.  Two additions, not
+    # 2 * right, round as the explicit sum does.
+    mirrored = points.size > 1 and bool(
+        -points[0] == points[-1] and -boundaries[0] == boundaries[-1]
+    )
 
     def G(s):
         s_scale = 3.0 * s
@@ -294,9 +316,13 @@ def _g_of_partition(points, boundaries, source, psi):
                 total += float(
                     np.sum(weights * source.pdf_vec(nodes) * psi((nodes - reps) / s))
                 )
-            total += _outer_region_integral(source, psi, points[-1], boundaries[-1], s)
+            right = _outer_region_integral(source, psi, points[-1], boundaries[-1], s)
+            total += right
             # left outer region by reflection (psi is even, the density symmetric)
-            total += _outer_region_integral(source, psi, -points[0], -boundaries[0], s)
+            if mirrored:
+                total += right
+            else:
+                total += _outer_region_integral(source, psi, -points[0], -boundaries[0], s)
         else:
             # single region covering the line, split at the representation point
             rep = points[0]

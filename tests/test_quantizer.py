@@ -17,6 +17,8 @@ from stablerd import (
     EmpiricalSource,
     StableParams,
     SymmetricStableSource,
+    TabulatedSource,
+    UniformSource,
     UniformSpec,
     cauchy_source,
     design_optimal,
@@ -33,17 +35,22 @@ from stablerd import (
     strength_of_uniform,
     uniform_error_strength,
 )
+from stablerd import quantizer
 from stablerd.quantizer import (
     _aliasing_terms,
     _aliasing_weights,
     _direct_radius,
     _direct_weights,
     _error_strength_raw,
+    _g_of_partition,
+    _mirror,
+    _region_edges,
     _uniform_weights,
     truncated_uniform,
     uniform_levels_strength,
 )
 from stablerd.stable_core import _gauss_legendre
+from stablerd.strength import reference_neg_log_density
 
 
 def cauchy_psi(z):
@@ -157,6 +164,13 @@ class TestErrorStrength:
             1.0,
         )
         assert sol.value == pytest.approx(dense.value, rel=1e-10)
+
+    def test_tabulated_regions_clipped_to_support(self):
+        # the outer boundaries -2.25 and 2.25 lie outside the support (-1, 1)
+        q = Quantizer.from_points([-3.0, -1.5, 1.5, 3.0], symmetric=True)
+        got = error_strength(q, TabulatedSource(lambda x: 0.5, (-1.0, 1.0)), 1.5).value
+        want = error_strength(q, UniformSource(1.0), 1.5).value
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 class TestUniform:
@@ -443,3 +457,137 @@ class TestStableTailMass:
         got = _stable_adapter(1.0, gamma).tail_mass(ratio * gamma)
         want = 0.5 - math.atan(ratio) / math.pi
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _region_edges_reference(a, b, rep, s_scale, source):
+    """The NumPy version of quantizer._region_edges, kept as its bitwise reference."""
+    ladder = rep + s_scale * np.array(
+        [-60.0, -25.0, -10.0, -4.0, -1.5, -0.5, 0.0, 0.5, 1.5, 4.0, 10.0, 25.0, 60.0]
+    )
+    edges = [a, b]
+    edges.extend(ladder[(ladder > a) & (ladder < b)])
+    if a < 0.0 < b:
+        peak = source.scale * np.array([-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0])
+        edges.extend(peak[(peak > a) & (peak < b)])
+    for brk in source.breakpoints:
+        if a < brk < b:
+            edges.append(brk)
+    edges = np.unique(np.asarray(edges, dtype=float))
+    out = [edges[0]]
+    cap = max((b - a) / 8.0, 4.0 * s_scale)
+    for e in edges[1:]:
+        prev = out[-1]
+        n_extra = min(int((e - prev) / cap), 24)
+        if n_extra >= 1:
+            out.extend(np.linspace(prev, e, n_extra + 2)[1:-1])
+        out.append(e)
+    return np.asarray(out)
+
+
+_EDGE_SOURCES = (
+    cauchy_source(1.0),
+    SymmetricStableSource(StableParams(0.7, 0.0, 1.3, 0.0)),
+    UniformSource(1.0),  # breakpoints at -1 and 1
+    TabulatedSource(lambda x: 0.2, (-2.0, 3.0)),  # breakpoints at -2 and 3
+)
+
+
+def _edge_cases(n, seed):
+    """(a, b, rep, s_scale, source) drawn in five shapes, cycling."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        source = _EDGE_SOURCES[(i // 5) % len(_EDGE_SOURCES)]
+        s_scale = math.exp(rng.uniform(-9.0, 2.0))
+        width = math.exp(rng.uniform(-5.0, 4.0))
+        shape = i % 5
+        if shape == 0:  # anywhere, rep inside
+            a = rng.uniform(-8.0, 8.0)
+            rep = a + width * rng.uniform()
+        elif shape == 1:  # straddles the source peak at 0
+            a = -width * rng.uniform(0.01, 0.99)
+            rep = a + width * rng.uniform()
+        elif shape == 2:  # rep at the left end, as in an outer region
+            a = rng.uniform(-8.0, 8.0)
+            rep = a
+        elif shape == 3:  # an outer region cut at a mirrored zero boundary
+            a = -0.0
+            rep = width * rng.uniform()
+        else:  # rep outside [a, b], as under frozen boundaries
+            a = rng.uniform(-8.0, 8.0)
+            rep = a + width * rng.choice([-1.0, 2.0]) * rng.uniform(1.0, 10.0)
+        yield float(a), float(a + width), float(rep), s_scale, source
+
+
+class TestRegionEdges:
+    def test_bitwise_equal_to_reference(self):
+        for a, b, rep, s_scale, source in _edge_cases(4000, seed=11):
+            got = _region_edges(a, b, rep, s_scale, source)
+            want = _region_edges_reference(a, b, rep, s_scale, source)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (a, b, rep, s_scale, source)
+
+    def test_widest_gap_fill(self):
+        # no candidate inside (1, 9): the one gap gets (b - a) / cap = 8 fill edges
+        args = (1.0, 9.0, 100.0, 1e-9, cauchy_source(1.0))
+        got = _region_edges(*args)
+        assert got.size == 10
+        assert got.tobytes() == _region_edges_reference(*args).tobytes()
+
+    def test_negative_zero_left_end_is_kept(self):
+        got = _region_edges(-0.0, 5.0, 0.0, 0.01, cauchy_source(1.0))
+        assert math.copysign(1.0, got[0]) == -1.0
+        assert got.tobytes() == _region_edges_reference(
+            -0.0, 5.0, 0.0, 0.01, cauchy_source(1.0)
+        ).tobytes()
+
+
+def _g_against_explicit_sum(points, boundaries, source, alpha, s, monkeypatch):
+    """(G(s), interior + right + left summed as G sums them, outer-region calls)."""
+    psi = reference_neg_log_density(alpha)
+    outer = quantizer._outer_region_integral
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return outer(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(quantizer, "_outer_region_integral", lambda *args: 0.0)
+        interior = _g_of_partition(points, boundaries, source, psi)(s)
+        m.setattr(quantizer, "_outer_region_integral", counted)
+        g = _g_of_partition(points, boundaries, source, psi)(s)
+    total = 0.0
+    total += interior
+    total += outer(source, psi, points[-1], boundaries[-1], s)
+    total += outer(source, psi, -points[0], -boundaries[0], s)
+    return g, total, len(calls)
+
+
+class TestMirroredOuterRegions:
+    @pytest.mark.parametrize("M", [2, 3, 4, 7])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_mirrored_partition_equals_explicit_sum(self, M, frozen, monkeypatch):
+        rng = np.random.default_rng(M)
+        source = SymmetricStableSource(StableParams(0.7, 0.0, 1.3, 0.0))
+        for alpha in (1.0, 1.5):
+            pos = np.cumsum(rng.uniform(0.2, 1.5, M // 2))
+            points = _mirror(pos, M)
+            # frozen: the boundaries of the previous points, as in the point update
+            shifted = _mirror(pos * rng.uniform(0.8, 1.2, pos.size), M)
+            bnd = midpoint_boundaries(shifted if frozen else points)
+            for s in (0.05, 0.4, 3.0):
+                g, total, calls = _g_against_explicit_sum(
+                    points, bnd, source, alpha, s, monkeypatch
+                )
+                assert calls == 1
+                assert g == total
+
+    def test_asymmetric_partition_integrates_left_region(self, monkeypatch):
+        points = np.array([-1.0, 0.2, 2.0])
+        bnd = midpoint_boundaries(points)
+        for s in (0.1, 1.0):
+            g, total, calls = _g_against_explicit_sum(
+                points, bnd, cauchy_source(1.0), 1.0, s, monkeypatch
+            )
+            assert calls == 2
+            assert g == total
