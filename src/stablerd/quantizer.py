@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import optimize, special
 
 from . import stable_core, strength
 from .errors import (
@@ -31,7 +31,6 @@ from .strength import (
     SourceSpec,
     StrengthSolution,
     SymmetricStableSource,
-    TabulatedSource,
     _solve_monotone,
     reference_neg_log_density,
     solve_strength,
@@ -125,16 +124,14 @@ class DesignReport:
 class UniformSpec:
     """Uniform quantizer with region width delta.
 
-    `k_max` bounds only the direct route, which sums the source density over
-    regions |k| <= k_max term by term and absorbs the regions beyond through
-    a tail-mass grouping whose contribution to the defining equation is
-    controlled below 1e-10 nats.  None selects it automatically.  Symmetric
-    stable sources take the aliasing series instead whenever it is no longer
-    than the 2 k_max + 1 terms of the direct sum.
+    The direct route sums the source density over the regions |k| <= k_core
+    term by term and absorbs the regions beyond through a tail-mass grouping
+    whose contribution to the defining equation is controlled below 1e-10
+    nats.  Symmetric stable sources take the aliasing series instead whenever
+    it is no longer than the 2 k_core + 1 terms of the direct sum.
     """
 
     delta: float
-    k_max: int | None = None
 
     def __post_init__(self):
         if not self.delta > 0.0:
@@ -212,15 +209,8 @@ def _region_edges(a: float, b: float, rep: float, s_scale: float, source) -> np.
 
 
 def _outer_region_integral(source, psi, rep: float, r0: float, s: float) -> float:
-    """Integral of f(x) psi((x - rep)/s) over (r0, infinity)."""
-    if isinstance(source, TabulatedSource):
-        val, _ = integrate.quad(
-            lambda x: float(source.pdf_vec(np.array([x]))[0] * psi(np.array([(x - rep) / s]))[0]),
-            r0,
-            source.support[1],
-            limit=400,
-        )
-        return val
+    """Integral of f(x) psi((x - rep)/s) over (r0, infinity): panels up to C,
+    at most the support end, and the source's own tail integral beyond."""
     s_scale = s * 3.0
     C = max(r0 + 80.0 * s_scale, 2.0 * abs(r0) + 4.0 * source.scale, source.core_extent)
     C = min(C, source.support[1])
@@ -232,20 +222,7 @@ def _outer_region_integral(source, psi, rep: float, r0: float, s: float) -> floa
 
     edges = _region_edges(r0, C, min(max(rep, r0), C), s_scale, source)
     val = stable_core._panel_integral(fn, edges)
-    k = source.tail_k
-    if k == 0.0:
-        return val  # no power tail: no mass beyond C (Gaussian: below 1e-98)
-    # continuation against the stable tail series beyond the core extent
-    a_s, g = source.params.alpha, source.scale
-    y_max = 60.0 / a_s + math.log(C / g) + 5.0
-    val += stable_core._tail_integral(
-        a_s, lambda u, lp: np.exp(lp) * psi((g * u - rep) / s), C / g, y_max, 32
-    )
-    # first-order remainder beyond exp(y_max), with psi frozen at the cutoff
-    X = g * math.exp(y_max)
-    psi_X = float(psi(np.array([(X - rep) / s]))[0])
-    val += k * X ** (-a_s) / a_s * psi_X
-    return val
+    return val + source.tail_integral(lambda x: psi((x - rep) / s), C)
 
 
 def _g_of_partition(points, boundaries, source, psi):
@@ -263,33 +240,19 @@ def _g_of_partition(points, boundaries, source, psi):
 
         return G
 
-    if isinstance(source, TabulatedSource):
-        def G(s):
-            total = 0.0
-            lo, hi = source.support
-            edges = np.concatenate([[lo], np.clip(boundaries, lo, hi), [hi]])
-            for j in range(points.size):
-                a, b = edges[j], edges[j + 1]
-                if b <= a:
-                    continue
-                val, _ = integrate.quad(
-                    lambda x, r=points[j]: source.density(x)
-                    * float(psi(np.array([(x - r) / s]))[0]),
-                    a,
-                    b,
-                    limit=300,
-                )
-                total += val
-            return total
-
-        return G
-
-    # Both outer regions of a mirrored partition (every design candidate) are
-    # the same integral: the right one is added twice.  Two additions, not
-    # 2 * right, round as the explicit sum does.
-    mirrored = points.size > 1 and bool(
-        -points[0] == points[-1] and -boundaries[0] == boundaries[-1]
-    )
+    # The left outer region, (-inf, r], is the right outer region (-r, inf) of
+    # the reflected source, with the point negated (psi is even).  A single
+    # region covering the line is split at its point.
+    if points.size > 1:
+        right, left = (points[-1], boundaries[-1]), (-points[0], -boundaries[0])
+    else:
+        right, left = (points[0], points[0]), (-points[0], -points[0])
+    reflected = source.reflected
+    # Both outer regions of a mirrored partition (every design candidate) of a
+    # source that is its own reflection are the same integral: the right one
+    # is added twice.  Two additions, not 2 * right, round as the explicit sum
+    # does.
+    mirrored = reflected is source and right == left
 
     def G(s):
         s_scale = 3.0 * s
@@ -316,18 +279,12 @@ def _g_of_partition(points, boundaries, source, psi):
                 total += float(
                     np.sum(weights * source.pdf_vec(nodes) * psi((nodes - reps) / s))
                 )
-            right = _outer_region_integral(source, psi, points[-1], boundaries[-1], s)
-            total += right
-            # left outer region by reflection (psi is even, the density symmetric)
-            if mirrored:
-                total += right
-            else:
-                total += _outer_region_integral(source, psi, -points[0], -boundaries[0], s)
+        right_val = _outer_region_integral(source, psi, *right, s)
+        total += right_val
+        if mirrored:
+            total += right_val
         else:
-            # single region covering the line, split at the representation point
-            rep = points[0]
-            total += _outer_region_integral(source, psi, rep, rep, s)
-            total += _outer_region_integral(source, psi, -rep, -rep, s)
+            total += _outer_region_integral(reflected, psi, *left, s)
         return total
 
     return G
@@ -550,19 +507,16 @@ def design_optimal(
 def _direct_radius(spec: UniformSpec, source: SourceSpec) -> int:
     """Regions k_core on each side of zero that the direct route sums term by term."""
     delta = spec.delta
-    if spec.k_max is not None:
-        k_core = int(spec.k_max)
-    else:
-        # exact summation radius: beyond it the density sits in its power tail
-        # and the flat-grouping (midpoint) error, bounded through |f''|, stays
-        # below 1e-10 nats
-        x_req = 3.0 * source.core_extent
-        k_x = source.tail_k
-        if k_x > 0.0:
-            a_s = source.params.alpha
-            bound = (delta ** 2 / 24.0) * k_x * (a_s + 1.0) * (a_s + 2.0) * 6.0
-            x_req = max(x_req, (bound / 1e-10) ** (1.0 / (a_s + 2.0)))
-        k_core = int(math.ceil(x_req / delta)) + 2
+    # beyond this radius the density sits in its power tail and the
+    # flat-grouping (midpoint) error, bounded through |f''|, stays below
+    # 1e-10 nats
+    x_req = 3.0 * source.core_extent
+    k_x = source.tail_k
+    if k_x > 0.0:
+        a_s = source.params.alpha
+        bound = (delta ** 2 / 24.0) * k_x * (a_s + 1.0) * (a_s + 2.0) * 6.0
+        x_req = max(x_req, (bound / 1e-10) ** (1.0 / (a_s + 2.0)))
+    k_core = int(math.ceil(x_req / delta)) + 2
     return min(k_core, 200_000)
 
 
@@ -744,12 +698,9 @@ def best_uniform_design(source: SourceSpec, alpha: float, M: int, tol: float = 1
     Returns (delta, strength solution, output entropy, quantizer).
     """
     scale = source.scale
-    h = reference_entropy(ReferenceLaw(alpha, 1))
 
     def strength_of(logd):
-        d = math.exp(logd)
-        G, _, _ = _truncated_uniform_g(d, M, source, alpha)
-        return _solve_monotone(lambda s: G(s) - h, 0.3 * d, DEFAULT_TOL).value
+        return uniform_levels_strength(math.exp(logd), M, source, alpha)[0].value
 
     lo = math.log(6.0 * scale / M ** 1.35)
     hi = math.log(8.0 * scale)

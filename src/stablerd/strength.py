@@ -53,9 +53,11 @@ class _Source:
     (where strength root solves start), `tail_k`, `expect(phi)` and
     `abs_quantile(p)`.  Density-backed kinds also have `support`,
     `core_extent` (beyond it a kind's own tail handling takes over),
-    `breakpoints`, `pdf_vec(x)`, `mass(a, b)` and `tail_mass(x)`.  A new kind
-    implements these on its own class; the strength and quantizer code calls
-    only them.
+    `breakpoints`, `pdf_vec(x)`, `mass(a, b)`, `tail_mass(x)`,
+    `tail_integral(phi, x0)` (the integral of f phi beyond x0 >= core_extent)
+    and `reflected` (the source of -X; a symmetric kind returns itself).  A new
+    kind implements these on its own class; the strength and quantizer code
+    calls only them.
     """
 
     dim = 1
@@ -75,6 +77,11 @@ class _Source:
     def tail_mass(self, x0: float) -> float:
         """P(X > x0)."""
         return self.mass(x0, self.support[1])
+
+    def tail_integral(self, phi_vec, x0: float) -> float:
+        """Integral of f(x) phi(x) over (x0, infinity), x0 >= core_extent: 0
+        for a kind with no mass beyond its core."""
+        return 0.0
 
     def abs_quantile(self, p: float) -> float:
         """The p-quantile of |X|, by root finding on the mass of [-x, x]."""
@@ -115,6 +122,10 @@ class SymmetricStableSource(_Source):
         p = self.params
         return standard_density(p.alpha).tail_constant() * p.gamma ** p.alpha
 
+    @property
+    def reflected(self) -> "SymmetricStableSource":
+        return self
+
     def pdf_vec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         g = self.params.gamma
@@ -154,6 +165,21 @@ class SymmetricStableSource(_Source):
         y_max = 60.0 / a_s + math.log(u0) + 5.0
         val = stable_core._tail_integral(a_s, lambda u, lp: np.exp(lp), u0, y_max, 50)
         return val + standard_density(a_s).tail_constant() * math.exp(-a_s * y_max) / a_s
+
+    def tail_integral(self, phi_vec, x0: float) -> float:
+        """Integral of f(x) phi(x) over (x0, infinity), x0 >= core_extent, for a
+        phi of log growth: the tail series, then a first-order remainder with
+        phi frozen at the cutoff."""
+        k = self.tail_k
+        if k == 0.0:
+            return 0.0  # no power tail: no mass beyond the core (Gaussian: below 1e-98)
+        a_s, g = self.params.alpha, self.params.gamma
+        y_max = 60.0 / a_s + math.log(x0 / g) + 5.0
+        val = stable_core._tail_integral(
+            a_s, lambda u, lp: np.exp(lp) * phi_vec(g * u), x0 / g, y_max, 32
+        )
+        X = g * math.exp(y_max)
+        return val + k * X ** (-a_s) / a_s * float(phi_vec(np.array([X]))[0])
 
     def expect(self, phi_vec) -> float:
         """E[phi(X)] for an even, log-growth phi."""
@@ -279,49 +305,64 @@ class TabulatedSource(_Source):
             return 0.0
         return integrate.quad(self.density, a, b, limit=300)[0]
 
+    @cached_property
+    def reflected(self) -> "TabulatedSource":
+        """The source of -X, built once."""
+        f = self.density
+        lo, hi = self.support
+        return TabulatedSource(lambda x: f(-x), (-hi, -lo))
+
+    def tail_integral(self, phi_vec, x0: float) -> float:
+        """Integral of f(x) phi(x) over (x0, hi) for x0 > 0 past every kink.
+
+        A 16-node Gauss-Legendre rule runs over the doubling segments
+        [x0 2^k, x0 2^(k+1)], the last one cut at a finite hi.  The sum stops
+        once a segment adds less than 1e-13 of it (or 1e-13 absolute); if the
+        segments fail to decay the log-moment proxy is declared divergent.
+        """
+        hi = self.support[1]
+
+        def fn(x):
+            return self.pdf_vec(x) * phi_vec(x)
+
+        total = 0.0
+        prev = math.inf
+        a = x0
+        for k in range(_BRACKET_BUDGET):
+            if a >= hi:
+                return total
+            b = min(2.0 * a, hi)
+            piece = stable_core._panel_integral(fn, np.array([a, b]))
+            total += piece
+            if abs(piece) < 1e-13 * max(abs(total), 1.0):
+                return total
+            if k > 6 and abs(piece) > prev:
+                raise NonFiniteLogMoment(
+                    "tail integral fails to decay; log-moment proxy diverges"
+                )
+            prev = abs(piece)
+            a = b
+        raise NonFiniteLogMoment("tail integral did not converge within the doubling budget")
+
     def expect(self, phi_vec) -> float:
         """E[phi(X)] with divergence detection.
 
-        Infinite tails are accumulated over doubling segments; if the segment
-        contributions fail to decay the log-moment proxy is declared divergent.
+        Adaptive quadrature covers the support within |x| <= 64; infinite ends
+        beyond go through `tail_integral`, the lower one on the reflection.
         """
         lo, hi = self.support
         f = self.density
-
-        def seg(a, b):
-            val, _ = integrate.quad(
-                lambda x: f(x) * float(phi_vec(np.asarray([x], dtype=float))[0]), a, b,
-                limit=300, epsabs=1e-12, epsrel=1e-10,
-            )
-            return val
-
-        total = 0.0
         c = 64.0
-        finite_lo = math.isfinite(lo)
-        finite_hi = math.isfinite(hi)
-        a = lo if finite_lo else -c
-        b = hi if finite_hi else c
-        total += seg(a, b)
-        for sign, open_end in ((1.0, not finite_hi), (-1.0, not finite_lo)):
-            if not open_end:
-                continue
-            prev = math.inf
-            x0 = c
-            for k in range(_BRACKET_BUDGET):
-                piece = seg(sign * x0, sign * 2.0 * x0) * sign
-                total += piece
-                if abs(piece) < 1e-13 * max(abs(total), 1.0):
-                    break
-                if k > 6 and abs(piece) > prev:
-                    raise NonFiniteLogMoment(
-                        "tail integral fails to decay; log-moment proxy diverges"
-                    )
-                prev = abs(piece)
-                x0 *= 2.0
-            else:
-                raise NonFiniteLogMoment(
-                    "tail integral did not converge within the doubling budget"
-                )
+        a = lo if math.isfinite(lo) else -c
+        b = hi if math.isfinite(hi) else c
+        total, _ = integrate.quad(
+            lambda x: f(x) * float(phi_vec(np.asarray([x], dtype=float))[0]), a, b,
+            limit=300, epsabs=1e-12, epsrel=1e-10,
+        )
+        if b < hi:
+            total += self.tail_integral(phi_vec, b)
+        if a > lo:
+            total += self.reflected.tail_integral(lambda x: phi_vec(-x), -a)
         if not math.isfinite(total):
             raise NonFiniteLogMoment("expectation evaluated to a non-finite value")
         return total
@@ -352,6 +393,10 @@ class UniformSource(_Source):
     @property
     def core_extent(self) -> float:
         return self.half_width
+
+    @property
+    def reflected(self) -> "UniformSource":
+        return self
 
     def pdf_vec(self, x) -> np.ndarray:
         w = self.half_width

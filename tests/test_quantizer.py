@@ -441,13 +441,6 @@ class TestSerialization:
         assert q2.symmetric and alpha == 1.5 and s == 0.25
 
 
-class TestUniformSpecKmax:
-    def test_explicit_truncation_matches_auto(self):
-        auto = uniform_error_strength(UniformSpec(0.5), cauchy_source(1.0), 1.0)
-        manual = uniform_error_strength(UniformSpec(0.5, k_max=5000), cauchy_source(1.0), 1.0)
-        assert manual.value == pytest.approx(auto.value, rel=1e-9)
-
-
 class TestStableTailMass:
     # independent route: the Cauchy survival function 1/2 - arctan(x/gamma)/pi;
     # x/gamma = 5 lies inside the core, the rest on the power-tail series
@@ -559,7 +552,7 @@ def _g_against_explicit_sum(points, boundaries, source, alpha, s, monkeypatch):
     total = 0.0
     total += interior
     total += outer(source, psi, points[-1], boundaries[-1], s)
-    total += outer(source, psi, -points[0], -boundaries[0], s)
+    total += outer(source.reflected, psi, -points[0], -boundaries[0], s)
     return g, total, len(calls)
 
 
@@ -591,3 +584,113 @@ class TestMirroredOuterRegions:
             )
             assert calls == 2
             assert g == total
+
+    @pytest.mark.parametrize("source", [
+        cauchy_source(1.0),
+        SymmetricStableSource(StableParams(0.7, 0.0, 1.3, 0.0)),
+        UniformSource(1.0),
+    ], ids=["cauchy", "stable0.7", "uniform"])
+    def test_single_point_at_zero_integrates_once(self, source, monkeypatch):
+        psi = reference_neg_log_density(1.5)
+        outer = quantizer._outer_region_integral
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return outer(*args)
+
+        monkeypatch.setattr(quantizer, "_outer_region_integral", counted)
+        G = _g_of_partition(np.array([0.0]), np.empty(0), source, psi)
+        for s in (0.05, 0.7, 3.0):
+            calls.clear()
+            g = G(s)
+            assert len(calls) == 1
+            total = 0.0
+            total += outer(source, psi, 0.0, 0.0, s)
+            total += outer(source, psi, -0.0, -0.0, s)
+            assert g == total
+
+
+def _cauchy_pdf(x):
+    return 1.0 / (math.pi * (1.0 + x * x))
+
+
+# name: (density, support, width); the quantizers are scaled by the width
+_TABULATED = {
+    "triangle": (lambda x: max(0.0, 1.0 - abs(x)), (-1.0, 1.0), 1.0),
+    "laplace": (lambda x: 0.5 * math.exp(-abs(x)), (-np.inf, np.inf), 1.0),
+    "laplace0.05": (lambda x: 10.0 * math.exp(-20.0 * abs(x)), (-np.inf, np.inf), 0.05),
+    "cauchy": (_cauchy_pdf, (-np.inf, np.inf), 1.0),
+    "flat": (lambda x: 0.2, (-2.0, 3.0), 1.0),
+    # rate 2 on the right, 1/2 on the left, half the mass on each side
+    "two-rate": (
+        lambda x: math.exp(-2.0 * x) if x >= 0.0 else 0.25 * math.exp(0.5 * x),
+        (-np.inf, np.inf),
+        1.0,
+    ),
+}
+
+# name: (points, boundaries or None for midpoints), in units of the width
+_TABULATED_QUANTIZERS = {
+    "M1-at-0": ([0.0], None),
+    "M1-off-0": ([0.3], None),
+    "M3-mirrored": ([-0.6, 0.0, 0.6], None),
+    "M3-asymmetric": ([-0.5, 0.1, 0.8], None),
+    "M4-mirrored": ([-1.2, -0.4, 0.4, 1.2], None),
+    "M4-frozen": ([-1.2, -0.4, 0.4, 1.2], [-0.7, 0.0, 0.9]),
+}
+
+
+def _g_quad_oracle(points, boundaries, density, support, psi, s):
+    """G(s) by adaptive quadrature (epsrel 1e-13) over each region, split at
+    0, at the region's point and at the support ends."""
+    from scipy.integrate import quad
+
+    lo, hi = support
+    cuts = [-np.inf, *boundaries, np.inf]
+    total = 0.0
+    for j, rep in enumerate(points):
+        a, b = max(cuts[j], lo), min(cuts[j + 1], hi)
+        if b <= a:
+            continue
+        edges = sorted({a, b} | {c for c in (0.0, rep, lo, hi) if a < c < b})
+
+        def fn(x, rep=rep):
+            return density(x) * float(psi(np.array([(x - rep) / s]))[0])
+
+        for e0, e1 in zip(edges, edges[1:]):
+            total += quad(fn, e0, e1, epsabs=0.0, epsrel=1e-13, limit=1000)[0]
+    return total
+
+
+class TestTabulatedG:
+    """Tabulated sources on the shared panel path.
+
+    G is checked from half to 1.25 times the root, where the strength solve
+    needs its accuracy; farther out the solve uses only the sign of G - h.
+    """
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("quant", sorted(_TABULATED_QUANTIZERS))
+    @pytest.mark.parametrize("kind", sorted(_TABULATED))
+    def test_against_quad_oracle(self, kind, quant):
+        density, support, width = _TABULATED[kind]
+        source = TabulatedSource(density, support)
+        pts, bnd = _TABULATED_QUANTIZERS[quant]
+        points = width * np.array(pts)
+        if bnd is not None:
+            boundaries = width * np.array(bnd)
+        else:
+            boundaries = midpoint_boundaries(points) if points.size > 1 else np.empty(0)
+        psi = reference_neg_log_density(1.5)
+        root = _error_strength_raw(points, boundaries, source, 1.5).value
+        G = _g_of_partition(points, boundaries, source, psi)
+        for s in (0.5 * root, root, 1.25 * root):
+            want = _g_quad_oracle(points, boundaries, density, support, psi, s)
+            assert G(s) == pytest.approx(want, rel=1e-9, abs=0.0), s
+
+    def test_cauchy_callback_matches_stable_route(self):
+        q = Quantizer.from_points([-0.6, 0.0, 0.6])
+        got = error_strength(q, TabulatedSource(_cauchy_pdf), 1.5).value
+        want = error_strength(q, cauchy_source(1.0), 1.5).value
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)

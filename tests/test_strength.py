@@ -199,6 +199,35 @@ class TestTabulatedValidation:
         TabulatedSource(lambda x: 0.5, (-1.0, 1.0))
 
 
+class TestTabulatedTail:
+    def test_cauchy_tail_mass_matches_arctan(self):
+        src = TabulatedSource(lambda x: 1.0 / (math.pi * (1.0 + x * x)))
+        # the sum stops once a segment adds below 1e-13; the segments beyond
+        # halve, so at most about 1e-13 more is left out
+        for x0 in (64.0, 1000.0):
+            got = src.tail_integral(lambda x: np.ones_like(x), x0)
+            assert got == pytest.approx(0.5 - math.atan(x0) / math.pi, rel=0.0, abs=2e-13)
+
+    def test_last_segment_cut_at_finite_end(self):
+        src = TabulatedSource(lambda x: 0.2, (-2.0, 3.0))
+        assert src.tail_integral(lambda x: x, 1.0) == pytest.approx(0.8, rel=1e-14)
+        assert src.tail_integral(lambda x: x, 3.0) == 0.0
+
+    def test_reflection(self):
+        src = TabulatedSource(lambda x: 0.2, (-2.0, 3.0))
+        ref = src.reflected
+        assert ref.support == (-3.0, 2.0)
+        assert ref is src.reflected  # built once
+        x = np.linspace(-4.0, 4.0, 33)
+        np.testing.assert_array_equal(ref.pdf_vec(x), src.pdf_vec(-x))
+
+    def test_expect_lower_tail_on_reflection(self):
+        # mass 1/2 on each side, rate 2 on the right and 1/2 on the left:
+        # E[X] = 1/2 * 1/2 - 1/2 * 2 = -3/4, with 1.2e-14 of it beyond -64
+        src = TabulatedSource(lambda x: math.exp(-2.0 * x) if x >= 0.0 else 0.25 * math.exp(0.5 * x))
+        assert src.expect(lambda x: np.asarray(x)) == pytest.approx(-0.75, rel=1e-10)
+
+
 class TestSolverEdges:
     def test_bracket_failure_when_no_sign_change(self):
         from stablerd import BracketFailure
