@@ -343,7 +343,7 @@ def output_entropy(q: Quantizer, source: SourceSpec) -> float:
             if a == -np.inf and b == np.inf:
                 p[j] = 1.0
             elif a == -np.inf:
-                p[j] = source.tail_mass(-b)
+                p[j] = source.reflected.tail_mass(-b)
             elif b == np.inf:
                 p[j] = source.tail_mass(a)
             else:
@@ -668,13 +668,21 @@ def _truncated_uniform_g(delta, M, source, alpha):
         W = np.zeros_like(u)
         p_inner = np.empty(0)
 
+    # The left outer region (-inf, -edge] is the right one of the reflected
+    # source; a source that is its own reflection reuses the right value.
+    reflected = source.reflected
+    mirrored = reflected is source
+
     def G(s):
         total = float(np.sum(W * psi(u / s))) if n_inner > 0 else 0.0
-        total += 2.0 * _outer_region_integral(source, psi, top, edge, s)
+        right = _outer_region_integral(source, psi, top, edge, s)
+        left = right if mirrored else _outer_region_integral(reflected, psi, top, edge, s)
+        total += right + left
         return total
 
-    p_outer = source.tail_mass(edge)
-    probs = np.concatenate([[p_outer], p_inner, [p_outer]])
+    p_right = source.tail_mass(edge)
+    p_left = p_right if mirrored else reflected.tail_mass(edge)
+    probs = np.concatenate([[p_left], p_inner, [p_right]])
     return G, probs, q
 
 

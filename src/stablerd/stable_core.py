@@ -490,23 +490,15 @@ def _pdf_skewed_quadrature(params: StableParams, x: float) -> float:
 def pdf(params: StableParams, x: float) -> float:
     """Density of the stable law at x.
 
-    Closed forms for alpha in {1, 2} with beta = 0; characteristic-function
-    inversion otherwise, switching to the power-tail series deep in the tails.
+    For beta = 0, the scaled standard density of `standard_density`: closed
+    forms at alpha in {1, 2}, else characteristic-function inversion switching
+    to the power-tail series deep in the tails.  Skewed laws are inverted
+    directly.
     """
     x = float(x)
     if params.beta == 0.0:
-        a, g, d = params.alpha, params.gamma, params.delta
-        u = (x - d) / g
-        if a == 2.0:
-            sigma = g * math.sqrt(2.0)
-            return math.exp(-0.5 * (x - d) ** 2 / sigma ** 2) / (
-                sigma * math.sqrt(2.0 * math.pi)
-            )
-        if a == 1.0:
-            return g / (math.pi * (g * g + (x - d) ** 2))
-        if abs(u) >= TAIL_CUTOFF:
-            return float(_pdf0_tail(a, u)) / g
-        return _pdf0_quadrature(a, u) / g
+        g = params.gamma
+        return standard_density(params.alpha).pdf((x - params.delta) / g) / g
     return _pdf_skewed_quadrature(params, x)
 
 
@@ -611,18 +603,25 @@ def _panel_integral(fn, edges: np.ndarray, n: int = 16) -> float:
     return float(np.sum(vals * wg[None, :] * half))
 
 
-def _tail_integral(alpha: float, g, u0: float, y_max: float, n_edges: int) -> float:
-    """int_{u0}^{exp(y_max)} g(u, log f0(u)) du against the power-tail series.
+def _tail_integral(alpha: float, phi, u0: float) -> float:
+    """int_{u0}^inf f0(u) phi(u) du for u0 >= TAIL_CUTOFF and a vectorized phi
+    of log growth.
 
-    u0 >= TAIL_CUTOFF.  The range is cut into n_edges - 1 equal Gauss-Legendre
-    panels in y = ln u; the caller adds its own remainder beyond exp(y_max).
+    log f0 comes from the density engine (the power-tail series, or the closed
+    form at alpha = 1).  y = ln u runs over [ln u0, y_max], y_max = 60/alpha +
+    ln u0 + 5, in 31 equal Gauss-Legendre panels; beyond X = e^y_max the
+    first-order remainder k X^-alpha / alpha * phi(X) is added, phi frozen at X.
     """
+    eng = standard_density(alpha)
+    y_max = 60.0 / alpha + math.log(u0) + 5.0
 
     def fn(y):
         u = np.exp(y)
-        return g(u, _log_pdf0_tail(alpha, u)) * u
+        return np.exp(eng.log_pdf_vec(u)) * phi(u) * u
 
-    return _panel_integral(fn, np.linspace(math.log(u0), y_max, n_edges))
+    val = _panel_integral(fn, np.linspace(math.log(u0), y_max, 32))
+    X = math.exp(y_max)
+    return val + eng.tail_constant() * X ** (-alpha) / alpha * float(phi(np.array([X]))[0])
 
 
 def _standard_entropy(alpha: float) -> float:
@@ -643,19 +642,8 @@ def _standard_entropy(alpha: float) -> float:
         [[0.0], np.geomspace(1e-13, TAIL_CUTOFF, 120)]
     )
     core = _panel_integral(neg_flogf, edges)
-
-    # tail out to where the integrand is ~1e-18 of the total
-    y_max = (_LOG_EPS + 10.0) / alpha + math.log(TAIL_CUTOFF)
-    tail = _tail_integral(alpha, lambda u, lp: -np.exp(lp) * lp, TAIL_CUTOFF, y_max, 80)
-
-    # analytic first-order remainder beyond exp(y_max)
-    X = math.exp(y_max)
-    k = eng.tail_constant()
-    rem = 2.0 * k * X ** (-alpha) * (
-        (alpha + 1.0) * (math.log(X) / alpha + 1.0 / alpha ** 2)
-        - math.log(k) / alpha
-    )
-    return 2.0 * (core + tail) + rem
+    tail = _tail_integral(alpha, lambda u: -eng.log_pdf_vec(u), TAIL_CUTOFF)
+    return 2.0 * (core + tail)
 
 
 def _multid_entropy(ref: ReferenceLaw) -> float:

@@ -54,8 +54,10 @@ class _Source:
     `abs_quantile(p)`.  Density-backed kinds also have `support`,
     `core_extent` (beyond it a kind's own tail handling takes over),
     `breakpoints`, `pdf_vec(x)`, `mass(a, b)`, `tail_mass(x)`,
-    `tail_integral(phi, x0)` (the integral of f phi beyond x0 >= core_extent)
-    and `reflected` (the source of -X; a symmetric kind returns itself).  A new
+    `tail_integral(phi, x0)` (the whole integral of f phi over (x0, infinity)
+    for x0 >= core_extent and a phi of log growth, remainder included; a
+    stable kind's tail mass and expectation take their tails from it) and
+    `reflected` (the source of -X; a symmetric kind returns itself).  A new
     kind implements these on its own class; the strength and quantizer code
     calls only them.
     """
@@ -158,47 +160,29 @@ class SymmetricStableSource(_Source):
         a_s, g = self.params.alpha, self.params.gamma
         if a_s == 2.0:
             return 0.5 * erfc(x0 / (2.0 * g))
-        u0 = x0 / g
-        if u0 < stable_core.TAIL_CUTOFF:
+        if x0 / g < stable_core.TAIL_CUTOFF:
             return self.mass(x0, self.core_extent) + self.tail_mass(self.core_extent)
-        # the tail series in log space, then a first-order remainder
-        y_max = 60.0 / a_s + math.log(u0) + 5.0
-        val = stable_core._tail_integral(a_s, lambda u, lp: np.exp(lp), u0, y_max, 50)
-        return val + standard_density(a_s).tail_constant() * math.exp(-a_s * y_max) / a_s
+        return self.tail_integral(np.ones_like, x0)
 
     def tail_integral(self, phi_vec, x0: float) -> float:
         """Integral of f(x) phi(x) over (x0, infinity), x0 >= core_extent, for a
-        phi of log growth: the tail series, then a first-order remainder with
-        phi frozen at the cutoff."""
-        k = self.tail_k
-        if k == 0.0:
+        phi of log growth: `stable_core._tail_integral` in u = x / gamma."""
+        if self.tail_k == 0.0:
             return 0.0  # no power tail: no mass beyond the core (Gaussian: below 1e-98)
-        a_s, g = self.params.alpha, self.params.gamma
-        y_max = 60.0 / a_s + math.log(x0 / g) + 5.0
-        val = stable_core._tail_integral(
-            a_s, lambda u, lp: np.exp(lp) * phi_vec(g * u), x0 / g, y_max, 32
-        )
-        X = g * math.exp(y_max)
-        return val + k * X ** (-a_s) / a_s * float(phi_vec(np.array([X]))[0])
+        g = self.params.gamma
+        return stable_core._tail_integral(self.params.alpha, lambda u: phi_vec(g * u), x0 / g)
 
     def expect(self, phi_vec) -> float:
         """E[phi(X)] for an even, log-growth phi."""
-        a_s = self.params.alpha
         g_s = self.params.gamma
-        eng = standard_density(a_s)
+        eng = standard_density(self.params.alpha)
 
         def core_fn(t):
             return eng.pdf_vec(t) * phi_vec(g_s * t)
 
         edges = np.concatenate([[0.0], np.geomspace(1e-13, stable_core.TAIL_CUTOFF, 90)])
         core = stable_core._panel_integral(core_fn, edges)
-        if a_s == 2.0:
-            return 2.0 * core  # the Gaussian envelope is spent well inside the core
-        y_max = 55.0 / a_s + math.log(stable_core.TAIL_CUTOFF) + 5.0
-        tail = stable_core._tail_integral(
-            a_s, lambda u, lp: np.exp(lp) * phi_vec(g_s * u), stable_core.TAIL_CUTOFF, y_max, 70
-        )
-        return 2.0 * (core + tail)
+        return 2.0 * (core + self.tail_integral(phi_vec, self.core_extent))
 
 
 @dataclass(frozen=True)

@@ -694,3 +694,45 @@ class TestTabulatedG:
         got = error_strength(q, TabulatedSource(_cauchy_pdf), 1.5).value
         want = error_strength(q, cauchy_source(1.0), 1.5).value
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def _flat_asymmetric(x):
+    return 0.2
+
+
+class TestAsymmetricTabulated:
+    """A source that is not symmetric about 0 (flat 0.2 on (-2, 3)): the left
+    outer region and its mass come from `source.reflected`."""
+
+    density, support = staticmethod(_flat_asymmetric), (-2.0, 3.0)
+
+    @staticmethod
+    def _entropy(p):
+        p = np.asarray(p)
+        return float(-np.sum(p * np.log(p)))
+
+    def test_output_entropy(self):
+        q = Quantizer.from_points([-0.6, 0.0, 0.6])
+        got = output_entropy(q, TabulatedSource(self.density, self.support))
+        assert got == pytest.approx(self._entropy([0.34, 0.12, 0.54]), rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_uniform_levels_against_quad_oracle(self):
+        from scipy.optimize import brentq
+
+        from stablerd import ReferenceLaw, reference_entropy
+
+        source = TabulatedSource(self.density, self.support)
+        sol, entropy, q = uniform_levels_strength(0.3, 5, source, 1.5)
+        # regions (-2, -0.45], three of width 0.3, (0.45, 3)
+        assert entropy == pytest.approx(
+            self._entropy([0.31, 0.06, 0.06, 0.06, 0.51]), rel=1e-12, abs=0.0
+        )
+        psi = reference_neg_log_density(1.5)
+        h = reference_entropy(ReferenceLaw(1.5, 1))
+
+        def residual(s):
+            return _g_quad_oracle(q.points, q.boundaries, self.density, self.support, psi, s) - h
+
+        want = brentq(residual, 0.5 * sol.value, 2.0 * sol.value, xtol=1e-15, rtol=1e-14)
+        assert sol.value == pytest.approx(want, rel=1e-9, abs=0.0)

@@ -116,6 +116,20 @@ class TestPdf:
             assert pdf(p, x) == pytest.approx(levy_stable.pdf(x, 1.5, 0.7), rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_closed_forms_through_the_engine(self, alpha):
+        # beta = 0 goes through standard_density; at alpha 1 and 2 that is
+        # the textbook closed form in x
+        g, d = 1.7, -0.4
+        p = StableParams(alpha, 0.0, g, d)
+        sigma = g * math.sqrt(2.0)
+        for x in np.linspace(-60.0, 60.0, 41):
+            if alpha == 1.0:
+                want = g / (math.pi * (g * g + (x - d) ** 2))
+            else:
+                want = math.exp(-0.5 * (x - d) ** 2 / sigma ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+            assert pdf(p, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_inversion_matches_closed_form(self, alpha):
         gamma = 1.0 if alpha == 1.0 else 1.0 / math.sqrt(2.0)
         p = StableParams(alpha, 0.0, gamma, 0.0)
@@ -530,6 +544,67 @@ class TestReferenceEntropy:
         assert reference_entropy(ReferenceLaw(1.5)) is first
         assert _reference_entropy_cached.cache_info().hits == hits + 1
         assert ReferenceLaw(1.0).entropy == reference_entropy(ReferenceLaw(1.0))
+
+
+def _series_terms(alpha, u, power):
+    """The power-tail series (1/pi) sum_k (-1)^(k-1) Gamma(a k + 1)/k! sin(k pi a/2)
+    u^-(a k + power) c_k at mpmath precision, with c_k = 1/(a k) for power 0
+    (the survival function) and 1 for power 1 (the density).  The sum stops
+    where the terms' envelope stops decreasing (the series is asymptotic for
+    alpha > 1) or drops below the working precision; terms whose sine
+    vanishes do not stop it."""
+    a, u = mpmath.mpf(alpha), mpmath.mpf(u)
+    total, last = mpmath.mpf(0), mpmath.inf
+    for k in range(1, 400):
+        env = mpmath.gamma(a * k + 1) / mpmath.factorial(k) * u ** (-a * k - power)
+        if power == 0:
+            env /= a * k
+        if env >= last:
+            break
+        total += (-1) ** (k - 1) * env * mpmath.sin(k * mpmath.pi * a / 2)
+        last = env
+        if env < mpmath.eps * abs(total):
+            break
+    return total / mpmath.pi
+
+
+class TestTailIntegral:
+    """`_tail_integral` against the power-tail series in mpmath."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.3, 1.7])
+    @pytest.mark.parametrize("u0", [30.0, 300.0, 1e5])
+    def test_tail_mass_against_termwise_series(self, alpha, u0):
+        # P(U > u0) from the series integrated term by term
+        from stablerd import SymmetricStableSource
+
+        with mpmath.workdps(40):
+            want = float(_series_terms(alpha, u0, 0))
+        got = SymmetricStableSource(StableParams(alpha, 0.0, 1.0, 0.0)).tail_mass(u0)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_entropy_tail_against_quadrature(self, alpha):
+        # int_30^inf -f0 ln f0 du by mpmath.quad of the series density, in
+        # y = ln u on panels 4/alpha wide out to 100/alpha
+        eng = stable_core.standard_density(alpha)
+        got = stable_core._tail_integral(alpha, lambda u: -eng.log_pdf_vec(u), TAIL_CUTOFF)
+        with mpmath.workdps(25):
+            a = mpmath.mpf(alpha)
+
+            def integrand(y):
+                f = _series_terms(alpha, mpmath.exp(y), 1)
+                return -f * mpmath.log(f) * mpmath.exp(y)
+
+            y0 = mpmath.log(TAIL_CUTOFF)
+            want = float(mpmath.quad(integrand, [y0 + 4 * j / a for j in range(26)]))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_cauchy_takes_the_closed_form(self):
+        # at alpha = 1 the density engine's -ln pi - log1p(u^2) is used, not
+        # the series
+        with mock.patch.object(stable_core, "_log_pdf0_tail", side_effect=AssertionError):
+            got = stable_core._tail_integral(1.0, np.ones_like, 40.0)
+        assert got == pytest.approx(0.5 - math.atan(40.0) / math.pi, rel=1e-13, abs=0.0)
 
 
 class TestSampling:
