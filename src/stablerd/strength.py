@@ -161,7 +161,10 @@ class SymmetricStableSource(_Source):
         if a_s == 2.0:
             return 0.5 * erfc(x0 / (2.0 * g))
         if x0 / g < stable_core.TAIL_CUTOFF:
-            return self.mass(x0, self.core_extent) + self.tail_mass(self.core_extent)
+            # (30 g) / g can round below 30, so the core extent is passed on
+            # to tail_integral directly, not back through this test
+            cut = self.core_extent
+            return self.mass(x0, cut) + self.tail_integral(np.ones_like, cut)
         return self.tail_integral(np.ones_like, x0)
 
     def tail_integral(self, phi_vec, x0: float) -> float:

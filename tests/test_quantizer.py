@@ -451,6 +451,21 @@ class TestStableTailMass:
         want = 0.5 - math.atan(ratio) / math.pi
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_core_extent_rounded_below_cutoff(self):
+        # (30 gamma) / gamma rounds below 30 for this gamma; a tail mass from
+        # inside the core, and so output_entropy, recursed without end
+        gamma = 83.57815274094777
+        assert (30.0 * gamma) / gamma < 30.0
+        source = _stable_adapter(0.7, gamma)
+        for ratio in (1.0, 30.0):
+            got = source.tail_mass(ratio * gamma)
+            assert got == pytest.approx(_stable_adapter(0.7).tail_mass(ratio), rel=1e-10, abs=0.0)
+        q = Quantizer.from_points([-gamma, 0.0, gamma])
+        assert output_entropy(q, source) == pytest.approx(
+            output_entropy(Quantizer.from_points([-1.0, 0.0, 1.0]), _stable_adapter(0.7)),
+            rel=1e-10,
+        )
+
 
 def _region_edges_reference(a, b, rep, s_scale, source):
     """The NumPy version of quantizer._region_edges, kept as its bitwise reference."""
