@@ -5,6 +5,9 @@ For each workload, pair i runs `perfbench/run.py --trace 0` once in each
 checkout with seed FIRST_SEED + i; the parent runs first in even pairs and the
 change in odd ones, so that a drift of the host's speed hits both sides alike.
 Then one `--trace 1` run per side at TRACE_SEED gives the per-layer counts.
+Before the first run both checkouts are byte-compiled (PRECOMPILE), so that
+neither side pays for compiling its modules, or peaks higher in memory for
+it, in every process.
 
 The output holds, per workload and end-to-end metric of BENCHMARK.json, both
 sides' medians and quartiles, every run's value, the seeds, the pairs the
@@ -32,6 +35,7 @@ import subprocess
 import sys
 
 TRACE_SEED = 5  # the seed of every traced count recorded in CHANGES.md and ROADMAP.md
+PRECOMPILE = ("-m", "compileall", "-q", "src", "perfbench")
 
 
 def _tree_digest(root, sub):
@@ -114,8 +118,11 @@ def main(argv=None):
     seconds = float(spec["run_seconds"])
     wanted = [item.split("=") for item in args.workloads.split(",")]
 
+    for root in sides.values():
+        subprocess.run([sys.executable, *PRECOMPILE], cwd=root, check=True)
     result = {
         "benchmark": {"perfbench_sha256": bench["change"], "run_seconds": seconds},
+        "bytecode": "python " + " ".join(PRECOMPILE) + " in both checkouts before the first run",
         "sides": {name: {"revision": _revision(root), "src_sha256": _tree_digest(root, "src")}
                   for name, root in sides.items()},
         "workloads": {},

@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _MERGE_GAP = 1e-9
+_MAX_OUTER = 200  # outer iterations of design_optimal
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +112,22 @@ class Quantizer:
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Result of a quantizer design run."""
+    """Result of a quantizer design run.
+
+    stop_reason says why the outer loop ended: "tol" when an improvement
+    fell below the tolerance (and for M = 1, which has nothing to update),
+    "no_improvement" when a point update came back worse than the state it
+    started from, which is kept, and "max_outer" when the iteration budget
+    ran out.  converged is False only for "max_outer".
+    """
 
     quantizer: Quantizer
     error_strength: float
     iterations: int
     strength_trace: list
     seed: int
+    converged: bool
+    stop_reason: str
 
 
 @dataclass(frozen=True)
@@ -208,9 +218,10 @@ def _region_edges(a: float, b: float, rep: float, s_scale: float, source) -> np.
     return np.array(out)
 
 
-def _outer_region_integral(source, psi, rep: float, r0: float, s: float) -> float:
+def _outer_region_integral(source, psi, rep: float, r0: float, s: float):
     """Integral of f(x) psi((x - rep)/s) over (r0, infinity): panels up to C,
-    at most the support end, and the source's own tail integral beyond."""
+    at most the support end, and the source's own tail integral beyond.  A
+    stacked psi gives the stacked integrals."""
     s_scale = s * 3.0
     C = max(r0 + 80.0 * s_scale, 2.0 * abs(r0) + 4.0 * source.scale, source.core_extent)
     C = min(C, source.support[1])
@@ -226,7 +237,11 @@ def _outer_region_integral(source, psi, rep: float, r0: float, s: float) -> floa
 
 
 def _g_of_partition(points, boundaries, source, psi):
-    """Return G(s) = sum_j int_{R_j} f(x) psi((x - x_j)/s) dx as a callable."""
+    """Return G(s) = sum_j int_{R_j} f(x) psi((x - x_j)/s) dx as a callable.
+
+    With the stacked psi of `reference_neg_log_density(alpha, slope=True)`,
+    G(s) is the pair (G, dG/d ln s) from the same nodes.
+    """
     points = np.asarray(points, dtype=float)
     boundaries = np.asarray(boundaries, dtype=float)
 
@@ -236,7 +251,7 @@ def _g_of_partition(points, boundaries, source, psi):
         offs = vals - points[idx]
 
         def G(s):
-            return float(np.mean(psi(offs / s)))
+            return np.mean(psi(offs / s), axis=-1)
 
         return G
 
@@ -276,8 +291,8 @@ def _g_of_partition(points, boundaries, source, psi):
                 nodes = np.concatenate(all_nodes)
                 weights = np.concatenate(all_weights)
                 reps = np.concatenate(all_reps)
-                total += float(
-                    np.sum(weights * source.pdf_vec(nodes) * psi((nodes - reps) / s))
+                total += np.sum(
+                    weights * source.pdf_vec(nodes) * psi((nodes - reps) / s), axis=-1
                 )
         right_val = _outer_region_integral(source, psi, *right, s)
         total += right_val
@@ -298,11 +313,10 @@ def _error_strength_raw(
     tol: float = DEFAULT_TOL,
     s_hint: float | None = None,
 ) -> StrengthSolution:
-    psi = reference_neg_log_density(alpha)
+    psi = reference_neg_log_density(alpha, slope=True)
     G = _g_of_partition(points, boundaries, source, psi)
     h = reference_entropy(ReferenceLaw(alpha, 1))
-    tight = s_hint is not None and s_hint > 0.0
-    if tight:
+    if s_hint is not None and s_hint > 0.0:
         s0 = s_hint
     else:
         pts = np.atleast_1d(np.asarray(points, dtype=float))
@@ -310,7 +324,7 @@ def _error_strength_raw(
             s0 = max(float(np.median(np.diff(pts))) * 0.3, 1e-12)
         else:
             s0 = max(source.scale, 1e-12)
-    return _solve_monotone(lambda s: G(s) - h, s0, tol, tight=tight)
+    return _solve_monotone(lambda s: G(s) - (h, 0.0), s0, tol)
 
 
 def error_strength(
@@ -409,6 +423,8 @@ def design_optimal(
             iterations=0,
             strength_trace=[sol.value],
             seed=int(seed),
+            converged=True,
+            stop_reason="tol",
         )
 
     m = M // 2
@@ -418,7 +434,6 @@ def design_optimal(
     init *= np.exp(0.05 * rng.standard_normal(m))
     init = np.sort(init)
 
-    max_outer = 200
     s_hint = None
 
     def measure(free_pos):
@@ -431,8 +446,9 @@ def design_optimal(
     trace = [s_cur]
     s_hint = s_cur
     iterations = 0
+    stop_reason = "max_outer"
 
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         iterations += 1
         pts = _mirror(free, M)
         bnd_fixed = midpoint_boundaries(pts)  # regions frozen during the point update
@@ -470,14 +486,16 @@ def design_optimal(
         free_new = np.sort(np.exp(best))
         s_new = measure(free_new)  # midpoint-consistent state
         if s_new > s_cur:
-            break  # numerical noise floor reached; keep the previous state
+            stop_reason = "no_improvement"  # numerical noise floor reached
+            break
         improvement = s_cur - s_new
         free = free_new
         s_cur = s_new
         trace.append(s_cur)
         s_hint = s_cur
         threshold = tol if tol is not None else 1e-6 * s_cur
-        if improvement < threshold:
+        if improvement <= threshold:  # at a fixed point, tol = 0 stops too
+            stop_reason = "tol"
             break
 
     pts = _mirror(free, M)
@@ -497,6 +515,8 @@ def design_optimal(
         iterations=iterations,
         strength_trace=trace,
         seed=int(seed),
+        converged=stop_reason != "max_outer",
+        stop_reason=stop_reason,
     )
 
 
@@ -603,22 +623,20 @@ def uniform_error_strength(
     the error is uniform to machine precision (Sripad & Snyder); see
     `UniformSpec` for when the lattice is summed directly instead.
     """
+    psi = reference_neg_log_density(alpha, slope=True)
+    h = reference_entropy(ReferenceLaw(alpha, 1))
     if isinstance(source, EmpiricalSource):
         vals = source.batch.values
         offs = vals - np.round(vals / spec.delta) * spec.delta
-        psi = reference_neg_log_density(alpha)
-        h = reference_entropy(ReferenceLaw(alpha, 1))
         return _solve_monotone(
-            lambda s: float(np.mean(psi(offs / s))) - h,
+            lambda s: np.mean(psi(offs / s), axis=-1) - (h, 0.0),
             0.2 * spec.delta,
             tol,
         )
-    psi = reference_neg_log_density(alpha)
     u, W = _uniform_weights(spec, source)
-    h = reference_entropy(ReferenceLaw(alpha, 1))
 
     def fn(s):
-        return float(np.sum(W * psi(u / s))) - h
+        return np.sum(W * psi(u / s), axis=-1) - (h, 0.0)
 
     return _solve_monotone(fn, 0.2 * spec.delta, tol)
 
@@ -648,8 +666,8 @@ def truncated_uniform(delta: float, M: int) -> Quantizer:
 
 
 def _truncated_uniform_g(delta, M, source, alpha):
-    """G(s) callable plus region masses for the M-level uniform quantizer."""
-    psi = reference_neg_log_density(alpha)
+    """(G, dG/d ln s) callable plus region masses for the M-level uniform quantizer."""
+    psi = reference_neg_log_density(alpha, slope=True)
     q = truncated_uniform(delta, M)
     pts = q.points
     top = pts[-1]
@@ -674,7 +692,7 @@ def _truncated_uniform_g(delta, M, source, alpha):
     mirrored = reflected is source
 
     def G(s):
-        total = float(np.sum(W * psi(u / s))) if n_inner > 0 else 0.0
+        total = np.sum(W * psi(u / s), axis=-1) if n_inner > 0 else 0.0
         right = _outer_region_integral(source, psi, top, edge, s)
         left = right if mirrored else _outer_region_integral(reflected, psi, top, edge, s)
         total += right + left
@@ -693,7 +711,7 @@ def uniform_levels_strength(
     quantizer of width delta."""
     G, probs, q = _truncated_uniform_g(delta, M, source, alpha)
     h = reference_entropy(ReferenceLaw(alpha, 1))
-    sol = _solve_monotone(lambda s: G(s) - h, 0.3 * delta, tol)
+    sol = _solve_monotone(lambda s: G(s) - (h, 0.0), 0.3 * delta, tol)
     p = probs[probs > 0.0]
     p = p / p.sum()
     entropy = float(-np.sum(p * np.log(p)))

@@ -320,26 +320,36 @@ def _tail_coefficients(alpha: float):
     return lead, terms
 
 
-def _log_pdf0_tail(alpha: float, u) -> np.ndarray:
-    """log f0(u) for |u| >= TAIL_CUTOFF via the power-tail series (vectorized)."""
+def _log_pdf0_tail(alpha: float, u, slope: bool = False):
+    """log f0(u) for |u| >= TAIL_CUTOFF via the power-tail series (vectorized).
+
+    With slope, also kappa = d log f0 / d ln u = -(alpha + 1) + (d corr /
+    d ln u) / (1 + corr), summed over the same terms.
+    """
     u = np.abs(np.asarray(u, dtype=float))
     log_u = np.log(u)
     lead, terms = _tail_coefficients(float(alpha))
     # First-order term in log space, then log1p of the summed correction ratio.
     log_t1 = lead - (alpha + 1.0) * log_u
     corr = np.zeros_like(u)
+    dcorr = np.zeros_like(u) if slope else None
     umin_log = float(np.min(log_u))
     last_env = math.inf
-    for coef, log_env, slope in terms:
+    for coef, log_env, power in terms:
         # envelope ratio to the leading term, at the smallest |u| present
-        log_env_min = log_env - slope * umin_log
+        log_env_min = log_env - power * umin_log
         if log_env_min > last_env:
             break  # asymptotic series started diverging; stop at best term
         last_env = log_env_min
         if coef != 0.0:  # sin(k pi a/2) vanishes
-            corr += coef * np.exp(log_env - slope * log_u)
+            term = coef * np.exp(log_env - power * log_u)
+            corr += term
+            if slope:
+                dcorr -= power * term
         if log_env_min < _LOG_TAIL_STOP:
             break
+    if slope:
+        return log_t1 + np.log1p(corr), dcorr / (1.0 + corr) - (alpha + 1.0)
     return log_t1 + np.log1p(corr)
 
 
@@ -363,6 +373,10 @@ class _StandardDensity:
         self.alpha = float(alpha)
         self._lock = threading.Lock()
         self._spline = None
+        a = self.alpha
+        self._tail_constant = 0.0 if a == 2.0 else (
+            math.exp(gammaln(a + 1.0)) * math.sin(math.pi * a / 2.0) / math.pi
+        )
 
     # -- accurate scalar routes -------------------------------------------
 
@@ -403,27 +417,51 @@ class _StandardDensity:
         vals = np.array([math.log(v) for v in f])
         return CubicSpline(t, vals, bc_type="not-a-knot")
 
-    def log_pdf_vec(self, u) -> np.ndarray:
+    def log_pdf_vec(self, u, slope: bool = False) -> np.ndarray:
+        """log f0(|u|), vectorized.
+
+        With slope, the stack (log f0, kappa) of shape (2,) + u.shape, where
+        kappa = d log f0 / d ln u: -u^2/2 at alpha = 2, -2u^2/(1+u^2) at
+        alpha = 1, the spline's own derivative in ln u on the table, the
+        differentiated series in the tail and 0 below TABLE_FLOOR, where
+        the table's constant value stands in for f0.
+        """
         a = self.alpha
         u = np.abs(np.asarray(u, dtype=float))
         if a == 2.0:
-            return -u * u / 4.0 - 0.5 * math.log(4.0 * math.pi)
+            lp = -u * u / 4.0 - 0.5 * math.log(4.0 * math.pi)
+            return np.stack([lp, -0.5 * (u * u)]) if slope else lp
         if a == 1.0:
-            return -math.log(math.pi) - np.log1p(u * u)
+            u2 = u * u
+            lp = -math.log(math.pi) - np.log1p(u2)
+            return np.stack([lp, -2.0 * u2 / (1.0 + u2)]) if slope else lp
         if self._spline is None:
             with self._lock:
                 if self._spline is None:
                     self._spline = self._build_table()
-        out = np.empty_like(u)
+        out = np.empty((2,) + u.shape if slope else u.shape)
+        lp = out[0] if slope else out
         tiny = u < self.TABLE_FLOOR
         tail = u >= TAIL_CUTOFF
         core = ~tiny & ~tail
         if np.any(tiny):
-            out[tiny] = math.log(self.pdf(0.0))
-        if np.any(core):
-            out[core] = self._spline(np.log(u[core]))
+            lp[tiny] = math.log(self.pdf(0.0))
+            if slope:
+                out[1][tiny] = 0.0
         if np.any(tail):
-            out[tail] = _log_pdf0_tail(a, u[tail])
+            if slope:
+                lp[tail], out[1][tail] = _log_pdf0_tail(a, u[tail], slope=True)
+            else:
+                lp[tail] = _log_pdf0_tail(a, u[tail])
+        if np.any(core):
+            # ln u in place of its copy, and u dropped before the spline
+            # runs: the slope row then holds no more temporaries at once
+            t = u[core]
+            np.log(t, out=t)
+            del u
+            lp[core] = self._spline(t)
+            if slope:
+                out[1][core] = self._spline(t, 1)
         return out
 
     def pdf_vec(self, u) -> np.ndarray:
@@ -431,10 +469,7 @@ class _StandardDensity:
 
     def tail_constant(self) -> float:
         """k with f0(u) ~ k u^-(alpha+1); the first-order tail coefficient."""
-        a = self.alpha
-        if a == 2.0:
-            return 0.0
-        return math.exp(gammaln(a + 1.0)) * math.sin(math.pi * a / 2.0) / math.pi
+        return self._tail_constant
 
 
 _DENSITY_CACHE: dict[float, _StandardDensity] = {}
@@ -591,19 +626,40 @@ def _gauss_legendre(n: int = 16):
     return xg, wg
 
 
-def _panel_integral(fn, edges: np.ndarray, n: int = 16) -> float:
-    """Sum of Gauss-Legendre panel integrals of a vectorized fn over edges."""
+def _panel_integral(fn, edges: np.ndarray, n: int = 16):
+    """Sum of Gauss-Legendre panel integrals of a vectorized fn over edges.
+
+    fn maps the nodes, shape (N,), to values of shape (N,) or to a stack of
+    shape (k, N); the integral is a float, or an array of shape (k,).
+    """
     xg, wg = _gauss_legendre(n)
     a = edges[:-1]
     b = edges[1:]
     mid = 0.5 * (a + b)[:, None]
     half = 0.5 * (b - a)[:, None]
     nodes = mid + half * xg[None, :]
-    vals = fn(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(vals * wg[None, :] * half))
+    vals = fn(nodes.ravel())
+    vals = vals.reshape(vals.shape[:-1] + nodes.shape)
+    return _reduced(np.sum(vals * wg[None, :] * half, axis=(-2, -1)))
 
 
-def _tail_integral(alpha: float, phi, u0: float) -> float:
+def _reduced(total):
+    """A reduced integral as a Python float, or the stacked array as it is.
+
+    A stacked row sums exactly as the same row alone would.
+    """
+    return float(total) if np.ndim(total) == 0 else total
+
+
+# The tail integral's panel edges in y = ln u: np.linspace(ln u0, y_max, 32)
+# is arange(32) * step + ln u0 with the last edge set to y_max, computed here
+# without linspace's per-call overhead (bitwise the same values).
+_TAIL_PANELS = 31
+_TAIL_INDEX = np.arange(_TAIL_PANELS + 1.0)
+_TAIL_INDEX.flags.writeable = False
+
+
+def _tail_integral(alpha: float, phi, u0: float):
     """int_{u0}^inf f0(u) phi(u) du for u0 >= TAIL_CUTOFF and a vectorized phi
     of log growth.
 
@@ -611,17 +667,22 @@ def _tail_integral(alpha: float, phi, u0: float) -> float:
     form at alpha = 1).  y = ln u runs over [ln u0, y_max], y_max = 60/alpha +
     ln u0 + 5, in 31 equal Gauss-Legendre panels; beyond X = e^y_max the
     first-order remainder k X^-alpha / alpha * phi(X) is added, phi frozen at X.
+    A stacked phi, shape (k, N), gives k integrals from the same nodes.
     """
     eng = standard_density(alpha)
-    y_max = 60.0 / alpha + math.log(u0) + 5.0
+    log_u0 = math.log(u0)
+    y_max = 60.0 / alpha + log_u0 + 5.0
 
     def fn(y):
         u = np.exp(y)
         return np.exp(eng.log_pdf_vec(u)) * phi(u) * u
 
-    val = _panel_integral(fn, np.linspace(math.log(u0), y_max, 32))
+    edges = _TAIL_INDEX * ((y_max - log_u0) / _TAIL_PANELS) + log_u0
+    edges[-1] = y_max
+    val = _panel_integral(fn, edges)
     X = math.exp(y_max)
-    return val + eng.tail_constant() * X ** (-alpha) / alpha * float(phi(np.array([X]))[0])
+    rem = eng.tail_constant() * X ** (-alpha) / alpha * np.asarray(phi(np.array([X])))[..., 0]
+    return val + _reduced(rem)
 
 
 def _standard_entropy(alpha: float) -> float:

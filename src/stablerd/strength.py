@@ -5,8 +5,8 @@ The strength of X at index alpha is the unique s > 0 with
     g(s) = -E[log f_ref(X / s)] = h(ref),
 
 where `ref` is the reference symmetric stable law of `stable_core`.  g is
-non-increasing and continuous in s, so the root is found by geometric
-bracket expansion followed by Brent's method.
+non-increasing and continuous in s.  Each evaluation also gives dg/d ln s
+from the same nodes, and the root is found by safeguarded Newton in ln s.
 """
 
 from __future__ import annotations
@@ -42,8 +42,13 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9  # nats, on the residual |g(s) - h|
-_BRACKET_FACTOR = 4.0
 _BRACKET_BUDGET = 60
+_STEP_LIMIT = math.log(4.0)  # the longest step in ln s: a factor of 4 in s
+# After a Newton step of this size in ln s, quadratic convergence leaves the
+# new iterate about (step)^2 = 1e-16 from the root: it is returned as it is.
+_NEWTON_DONE = 1e-8
+# An iterate whose own Newton step is below this, in ln s, is returned.
+_ROOT_STEP = 4e-15
 
 
 class _Source:
@@ -216,11 +221,11 @@ class EmpiricalSource(_Source):
         med = float(np.median(r))
         return med if med > 0.0 else float(np.mean(r))
 
-    def expect(self, phi_vec) -> float:
+    def expect(self, phi_vec):
         vals = self.batch.values
         if vals.ndim != 1:
             raise ValueError("scalar expectation requires 1-d samples")
-        return float(np.mean(phi_vec(vals)))
+        return stable_core._reduced(np.mean(phi_vec(vals), axis=-1))
 
     def abs_quantile(self, p: float) -> float:
         return float(np.quantile(np.abs(self.batch.values), p))
@@ -306,6 +311,8 @@ class TabulatedSource(_Source):
         [x0 2^k, x0 2^(k+1)], the last one cut at a finite hi.  The sum stops
         once a segment adds less than 1e-13 of it (or 1e-13 absolute); if the
         segments fail to decay the log-moment proxy is declared divergent.
+        For a stacked phi the first row, the value, decides; the rows after
+        it (slopes) are summed over the same segments.
         """
         hi = self.support[1]
 
@@ -321,13 +328,14 @@ class TabulatedSource(_Source):
             b = min(2.0 * a, hi)
             piece = stable_core._panel_integral(fn, np.array([a, b]))
             total += piece
-            if abs(piece) < 1e-13 * max(abs(total), 1.0):
+            lead = abs(np.ravel(piece)[0])
+            if lead < 1e-13 * max(abs(np.ravel(total)[0]), 1.0):
                 return total
-            if k > 6 and abs(piece) > prev:
+            if k > 6 and lead > prev:
                 raise NonFiniteLogMoment(
                     "tail integral fails to decay; log-moment proxy diverges"
                 )
-            prev = abs(piece)
+            prev = lead
             a = b
         raise NonFiniteLogMoment("tail integral did not converge within the doubling budget")
 
@@ -342,6 +350,17 @@ class TabulatedSource(_Source):
         c = 64.0
         a = lo if math.isfinite(lo) else -c
         b = hi if math.isfinite(hi) else c
+        rows = np.shape(phi_vec(np.array([a])))[:-1]
+        if rows:
+            # A stacked phi, (value, slope) in a strength solve: one adaptive
+            # quadrature per row.  A slope from the density table carries the
+            # wiggle of the spline's derivative, about 1e-8 relative, and
+            # quad warns that it cannot reach 1e-10 there; the slope only
+            # steers the Newton steps, so its warnings are muted.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                slopes = [self.expect(lambda x, k=k: phi_vec(x)[k]) for k in range(1, rows[0])]
+            return np.array([self.expect(lambda x: phi_vec(x)[0]), *slopes])
         total, _ = integrate.quad(
             lambda x: f(x) * float(phi_vec(np.asarray([x], dtype=float))[0]), a, b,
             limit=300, epsabs=1e-12, epsrel=1e-10,
@@ -430,8 +449,14 @@ class StrengthSolution:
 # the negative reference log-density and expectation machinery
 
 
-def reference_neg_log_density(alpha: float):
-    """Vectorized psi(z) = -log f_ref(z) for the d = 1 reference at index alpha."""
+def reference_neg_log_density(alpha: float, slope: bool = False):
+    """Vectorized psi(z) = -log f_ref(z) for the d = 1 reference at index alpha.
+
+    With slope, psi(z) returns the stack (psi(z), kappa(|z| / c)) of shape
+    (2,) + z.shape, c the reference scale and kappa = d ln f0 / d ln u.  The
+    second row is the derivative of psi(x / s) in ln s at z = x / s, so an
+    integral of f psi(x / s) carries its own slope in ln s along.
+    """
     ref_scale = (1.0 / alpha) ** (1.0 / alpha)
     eng = standard_density(alpha)
     log_scale = math.log(ref_scale)
@@ -439,15 +464,25 @@ def reference_neg_log_density(alpha: float):
     def psi(z):
         return log_scale - eng.log_pdf_vec(np.asarray(z, dtype=float) / ref_scale)
 
-    return psi
+    def psi_and_slope(z):
+        out = eng.log_pdf_vec(np.asarray(z, dtype=float) / ref_scale, slope=True)
+        np.subtract(log_scale, out[0], out=out[0])
+        return out
+
+    return psi_and_slope if slope else psi
 
 
 # ---------------------------------------------------------------------------
 # g and the strength solver
 
 
-def g_value(source: SourceSpec, alpha: float, s: float) -> float:
-    """g(s) = -E[log f_ref(X / s)] in nats."""
+def g_value(source: SourceSpec, alpha: float, s: float, slope: bool = False):
+    """g(s) = -E[log f_ref(X / s)] in nats.
+
+    With slope, the pair (g(s), dg/d ln s), both from the same evaluation.
+    The slope is None on the d >= 2 path at alpha not in {1, 2}, which
+    inverts the reference density sample by sample.
+    """
     if not s > 0.0:
         raise ValueError("s must be positive")
     d = source.dim
@@ -457,90 +492,133 @@ def g_value(source: SourceSpec, alpha: float, s: float) -> float:
                 "a heavy-tailed source has no finite second moment, so g "
                 "diverges at alpha = 2"
             )
-        psi = reference_neg_log_density(alpha)
-        return source.expect(lambda x: psi(np.asarray(x) / s))
+        psi = reference_neg_log_density(alpha, slope)
+        g = source.expect(lambda x: psi(np.asarray(x) / s))
+        return (float(g[0]), float(g[1])) if slope else float(g)
     # d-dimensional empirical path
     ref = ReferenceLaw(alpha, d)
     vals = source.batch.values / s
     r2 = np.einsum("ij,ij->i", vals, vals)
     if alpha == 2.0:
-        return float(np.mean(0.5 * r2 + (d / 2.0) * math.log(2.0 * math.pi)))
-    if alpha == 1.0:
+        g = float(np.mean(0.5 * r2 + (d / 2.0) * math.log(2.0 * math.pi)))
+        dg = -float(np.mean(r2))
+    elif alpha == 1.0:
         half = (d + 1.0) / 2.0
-        return float(
+        g = float(
             np.mean(
                 half * math.log(math.pi)
                 - gammaln(half)
                 + half * np.log1p(r2)
             )
         )
-    # No closed form: per-sample radial inversion (slow; intended for small n).
-    return float(
-        -np.mean(
-            [stable_core.log_pdf_reference(ref, v) for v in vals]
-        )
-    )
-
-
-def _solve_monotone(fn, s0: float, tol: float, tight: bool = False) -> StrengthSolution:
-    """Root of a non-increasing fn(s) by geometric bracketing + Brent.
-
-    `tight` starts with small expansion steps, for callers whose s0 is a warm
-    guess (e.g. a neighbouring grid point's root).
-    """
-    evals = [0]
-
-    def f(s):
-        evals[0] += 1
-        return fn(s)
-
-    def factors():
-        if tight:
-            yield 1.02
-            yield 1.3
-        while True:
-            yield _BRACKET_FACTOR
-
-    v0 = f(s0)
-    if v0 == 0.0:
-        return StrengthSolution(s0, 0.0, (s0, s0), evals[0])
-    lo = hi = s0
-    vlo = vhi = v0
-    steps = factors()
-    if v0 > 0.0:  # root lies at larger s
-        for _ in range(_BRACKET_BUDGET):
-            lo, vlo = hi, vhi
-            hi *= next(steps)
-            vhi = f(hi)
-            if vhi <= 0.0:
-                break
-        else:
-            raise BracketFailure("no sign change found while expanding upward")
+        dg = -2.0 * half * float(np.mean(r2 / (1.0 + r2)))
     else:
-        for _ in range(_BRACKET_BUDGET):
-            hi, vhi = lo, vlo
-            lo /= next(steps)
-            vlo = f(lo)
-            if vlo >= 0.0:
-                break
+        # No closed form: per-sample radial inversion (slow; intended for small n).
+        g = float(
+            -np.mean(
+                [stable_core.log_pdf_reference(ref, v) for v in vals]
+            )
+        )
+        dg = None
+    return (g, dg) if slope else g
+
+
+def _solve_monotone(fn, s0: float, tol: float) -> StrengthSolution:
+    """Root of a non-increasing fn(s) by safeguarded Newton in t = ln s.
+
+    fn(s) returns (value, slope) with slope = d value / d ln s, or None for
+    the slope where none is at hand; the secant through the last two
+    iterates then stands in for it.  One call is one evaluation.
+
+    With slopes at the last two iterates, the step is the root of the local
+    quadratic whose curvature is their difference quotient: it has the sign
+    of the Newton step and up to twice its length, and converges faster.
+    A step is clamped to +-ln 4.  Until the values change sign, a slope
+    that is not negative and finite gives a full step towards the root, and
+    BracketFailure is raised after _BRACKET_BUDGET such steps.  Once the
+    root is bracketed, a step that leaves the bracket, that would not halve
+    the step before the last one, or that has no usable slope is replaced
+    by bisection in ln s.
+
+    The last evaluated point is returned, with its measured residual, once
+    its own Newton step is below _ROOT_STEP in ln s, or once the Newton
+    step to it was small enough that quadratic convergence leaves it at
+    machine precision.  Either way its residual must be at most tol, or the
+    iteration goes on until it is or the bracket closes at machine
+    precision.
+    """
+    evals = 0
+    t = math.log(s0)
+    lo = hi = None  # ln s of the closest points with fn > 0 and fn < 0
+    prev = None  # (t, value, slope or None) of the previous iterate
+    step = step_before = math.inf
+    modelled = False  # whether the step to t came from a slope
+    steps_unbracketed = 0
+    while True:
+        value, slope = fn(math.exp(t))
+        evals += 1
+        value = float(value)
+        if math.isnan(value):
+            raise BracketFailure(f"the function is NaN at s = {math.exp(t)!r}")
+        if value == 0.0:
+            lo = hi = t
+            break
+        if value > 0.0:
+            lo = t
         else:
-            raise BracketFailure("no sign change found while expanding downward")
-    rtol = max(4.0 * np.finfo(float).eps, min(1e-12, tol * 1e-3))
-    root = optimize.brentq(f, lo, hi, xtol=1e-300, rtol=rtol)
-    residual = abs(f(root))
-    # Brent at machine rtol leaves the residual far below tol in practice;
-    # fall back to bisection against the residual if it somehow does not.
-    a, b = lo, hi
-    while residual > tol and (b - a) > 1e-17 * b:
-        mid = 0.5 * (a + b)
-        vm = f(mid)
-        if abs(vm) < residual:
-            root, residual = mid, abs(vm)
-        if vm > 0.0:
-            a = mid
+            hi = t
+        known = None if slope is None else float(slope)
+        curvature = None
+        if known is None:
+            if prev is not None and t != prev[0]:
+                slope = (value - prev[1]) / (t - prev[0])
+            # the secant converges superlinearly, not quadratically: the
+            # step test takes the product of its last two steps
+            settled = abs(step) * abs(step_before)
         else:
-            b = mid
-    return StrengthSolution(float(root), float(residual), (float(lo), float(hi)), evals[0])
+            slope = known
+            if prev is not None and prev[2] is not None and t != prev[0]:
+                curvature = (slope - prev[2]) / (t - prev[0])
+            settled = step * step
+        usable = slope is not None and math.isfinite(slope) and slope < 0.0
+        if abs(value) <= tol and (
+            (usable and abs(value / slope) <= _ROOT_STEP)
+            or (modelled and settled <= _NEWTON_DONE ** 2)
+        ):
+            break
+        bracketed = lo is not None and hi is not None
+        if bracketed and abs(hi - lo) <= 4.0 * np.finfo(float).eps * max(1.0, abs(t)):
+            break
+        prev = (t, value, known)
+        new = None
+        if usable:
+            new = -value / slope
+            if curvature is not None:
+                disc = slope * slope - 2.0 * curvature * value
+                if 0.0 <= disc < math.inf:
+                    new = 2.0 * value / (math.sqrt(disc) - slope)
+            if bracketed and not (min(lo, hi) < t + new < max(lo, hi)
+                                  and abs(new) <= 0.5 * abs(step_before)):
+                new = None
+        step_before = step
+        modelled = new is not None
+        if bracketed and new is None:
+            new = 0.5 * (lo + hi) - t
+        elif not bracketed:
+            steps_unbracketed += 1
+            if steps_unbracketed > _BRACKET_BUDGET:
+                raise BracketFailure(
+                    "no sign change found while stepping "
+                    + ("upward" if value > 0.0 else "downward")
+                )
+            if new is None:
+                new = _STEP_LIMIT if value > 0.0 else -_STEP_LIMIT
+            new = max(-_STEP_LIMIT, min(_STEP_LIMIT, new))
+        step = new
+        t += step
+    root = math.exp(t)
+    bracket = tuple(math.exp(x) if x is not None else root for x in (lo, hi))
+    return StrengthSolution(root, abs(value), bracket, evals)
 
 
 def solve_strength(source: SourceSpec, alpha: float, tol: float = DEFAULT_TOL) -> StrengthSolution:
@@ -551,7 +629,12 @@ def solve_strength(source: SourceSpec, alpha: float, tol: float = DEFAULT_TOL) -
     s0 = source.start_scale
     if not s0 > 0.0:
         s0 = 1.0
-    return _solve_monotone(lambda s: g_value(source, alpha, s) - h, s0, tol)
+
+    def fn(s):
+        g, dg = g_value(source, alpha, s, slope=True)
+        return g - h, dg
+
+    return _solve_monotone(fn, s0, tol)
 
 
 def strength_closed_form(alpha: float, gamma: float) -> float:
@@ -578,13 +661,19 @@ def cb_strength(source: SourceSpec, d: int = 1, tol: float = DEFAULT_TOL) -> flo
         r2 = np.einsum("ij,ij->i", vals, vals)
 
         def fn(s):
-            return float(np.mean(np.log1p(r2 / (s * s)))) - rhs
+            q = r2 / (s * s)
+            return float(np.mean(np.log1p(q))) - rhs, -2.0 * float(np.mean(q / (1.0 + q)))
     else:
         if d != 1:
             raise ValueError("d >= 2 requires d-dimensional samples")
 
+        def phi(x, s):
+            q = (np.asarray(x) / s) ** 2
+            return np.stack([np.log1p(q), -2.0 * q / (1.0 + q)])
+
         def fn(s):
-            return source.expect(lambda x: np.log1p((np.asarray(x) / s) ** 2)) - rhs
+            g = source.expect(lambda x: phi(x, s))
+            return g[0] - rhs, g[1]
 
     s0 = source.start_scale
     if not s0 > 0.0:
@@ -605,12 +694,10 @@ def strength_of_uniform(alpha: float, tol: float = DEFAULT_TOL) -> float:
         return 1.0 / math.sqrt(12.0)
     if alpha == 1.0:
         def fn(s):
-            return (
-                math.log1p(1.0 / (4.0 * s * s))
-                - 2.0
-                + 4.0 * s * math.atan(1.0 / (2.0 * s))
-                - math.log(4.0)
-            )
+            # the slope in ln s of ln(1 + 1/(4 s^2)) + 4 s arctan(1/(2 s)) is
+            # 4 s arctan(1/(2 s)) - 2
+            arc = 4.0 * s * math.atan(1.0 / (2.0 * s))
+            return math.log1p(1.0 / (4.0 * s * s)) - 2.0 + arc - math.log(4.0), arc - 2.0
 
-        return float(optimize.brentq(fn, 1e-8, 10.0, xtol=1e-16, rtol=8.9e-16))
+        return _solve_monotone(fn, 0.5, tol).value
     return solve_strength(UniformSource(0.5), alpha, tol=tol).value

@@ -352,10 +352,45 @@ class TestDesign:
         assert r1.seed == 5
 
     def test_pinned_cauchy_design(self):
-        # recorded before the quadrature caches landed: caching must be bit-identical
+        # the points are those recorded before the quadrature caches landed; the
+        # strength moved by 1 ulp when root solves went to machine precision
         report = design_optimal(cauchy_source(1.0), 1.0, 2, seed=7)
-        assert report.error_strength == 0.7172356202174565
+        assert report.error_strength == 0.7172356202174566
         assert report.quantizer.points.tolist() == [-0.7895263207070173, 0.7895263207070173]
+
+    def test_stop_reason_tol(self):
+        report = design_optimal(cauchy_source(1.0), 1.0, 2, seed=7)
+        assert (report.stop_reason, report.converged) == ("tol", True)
+        single = design_optimal(cauchy_source(1.0), 1.0, 1)
+        assert (single.stop_reason, single.converged) == ("tol", True)
+
+    def test_zero_tol_stops_at_a_fixed_point(self):
+        # an update that leaves the strength unchanged meets tol = 0; it used
+        # to run all 200 outer iterations
+        report = design_optimal(cauchy_source(1.0), 1.0, 2, tol=0.0, seed=7)
+        assert (report.stop_reason, report.converged) == ("tol", True)
+        assert report.iterations <= 5
+
+    def test_stop_reason_max_outer(self, monkeypatch):
+        monkeypatch.setattr(quantizer, "_MAX_OUTER", 1)
+        report = design_optimal(cauchy_source(1.0), 1.0, 2, tol=0.0, seed=7)
+        assert (report.stop_reason, report.converged) == ("max_outer", False)
+        assert report.iterations == 1 and len(report.strength_trace) == 2
+
+    def test_stop_reason_no_improvement_keeps_the_state(self, monkeypatch):
+        # a point update that comes back worse: the starting state is kept
+        from scipy.optimize import OptimizeResult
+
+        def worse(fun, x0, **kwargs):
+            x = np.asarray(x0) - 3.0  # points e^3 times closer to 0
+            return OptimizeResult(x=x, fun=fun(x))
+
+        start = design_optimal(cauchy_source(1.0), 1.0, 2, seed=7, tol=math.inf)
+        monkeypatch.setattr(quantizer.optimize, "minimize", worse)
+        report = design_optimal(cauchy_source(1.0), 1.0, 2, seed=7)
+        assert (report.stop_reason, report.converged) == ("no_improvement", True)
+        assert report.iterations == 1 and len(report.strength_trace) == 1
+        assert report.strength_trace[0] == start.strength_trace[0] == report.error_strength
 
     def test_scale_equivariance(self):
         base = design_optimal(cauchy_source(1.0), 1.0, 2, seed=2)

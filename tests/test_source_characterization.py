@@ -3,14 +3,18 @@ strength entry points.
 
 The values were recorded from the implementation and are compared with
 `==`: a change to how a source kind evaluates its density, masses, tails or
-expectations must leave every figure here bit-identical.  The stable
-`solve_strength` and `cb_strength` pins come from the one power-tail rule of
-`stable_core._tail_integral`; they lie within 1.4e-12 and 1.9e-14 of the roots
-of a dense oracle (3000 tail panels over a span 40/alpha longer).  The tabulated
-`error_strength` and `levels_strength` pins come from the shared panel path
-for G; each lies within 4e-11 relative of an adaptive-quadrature oracle
-(epsrel 1e-13) that integrates the same regions, apart from the lattice rule
-across the kink at 0 inside `levels_strength`.
+expectations must leave every figure here bit-identical.  Every strength is
+solved by safeguarded Newton in ln s to machine precision: each pinned root
+lies within 3.6e-15 relative of the brentq root (rtol 4 eps) of the same G's
+value, and each two-point design strength within 9e-16 of that root at its
+pinned points.  The stable `solve_strength` and `cb_strength` pins come from
+the one power-tail rule of `stable_core._tail_integral`; they lie within
+1.35e-12 and 8e-16 (absolute) of the roots of a dense oracle (3000 tail
+panels over a span 40/alpha longer).  The tabulated `error_strength` and
+`levels_strength` pins come from the shared panel path for G; each lies
+within 4e-11 relative of an adaptive-quadrature oracle (epsrel 1e-13) that
+integrates the same regions, apart from the lattice rule across the kink at
+0 inside `levels_strength`.
 """
 
 import math
@@ -53,40 +57,40 @@ SOURCES = {
 
 PINNED = {
     "uniform": {
-        "error_strength": 0.1538760487505806,
+        "error_strength": 0.1538760487505783,
         "output_entropy": 1.0960673284468554,
-        "uniform_error_strength": 0.056509780482134536,
+        "uniform_error_strength": 0.05650978048213454,
         "levels_strength": 0.11454432828180604,
         "levels_entropy": 1.5637452929222075,
-        "solve_strength": 0.4520782438656782,
+        "solve_strength": 0.4520782438656484,
         "cb_strength": 0.27179506427614497,
     },
     "triangle": {
-        "error_strength": 0.1336881771410643,
+        "error_strength": 0.13368817714106423,
         "output_entropy": 1.0325892856988514,
-        "uniform_error_strength": 0.056509780482134536,
-        "levels_strength": 0.07587553174805287,
+        "uniform_error_strength": 0.05650978048213454,
+        "levels_strength": 0.07587553174804751,
         "levels_entropy": 1.5825825142645626,
-        "solve_strength": 0.30700782345689726,
-        "cb_strength": 0.17505864191339146,
+        "solve_strength": 0.30700782345689737,
+        "cb_strength": 0.17505864191339143,
     },
     "laplace": {
-        "error_strength": 0.5656550605640625,
+        "error_strength": 0.5656550605640245,
         "output_entropy": 1.0856954039879534,
-        "uniform_error_strength": 0.05644774970011327,
-        "levels_strength": 0.552747328118477,
+        "uniform_error_strength": 0.056447749700113264,
+        "levels_strength": 0.5527473281184758,
         "levels_entropy": 1.4927658691523313,
-        "solve_strength": 0.9222822853876921,
-        "cb_strength": 0.48250711187256606,
+        "solve_strength": 0.9222822853876929,
+        "cb_strength": 0.4825071118725661,
     },
     "stable": {
-        "error_strength": 7.615950155850787,
+        "error_strength": 7.615950155850792,
         "output_entropy": 1.033879717524604,
         "uniform_error_strength": 0.05650936177528203,
-        "levels_strength": 7.614849188375127,
+        "levels_strength": 7.6148491883765885,
         "levels_entropy": 1.345135938730626,
-        "solve_strength": 7.987558824691358,
-        "cb_strength": 2.412389819111185,
+        "solve_strength": 7.987558824691353,
+        "cb_strength": 2.4123898191111652,
     },
 }
 
@@ -119,9 +123,9 @@ class TestPinnedSourceOutputs:
 
 
 @pytest.mark.parametrize("kind, strength, point", [
-    ("uniform", 0.2260391219432856, 0.5000000008516365),
-    ("laplace", 0.6075328411050246, 0.7341141526000362),
-    ("stable", 7.02766421476552, 2.653662932752452),
+    ("uniform", 0.22603912194328563, 0.5000000008516365),
+    ("laplace", 0.6075328411050209, 0.7341141526000362),
+    ("stable", 7.027664214765514, 2.653663121211462),
 ])
 def test_pinned_two_point_design(kind, strength, point):
     report = design_optimal(SOURCES[kind], ALPHA, 2, seed=1)

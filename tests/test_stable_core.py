@@ -607,6 +607,87 @@ class TestTailIntegral:
         assert got == pytest.approx(0.5 - math.atan(40.0) / math.pi, rel=1e-13, abs=0.0)
 
 
+def _tail_integral_reference(alpha, phi, u0):
+    """`_tail_integral` as it was before its per-call trims (np.linspace edges,
+    the tail constant recomputed): the bitwise reference of the trimmed one."""
+    eng = stable_core.standard_density(alpha)
+    y_max = 60.0 / alpha + math.log(u0) + 5.0
+
+    def fn(y):
+        u = np.exp(y)
+        return np.exp(eng.log_pdf_vec(u)) * phi(u) * u
+
+    val = stable_core._panel_integral(fn, np.linspace(math.log(u0), y_max, 32))
+    k = math.exp(gammaln(alpha + 1.0)) * math.sin(math.pi * alpha / 2.0) / math.pi
+    X = math.exp(y_max)
+    return val + k * X ** (-alpha) / alpha * float(phi(np.array([X]))[0])
+
+
+class TestTailIntegralTrims:
+    @pytest.mark.parametrize("alpha", [0.1, 0.37, 0.7, 1.0, 1.3, 1.55, 1.99])
+    def test_bitwise_equal_to_linspace_reference(self, alpha):
+        eng = stable_core.standard_density(alpha)
+        edges = []
+        panel = stable_core._panel_integral
+
+        def spy(fn, e, n=16):
+            edges.append(e)
+            return panel(fn, e, n)
+
+        for u0 in (30.0, 30.000000000000004, 47.3, 1e3, 123456.789, 1e9):
+            y_max = 60.0 / alpha + math.log(u0) + 5.0
+            for phi in (np.ones_like, lambda u: -eng.log_pdf_vec(u)):
+                want = _tail_integral_reference(alpha, phi, u0)
+                with mock.patch.object(stable_core, "_panel_integral", spy):
+                    got = stable_core._tail_integral(alpha, phi, u0)
+                assert type(got) is float and got == want
+                assert edges[-1].tobytes() == np.linspace(math.log(u0), y_max, 32).tobytes()
+
+    def test_stacked_rows_equal_single_integrals(self):
+        eng = stable_core.standard_density(1.5)
+
+        def stacked(u):
+            return np.stack([np.ones_like(u), -eng.log_pdf_vec(u)])
+
+        got = stable_core._tail_integral(1.5, stacked, 40.0)
+        assert got.shape == (2,)
+        assert got[0] == stable_core._tail_integral(1.5, np.ones_like, 40.0)
+        assert got[1] == stable_core._tail_integral(1.5, lambda u: -eng.log_pdf_vec(u), 40.0)
+
+
+class TestKappa:
+    """kappa = d log f0 / d ln u from `log_pdf_vec(u, slope=True)` against a
+    five-point central difference of log_pdf_vec in ln u, on both sides of
+    TABLE_FLOOR and TAIL_CUTOFF (no stencil straddles a route switch)."""
+
+    U = np.array([0.5e-14, 2e-14, 1e-6, 0.01, 0.5, 1.0, 3.0, 10.0, 29.9, 30.1, 100.0, 1e4])
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.5, 1.99, 2.0])
+    def test_against_central_difference(self, alpha):
+        eng = stable_core.standard_density(alpha)
+        u = self.U
+        lp, kappa = eng.log_pdf_vec(u, slope=True)
+        assert lp.tobytes() == eng.log_pdf_vec(u).tobytes()
+
+        def at(k):
+            return eng.log_pdf_vec(u * math.exp(k * 1e-4))
+
+        want = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / 12e-4
+        err = np.abs(kappa - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() <= 1e-9, (err.max(), u[err.argmax()])
+        assert kappa[0] == 0.0 or alpha in (1.0, 2.0)  # the constant below TABLE_FLOOR
+
+    def test_closed_forms(self):
+        u = np.array([0.0, 0.3, 2.0, 50.0])
+        np.testing.assert_array_equal(
+            stable_core.standard_density(1.0).log_pdf_vec(u, slope=True)[1],
+            -2.0 * u * u / (1.0 + u * u),
+        )
+        np.testing.assert_array_equal(
+            stable_core.standard_density(2.0).log_pdf_vec(u, slope=True)[1], -0.5 * u * u
+        )
+
+
 class TestSampling:
     def test_reproducible(self):
         p = StableParams(1.3, 0.2, 2.0, 0.5)

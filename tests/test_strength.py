@@ -234,7 +234,62 @@ class TestSolverEdges:
         from stablerd.strength import _solve_monotone
 
         with pytest.raises(BracketFailure):
-            _solve_monotone(lambda s: 1.0, 1.0, 1e-9)
+            _solve_monotone(lambda s: (1.0, 0.0), 1.0, 1e-9)
+
+    @pytest.mark.parametrize("slope", [1.0, math.nan, -math.inf])
+    def test_unusable_slope_falls_back_to_bisection(self, slope):
+        from stablerd.strength import _solve_monotone
+
+        # fn = ln(2.5 / s) crosses 0 at s = 2.5; the slope it reports is wrong
+        sol = _solve_monotone(lambda s: (math.log(2.5 / s), slope), 0.1, 1e-12)
+        assert sol.residual <= 1e-12
+        assert sol.value == pytest.approx(2.5, rel=1e-12, abs=0.0)
+        assert sol.bracket[0] <= sol.value <= sol.bracket[1]
+
+    def test_missing_slope_converges_by_secant(self):
+        from stablerd.strength import _solve_monotone
+
+        calls = []
+
+        def fn(s):
+            calls.append(s)
+            return 1.0 / s - 0.4 + 0.1 * math.atan(s), None
+
+        sol = _solve_monotone(fn, 2.0, 1e-12)
+        want = sol.value
+        assert abs(1.0 / want - 0.4 + 0.1 * math.atan(want)) <= 1e-12
+        assert sol.evaluations == len(calls) <= 12
+
+    def test_warm_design_solve_takes_at_most_four_evaluations(self, monkeypatch):
+        from stablerd import quantizer
+        from stablerd.quantizer import _error_strength_raw, _mirror, midpoint_boundaries
+
+        solve = quantizer._solve_monotone
+        calls = []
+
+        def counted(fn, s0, tol):
+            def f(s):
+                calls.append(s)
+                return fn(s)
+
+            return solve(f, s0, tol)
+
+        monkeypatch.setattr(quantizer, "_solve_monotone", counted)
+        source = cauchy_source(1.0)
+        hint = _error_strength_raw(np.array([-0.79, 0.79]), np.array([0.0]), source, 1.0).value
+        # moves of the design loop's objective: the points shift with the
+        # boundary frozen and the hint is the current strength, 2% to 10% from
+        # the new root (the median start of the design pass is 9% away)
+        for a in (0.4, 0.5, 0.6, 1.0, 1.3):
+            calls.clear()
+            sol = _error_strength_raw(_mirror(np.array([a]), 2), np.array([0.0]), source, 1.0,
+                                      s_hint=hint)
+            assert sol.evaluations == len(calls) <= 4
+        pts = _mirror(np.array([0.3, 1.1]), 4)
+        hint = _error_strength_raw(pts, midpoint_boundaries(pts), source, 1.0).value
+        calls.clear()
+        sol = _error_strength_raw(pts * 1.02, midpoint_boundaries(pts), source, 1.0, s_hint=hint)
+        assert sol.evaluations == len(calls) <= 4
 
     def test_d2_solver_agrees_with_cb_strength(self):
         # for alpha = 1 the generic d-dimensional defining equation reduces to
