@@ -333,6 +333,7 @@ def _log_pdf0_tail(alpha: float, u, slope: bool = False):
     log_t1 = lead - (alpha + 1.0) * log_u
     corr = np.zeros_like(u)
     dcorr = np.zeros_like(u) if slope else None
+    term = np.empty_like(u)  # coef * exp(log_env - power ln u), one buffer for every k
     umin_log = float(np.min(log_u))
     last_env = math.inf
     for coef, log_env, power in terms:
@@ -342,10 +343,14 @@ def _log_pdf0_tail(alpha: float, u, slope: bool = False):
             break  # asymptotic series started diverging; stop at best term
         last_env = log_env_min
         if coef != 0.0:  # sin(k pi a/2) vanishes
-            term = coef * np.exp(log_env - power * log_u)
+            np.multiply(power, log_u, out=term)
+            np.subtract(log_env, term, out=term)
+            np.exp(term, out=term)
+            term *= coef
             corr += term
             if slope:
-                dcorr -= power * term
+                term *= power
+                dcorr -= term
         if log_env_min < _LOG_TAIL_STOP:
             break
     if slope:
