@@ -126,7 +126,7 @@ class TestPinnedSourceOutputs:
     ("uniform", 0.22603912194328563, 0.5000000008516365),
     ("laplace", 0.6075328411050209, 0.7341141526000362),
     ("stable", 7.027664214765514, 2.653663121211462),
-])
+], ids=["uniform", "laplace", "stable"])
 def test_pinned_two_point_design(kind, strength, point):
     report = design_optimal(SOURCES[kind], ALPHA, 2, seed=1)
     assert report.error_strength == strength
