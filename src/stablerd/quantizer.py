@@ -246,7 +246,7 @@ def _g_of_partition(points, boundaries, source, psi):
     boundaries = np.asarray(boundaries, dtype=float)
 
     if isinstance(source, EmpiricalSource):
-        vals = source.batch.values
+        vals = source.sorted_values
         idx = np.searchsorted(boundaries, vals, side="left")
         offs = vals - points[idx]
 
@@ -627,7 +627,7 @@ def uniform_error_strength(
     h = reference_entropy(ReferenceLaw(alpha, 1))
     if isinstance(source, EmpiricalSource):
         vals = source.batch.values
-        offs = vals - np.round(vals / spec.delta) * spec.delta
+        offs = np.sort(vals - np.round(vals / spec.delta) * spec.delta)  # see sorted_values
         return _solve_monotone(
             lambda s: np.mean(psi(offs / s), axis=-1) - (h, 0.0),
             0.2 * spec.delta,
@@ -675,21 +675,32 @@ def _truncated_uniform_g(delta, M, source, alpha):
     n_inner = M - 2
     xg, wg = stable_core._gauss_legendre(32)
     u = 0.5 * delta * xg
+    # The left outer region (-inf, -edge] is the right one of the reflected
+    # source; a source that is its own reflection reuses the right value.
+    reflected = source.reflected
+    mirrored = reflected is source
     if n_inner > 0:
         inner_pts = pts[1:-1]
-        nodes = inner_pts[:, None] + u[None, :]
-        fvals = source.pdf_vec(nodes.ravel()).reshape(nodes.shape)
+        if mirrored:
+            # The points and the nodes u are exact negatives of each other
+            # read backwards, and the density is even to the bit, so the row
+            # at -x is the row at x reversed: only x >= 0 is evaluated.
+            pos = inner_pts[inner_pts > 0.0]
+            nodes = pos[:, None] + u[None, :]
+            half = source.pdf_vec(nodes.ravel()).reshape(nodes.shape)
+            rows = [half[::-1, ::-1], half]
+            if M % 2:  # mid-tread: the centre cell's row
+                rows.insert(1, source.pdf_vec(u)[None, :])
+            fvals = np.concatenate(rows)
+        else:
+            nodes = inner_pts[:, None] + u[None, :]
+            fvals = source.pdf_vec(nodes.ravel()).reshape(nodes.shape)
         fsum = fvals.sum(axis=0)
         W = 0.5 * delta * wg * fsum
         p_inner = (0.5 * delta * wg[None, :] * fvals).sum(axis=1)
     else:
         W = np.zeros_like(u)
         p_inner = np.empty(0)
-
-    # The left outer region (-inf, -edge] is the right one of the reflected
-    # source; a source that is its own reflection reuses the right value.
-    reflected = source.reflected
-    mirrored = reflected is source
 
     def G(s):
         total = np.sum(W * psi(u / s), axis=-1) if n_inner > 0 else 0.0

@@ -221,11 +221,23 @@ class EmpiricalSource(_Source):
         med = float(np.median(r))
         return med if med > 0.0 else float(np.mean(r))
 
-    def expect(self, phi_vec):
+    @cached_property
+    def sorted_values(self) -> np.ndarray:
+        """The 1-d samples in ascending order: a read-only copy, sorted once.
+
+        The density table's spline finds its intervals fastest on ordered
+        input, so every sample mean runs over this copy; a mean depends only
+        on the multiset of samples, and `batch.values` keeps its order.
+        """
         vals = self.batch.values
         if vals.ndim != 1:
             raise ValueError("scalar expectation requires 1-d samples")
-        return stable_core._reduced(np.mean(phi_vec(vals), axis=-1))
+        out = np.sort(vals)
+        out.flags.writeable = False
+        return out
+
+    def expect(self, phi_vec):
+        return stable_core._reduced(np.mean(phi_vec(self.sorted_values), axis=-1))
 
     def abs_quantile(self, p: float) -> float:
         return float(np.quantile(np.abs(self.batch.values), p))

@@ -786,3 +786,76 @@ class TestAsymmetricTabulated:
 
         want = brentq(residual, 0.5 * sol.value, 2.0 * sol.value, xtol=1e-15, rtol=1e-14)
         assert sol.value == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+class _FullLattice:
+    """A source seen through a proxy that is not its own reflection, so
+    `_truncated_uniform_g` evaluates the density at every inner node."""
+
+    def __init__(self, source):
+        self._source = source
+
+    def __getattr__(self, name):
+        return getattr(self._source, name)
+
+    @property
+    def reflected(self):
+        return self._source
+
+
+def _count_pdf_points(monkeypatch, cls):
+    """Patch cls.pdf_vec to record how many points each call sees."""
+    sizes = []
+    pdf_vec = cls.pdf_vec
+
+    def counted(self, x):
+        sizes.append(np.size(x))
+        return pdf_vec(self, x)
+
+    monkeypatch.setattr(cls, "pdf_vec", counted)
+    return sizes
+
+
+class TestMirroredLattice:
+    """A source that is its own reflection has its truncated-uniform lattice
+    evaluated at x >= 0 only; G and the region masses stay bitwise those of
+    the full evaluation."""
+
+    @pytest.mark.parametrize("M", [2, 3, 8, 9])
+    @pytest.mark.parametrize("source", [
+        SymmetricStableSource(StableParams(0.7, 0.0, 1.3, 0.0)),
+        SymmetricStableSource(StableParams(1.5, 0.0, 1.0, 0.0)),
+        gaussian_source(1.0),
+        cauchy_source(1.0),
+        UniformSource(2.0),
+    ], ids=["stable0.7", "stable1.5", "gaussian", "cauchy", "uniform"])
+    def test_bitwise_equal_to_full_nodes(self, source, M):
+        delta = 0.4
+        sol, _, _ = uniform_levels_strength(delta, M, source, 1.5)
+        G, probs, q = quantizer._truncated_uniform_g(delta, M, source, 1.5)
+        G_full, probs_full, q_full = quantizer._truncated_uniform_g(
+            delta, M, _FullLattice(source), 1.5
+        )
+        assert q.points.tobytes() == q_full.points.tobytes()
+        assert probs.tobytes() == probs_full.tobytes()
+        for f in (0.8, 1.0, 1.25):
+            s = f * sol.value
+            assert np.asarray(G(s)).tobytes() == np.asarray(G_full(s)).tobytes()
+
+    @pytest.mark.parametrize("M", [8, 9])
+    def test_density_sees_half_the_inner_nodes(self, M, monkeypatch):
+        source = SymmetricStableSource(StableParams(1.5, 0.0, 1.0, 0.0))
+        monkeypatch.setattr(SymmetricStableSource, "tail_mass", lambda self, x: 0.25)
+        sizes = _count_pdf_points(monkeypatch, SymmetricStableSource)
+        quantizer._truncated_uniform_g(0.4, M, source, 1.5)
+        # rows at the (M - 2) // 2 positive inner points, and the centre row at odd M
+        assert sum(sizes) == ((M - 2) // 2 + M % 2) * 32
+        sizes.clear()
+        quantizer._truncated_uniform_g(0.4, M, _FullLattice(source), 1.5)
+        assert sum(sizes) == (M - 2) * 32
+
+    def test_tabulated_source_takes_the_full_path(self, monkeypatch):
+        source = TabulatedSource(lambda x: max(0.0, 1.0 - abs(x)), (-1.0, 1.0))
+        sizes = _count_pdf_points(monkeypatch, TabulatedSource)
+        quantizer._truncated_uniform_g(0.3, 6, source, 1.5)
+        assert sum(sizes) == 4 * 32

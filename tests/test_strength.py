@@ -315,3 +315,81 @@ class TestMultiDimensional:
         batch = sample(StableParams(1.5, 0.0, 1.0, 0.0), 4, seed=2, d=2)
         val = g_value(EmpiricalSource(batch), 1.5, 1.0)
         assert math.isfinite(val) and val > 0.0
+
+
+class TestSortedEmpirical:
+    """Sample means run over a cached ascending copy of the samples: results
+    depend only on the multiset of samples, and `batch.values` keeps its order."""
+
+    @staticmethod
+    def _sources():
+        values = sample(StableParams(1.5, 0.0, 1.0, 0.0), 20000, seed=21).values
+        shuffled = np.random.default_rng(4).permutation(values)
+        return empirical(values), empirical(shuffled)
+
+    @staticmethod
+    def _solves(source):
+        from stablerd import Quantizer, UniformSpec, error_strength, uniform_error_strength
+
+        q = Quantizer.from_points([-1.0, 0.0, 1.0])
+        return {
+            "solve_strength": solve_strength(source, 1.5),
+            "uniform_error_strength": uniform_error_strength(UniformSpec(0.25), source, 1.5),
+            "error_strength": error_strength(q, source, 1.5),
+        }
+
+    @staticmethod
+    def _unsorted_oracle(source):
+        """The same solves, each from the same start, with the mean taken over
+        the samples in their given order."""
+        from stablerd.quantizer import midpoint_boundaries
+        from stablerd.strength import _solve_monotone
+
+        vals = source.batch.values
+        psi = reference_neg_log_density(1.5, slope=True)
+        h = reference_entropy(ReferenceLaw(1.5))
+        pts = np.array([-1.0, 0.0, 1.0])
+        offs = {
+            "solve_strength": vals,
+            "uniform_error_strength": vals - np.round(vals / 0.25) * 0.25,
+            "error_strength": vals - pts[np.searchsorted(midpoint_boundaries(pts), vals)],
+        }
+        starts = {"solve_strength": source.start_scale, "uniform_error_strength": 0.2 * 0.25,
+                  "error_strength": 0.3}
+        return {
+            key: _solve_monotone(
+                lambda s, x=x: np.mean(psi(x / s), axis=-1) - (h, 0.0), starts[key], 1e-9
+            )
+            for key, x in offs.items()
+        }
+
+    def test_shuffled_samples_give_bitwise_equal_results(self):
+        ordered, shuffled = self._sources()
+        for key, sol in self._solves(ordered).items():
+            other = self._solves(shuffled)[key]
+            assert (sol.value, sol.residual, sol.evaluations) == (
+                other.value, other.residual, other.evaluations
+            ), key
+
+    def test_results_match_the_unsorted_mean(self):
+        _, shuffled = self._sources()
+        oracle = self._unsorted_oracle(shuffled)
+        for key, sol in self._solves(shuffled).items():
+            assert sol.value == pytest.approx(oracle[key].value, rel=1e-15, abs=0.0), key
+
+    def test_batch_order_is_kept(self):
+        _, source = self._sources()
+        before = source.batch.values.copy()
+        self._solves(source)
+        assert source.batch.values.tobytes() == before.tobytes()
+        assert np.all(np.diff(source.sorted_values) >= 0.0)
+        assert not source.sorted_values.flags.writeable
+
+    def test_concurrent_first_access(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        _, source = self._sources()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            copies = list(pool.map(lambda _: source.sorted_values, range(4)))
+        assert all(c.tobytes() == copies[0].tobytes() for c in copies)
+        assert source.sorted_values is source.sorted_values
