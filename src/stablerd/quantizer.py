@@ -720,9 +720,14 @@ def uniform_levels_strength(
 ):
     """(strength solution, output entropy, quantizer) for the M-level uniform
     quantizer of width delta."""
+    return _uniform_levels_from(delta, M, source, alpha, 0.3 * delta, tol)
+
+
+def _uniform_levels_from(delta, M, source, alpha, s0, tol=DEFAULT_TOL):
+    """`uniform_levels_strength` with its root solve started at s0."""
     G, probs, q = _truncated_uniform_g(delta, M, source, alpha)
     h = reference_entropy(ReferenceLaw(alpha, 1))
-    sol = _solve_monotone(lambda s: G(s) - (h, 0.0), 0.3 * delta, tol)
+    sol = _solve_monotone(lambda s: G(s) - (h, 0.0), s0, tol)
     p = probs[probs > 0.0]
     p = p / p.sum()
     entropy = float(-np.sum(p * np.log(p)))
@@ -732,12 +737,22 @@ def uniform_levels_strength(
 def best_uniform_design(source: SourceSpec, alpha: float, M: int, tol: float = 1e-6):
     """Pick the region width minimizing the M-level uniform error strength.
 
-    Returns (delta, strength solution, output entropy, quantizer).
+    Returns (delta, strength solution, output entropy, quantizer).  Each
+    solve starts from the strength at the nearest width already solved,
+    scaled by the ratio of the widths, and the chosen width's solve is
+    reused for the result.
     """
     scale = source.scale
+    solved = {}  # ln delta -> (strength solution, output entropy, quantizer)
 
     def strength_of(logd):
-        return uniform_levels_strength(math.exp(logd), M, source, alpha)[0].value
+        if logd not in solved:
+            s0 = 0.3 * math.exp(logd)
+            if solved:
+                near = min(solved, key=lambda t: abs(t - logd))
+                s0 = solved[near][0].value * math.exp(logd - near)
+            solved[logd] = _uniform_levels_from(math.exp(logd), M, source, alpha, s0)
+        return solved[logd][0].value
 
     lo = math.log(6.0 * scale / M ** 1.35)
     hi = math.log(8.0 * scale)
@@ -750,9 +765,8 @@ def best_uniform_design(source: SourceSpec, alpha: float, M: int, tol: float = 1
         strength_of, bounds=(a, b), method="bounded",
         options={"xatol": tol},
     )
-    d_best = math.exp(res.x)
-    sol, entropy, q = uniform_levels_strength(d_best, M, source, alpha)
-    return d_best, sol, entropy, q
+    strength_of(res.x)  # the optimizer returns a width it evaluated: no new solve
+    return (math.exp(res.x), *solved[res.x])
 
 
 # ---------------------------------------------------------------------------

@@ -859,3 +859,57 @@ class TestMirroredLattice:
         sizes = _count_pdf_points(monkeypatch, TabulatedSource)
         quantizer._truncated_uniform_g(0.3, 6, source, 1.5)
         assert sum(sizes) == 4 * 32
+
+
+class TestBestUniform:
+    def test_result_is_the_solve_at_the_returned_width(self, monkeypatch):
+        source = SymmetricStableSource(StableParams(1.5, 0.0, 1.0, 0.0))
+        widths = []
+        tug = quantizer._truncated_uniform_g
+
+        def counted(delta, *args):
+            widths.append(delta)
+            return tug(delta, *args)
+
+        monkeypatch.setattr(quantizer, "_truncated_uniform_g", counted)
+        d, sol, entropy, q = quantizer.best_uniform_design(source, 1.5, 32)
+        assert len(widths) == len(set(widths))  # no width is solved twice
+        assert d in widths
+        monkeypatch.setattr(quantizer, "_truncated_uniform_g", tug)
+        cold, cold_entropy, cold_q = uniform_levels_strength(d, 32, source, 1.5)
+        assert sol.value == pytest.approx(cold.value, rel=1e-14, abs=0.0)
+        assert sol.residual <= 1e-9
+        assert (entropy, q.points.tobytes()) == (cold_entropy, cold_q.points.tobytes())
+
+    def test_warm_starts_save_evaluations(self, monkeypatch):
+        def evaluations(source, alpha, M):
+            total = []
+            solve = quantizer._solve_monotone
+
+            def counted(*args):
+                sol = solve(*args)
+                total.append(sol.evaluations)
+                return sol
+
+            monkeypatch.setattr(quantizer, "_solve_monotone", counted)
+            d = quantizer.best_uniform_design(source, alpha, M)[0]
+            monkeypatch.setattr(quantizer, "_solve_monotone", solve)
+            return sum(total), d
+
+        source = cauchy_source(1.0)
+        warm, d_warm = evaluations(source, 1.0, 64)
+        cold_from = quantizer._uniform_levels_from
+        monkeypatch.setattr(
+            quantizer, "_uniform_levels_from",
+            lambda delta, M, src, alpha, s0: cold_from(delta, M, src, alpha, 0.3 * delta),
+        )
+        cold, d_cold = evaluations(source, 1.0, 64)
+        assert d_warm == pytest.approx(d_cold, rel=1e-9)
+        assert warm < 0.9 * cold
+
+    @pytest.mark.xfail(strict=True, reason="the width search is clamped to the low end "
+                       "of its bracket, 6 scale / M^1.35, at M = 2")
+    def test_cauchy_two_levels_reach_the_designed_strength(self):
+        designed = design_optimal(cauchy_source(1.0), 1.0, 2, seed=7).error_strength
+        _, sol, _, _ = quantizer.best_uniform_design(cauchy_source(1.0), 1.0, 2)
+        assert sol.value == pytest.approx(designed, rel=1e-6, abs=0.0)
