@@ -681,20 +681,14 @@ def _truncated_uniform_g(delta, M, source, alpha):
     mirrored = reflected is source
     if n_inner > 0:
         inner_pts = pts[1:-1]
+        # The points and the nodes u are exact negatives of each other read
+        # backwards, and a mirrored density is even to the bit, so its row at
+        # -x is the row at x reversed: only the cells at x >= 0 are evaluated.
+        evaluated = inner_pts[inner_pts >= 0.0] if mirrored else inner_pts
+        nodes = evaluated[:, None] + u[None, :]
+        fvals = source.pdf_vec(nodes.ravel()).reshape(nodes.shape)
         if mirrored:
-            # The points and the nodes u are exact negatives of each other
-            # read backwards, and the density is even to the bit, so the row
-            # at -x is the row at x reversed: only x >= 0 is evaluated.
-            pos = inner_pts[inner_pts > 0.0]
-            nodes = pos[:, None] + u[None, :]
-            half = source.pdf_vec(nodes.ravel()).reshape(nodes.shape)
-            rows = [half[::-1, ::-1], half]
-            if M % 2:  # mid-tread: the centre cell's row
-                rows.insert(1, source.pdf_vec(u)[None, :])
-            fvals = np.concatenate(rows)
-        else:
-            nodes = inner_pts[:, None] + u[None, :]
-            fvals = source.pdf_vec(nodes.ravel()).reshape(nodes.shape)
+            fvals = np.concatenate([fvals[::-1, ::-1][: n_inner // 2], fvals])
         fsum = fvals.sum(axis=0)
         W = 0.5 * delta * wg * fsum
         p_inner = (0.5 * delta * wg[None, :] * fvals).sum(axis=1)
