@@ -149,16 +149,27 @@ def char_fn(params: StableParams, omega: float) -> complex:
 # standard symmetric density engine
 #
 # Everything symmetric reduces to the standard density
-#     f0(u; alpha) = (1/pi) * int_0^inf exp(-t^alpha) cos(t u) dt,
-# evaluated by one of three routes:
-#   * a fixed composite Gauss-Legendre rule on [0, T], graded geometrically
-#     towards the t^alpha cusp at 0 and vectorized over u, when the envelope
-#     dies before many oscillations occur (n_osc = T u / pi <= 8);
-#   * QUADPACK's Fourier-weight rule (cycle splitting + extrapolation over
-#     the zeros of cos) when the integrand oscillates many times;
-#   * a non-oscillatory Zolotarev-form integral as fallback where both
-#     Fourier routes degrade (tiny |u| at small alpha, where the density
-#     has a sharp integrable spike).
+#     f0(u; alpha) = (1/pi) * int_0^inf exp(-t^alpha) cos(t u) dt.
+# Below TAIL_CUTOFF two batched routes share one fixed-panel rule: 32
+# Gauss-Legendre nodes on each panel, with the 16-node rule on the same panels
+# as its error estimate.  With n_osc = T u / pi the half-periods of cos(t u)
+# on the truncated range [0, T]:
+#   * the Fourier route integrates on [0, T], on panels graded geometrically
+#     towards the t^alpha cusp at 0.  It takes every u with n_osc <= 8, and
+#     for |alpha - 1| <= _FOURIER_BAND every u up to n_osc = _FOURIER_MAX_OSC,
+#     which holds all of [0, TAIL_CUTOFF] in the band.  Past n_osc = 8
+#     it cuts the panels further, _HALF_PERIOD_PANELS to each half-period of
+#     the largest u of its block.
+#   * the Zolotarev route takes every other u (alpha != 1):
+#         f0(u) = a/(pi |a-1| u) * int_0^{pi/2} g(th) exp(-g(th)) dth,
+#         g(th) = u^{a/(a-1)} (cos th / sin(a th))^{a/(a-1)} cos((a-1) th) / cos th
+#     (J. P. Nolan, Commun. Statist. - Stochastic Models 13(4), 1997), split at
+#     the peak th* where ln g = 0, on panels graded geometrically towards th*,
+#     0 and pi/2.  Its integrand is positive, so unlike the Fourier sum it
+#     does not cancel where f0 is small (alpha near 2, large u), but its ln g
+#     loses about a/|a-1| ulps, hence the band around alpha = 1.
+# A node whose two estimates disagree raises QuadratureFailure; nothing falls
+# back.
 # Beyond |u| = TAIL_CUTOFF the power-tail series takes over:
 #     f0(u) = (1/pi) sum_{k>=1} (-1)^{k-1} Gamma(a k + 1)/k! sin(k pi a/2) u^{-a k - 1}
 # (convergent for alpha < 1, asymptotic with certified truncation otherwise).
@@ -172,14 +183,24 @@ def _quad_result(out, epsabs):
     return value, abserr, ok
 
 
-# The plain route's rule: panels [0] + geomspace(T 1e-18, T, 48) with 32
-# Gauss-Legendre nodes each; the 16-node rule on the same panels gives the
-# embedded error estimate.  The first panel must be short enough that the
-# t^alpha cusp in it is resolved down to alpha = 0.1; T 1e-16 leaves it
-# unresolved below alpha 0.115.  u is processed in blocks to bound the
-# temporaries.
+# The Fourier route's base panels are [0] + geomspace(T 1e-18, T, 48).  The
+# first panel must be short enough that the t^alpha cusp in it is resolved
+# down to alpha = 0.1; T 1e-16 leaves it unresolved below alpha 0.115.
 _PLAIN_PANELS = 48
-_PLAIN_BLOCK = 64
+_PLAIN_OSC = 8.0
+_FOURIER_BAND = 0.05
+_FOURIER_MAX_OSC = 600.0
+_HALF_PERIOD_PANELS = 2
+# Each half of [0, th*] and of [th*, pi/2] is graded geometrically towards its
+# end, down to _ZOLOTAREV_DEPTH of the segment.  The ratio of the grading falls
+# as the powers a/|a-1| and 1/|a-1| of g grow near alpha = 1.
+_ZOLOTAREV_DEPTH = 1e-11
+_PEAK_DEPTH = 1e-4
+_BISECTIONS = 64
+# Blocks of u are sized so that no temporary exceeds the base panels' 1,536
+# nodes for 64 u; a Zolotarev block holds about five such arrays at once.
+_BLOCK_DOUBLES = 64 * 32 * _PLAIN_PANELS
+_ZOLOTAREV_ARRAYS = 5
 
 
 def _n_osc(alpha: float, u):
@@ -187,108 +208,185 @@ def _n_osc(alpha: float, u):
     return _LOG_EPS ** (1.0 / alpha) * u / math.pi
 
 
-def _pdf0_plain_vec(alpha: float, u) -> np.ndarray:
-    """f0 at each u > 0 by the fixed graded rule; NaN where it is not accepted.
+def _gl_block(edges: np.ndarray, weighted_sum):
+    """A block of integrals over the panels between edges: the 32-node
+    Gauss-Legendre values, and the 16-node values on the same panels as their
+    error estimate.
 
-    A value is accepted when the 32- and 16-node sums agree to
-    max(_QUAD_EPSABS, _QUAD_EPSREL |v|) and are positive.
+    edges holds the panel edges on its last axis, one row shared by the block
+    or one row per integral.  weighted_sum(t, w) returns the integrals from
+    the nodes t and weights w, flattened per row.
     """
-    u = np.asarray(u, dtype=float)
-    T = _LOG_EPS ** (1.0 / alpha)
-    edges = np.concatenate([[0.0], np.geomspace(T * 1e-18, T, _PLAIN_PANELS)])
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    rules = []
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None]
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
+    shape = edges.shape[:-1] + (-1,)
+    out = []
     for n in (32, 16):
         xg, wg = _gauss_legendre(n)
-        t = (mid + half * xg).ravel()
-        rules.append((t, (half * wg).ravel() * np.exp(-(t ** alpha))))
-    (t32, w32), (t16, w16) = rules
-    out = np.empty(u.shape)
-    for i in range(0, u.size, _PLAIN_BLOCK):
-        ub = u[i:i + _PLAIN_BLOCK, None]
-        v32 = np.cos(ub * t32) @ w32
-        v16 = np.cos(ub * t16) @ w16
-        tol = np.maximum(_QUAD_EPSABS, _QUAD_EPSREL * np.abs(v32))
-        ok = (np.abs(v32 - v16) <= tol) & (v32 > 0.0)
-        out[i:i + _PLAIN_BLOCK] = np.where(ok, v32 / math.pi, np.nan)
+        out.append(weighted_sum((mid + half * xg).reshape(shape), (half * wg).reshape(shape)))
     return out
 
 
-def _pdf0_qawf(alpha: float, u: float):
-    out = integrate.quad(
-        lambda t: math.exp(-(t ** alpha)),
-        0.0,
-        np.inf,
-        weight="cos",
-        wvar=u,
-        epsabs=_QUAD_EPSABS,
-        limit=400,
-        full_output=1,
-    )
-    return _quad_result(out, _QUAD_EPSABS)
+def _fourier_block(alpha: float, u: np.ndarray):
+    """The (32-node, 16-node) values of f0 at a block of u, Fourier route."""
+    T = _LOG_EPS ** (1.0 / alpha)
+    edges = np.concatenate([[0.0], np.geomspace(T * 1e-18, T, _PLAIN_PANELS)])
+    osc = _n_osc(alpha, float(u.max()))
+    if osc > _PLAIN_OSC:
+        edges = np.union1d(edges, np.linspace(0.0, T, math.ceil(_HALF_PERIOD_PANELS * osc) + 1))
+
+    def weighted_sum(t, w):
+        return np.cos(u[:, None] * t) @ (w * np.exp(-(t ** alpha))) / math.pi
+
+    return _gl_block(edges, weighted_sum)
 
 
-def _pdf0_zolotarev(alpha: float, u: float) -> float:
-    # Non-oscillatory representation for symmetric stable, alpha != 1, u > 0:
-    #   f0(u) = a/(pi |a-1| u) * int_0^{pi/2} g(th) exp(-g(th)) dth,
-    #   g(th) = u^{a/(a-1)} V(th),
-    #   V(th) = (cos th / sin(a th))^{a/(a-1)} cos((a-1) th)/cos th.
-    c = alpha / (alpha - 1.0)
-    uc = u ** c
+def _zolotarev_log_g(alpha: float, th, phi, log_uc):
+    """ln g at th = pi/2 - phi of the Zolotarev integral, log_uc = ln u^{a/(a-1)}.
 
-    def integrand(th):
-        ct = math.cos(th)
-        base = ct / math.sin(alpha * th)
-        g = uc * base ** c * math.cos((alpha - 1.0) * th) / ct
-        if g <= 0.0 or not math.isfinite(g):
-            return 0.0
-        return g * math.exp(-g)
+    The smaller of th and phi is taken as exact: cos th is sin phi, and
+    sin(a th) is sin(pi (1 - a/2) + a phi) where phi is the smaller.
+    """
+    cos_th = np.sin(phi)
+    sin_ath = np.sin(np.where(th < phi, alpha * th, math.pi * (1.0 - 0.5 * alpha) + alpha * phi))
+    return log_uc + (alpha / (alpha - 1.0)) * np.log(cos_th / sin_ath) \
+        + np.log(np.cos((alpha - 1.0) * th) / cos_th)
 
-    out = integrate.quad(
-        integrand, 0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-12, limit=300,
-        full_output=1,
-    )
-    value, _, ok = _quad_result(out, 1e-14)
-    f = value * alpha / (math.pi * abs(alpha - 1.0) * u)
-    # The quadrature can miss the narrow peak of g exp(-g) and return a tiny
-    # value with a tiny error estimate, so check against the lower bound
-    # from cos x >= 1 - x^2 / 2.
-    if not (ok and math.isfinite(f) and f > 0.0 and f >= (1.0 - 1e-6) * _pdf0_floor(alpha, u)):
-        raise QuadratureFailure(
-            f"stable density inversion failed at alpha={alpha}, u={u}"
-        )
+
+def _zolotarev_peak(alpha: float, u: np.ndarray) -> np.ndarray:
+    """th* in (0, pi/2) where ln g = 0, by bisection on the monotone ln g."""
+    log_uc = alpha / (alpha - 1.0) * np.log(u)
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, 0.5 * math.pi)
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        # ln g increases with th for alpha < 1 and decreases for alpha > 1
+        left = (_zolotarev_log_g(alpha, mid, 0.5 * math.pi - mid, log_uc) > 0.0) == (alpha < 1.0)
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+    # at alpha = 2 and u > 2, g > 1 throughout: the peak is the end pi/2
+    return np.minimum(0.5 * (lo + hi), 0.5 * math.pi - _ZOLOTAREV_DEPTH)
+
+
+def _zolotarev_ratio(alpha: float) -> float:
+    """Ratio of the geometric grading; it falls as the powers a/|a-1| and
+    1/|a-1| of g near its ends grow, towards alpha = 1."""
+    return 1.0 + 4.0 / math.sqrt(max(alpha, 1.0) / abs(alpha - 1.0))
+
+
+def _grading_panels(ratio: float, depth):
+    """Panels of a geometric grading from 1/2 down to depth, towards an end of [0, 1]."""
+    return np.ceil(1.0 + np.log(0.5 / depth) / math.log(ratio))
+
+
+def _graded(ratio: float, depth: float) -> np.ndarray:
+    """Distances 1/2, 1/(2 ratio), ... down to depth, towards an end of [0, 1]."""
+    return 0.5 * ratio ** -np.arange(int(_grading_panels(ratio, depth)))
+
+
+def _zolotarev_edges(alpha: float, near: np.ndarray, flip: bool) -> np.ndarray:
+    """Panel edges in s of [0, s*] and [s*, pi/2], one row per peak s* = near,
+    where s is th, or phi = pi/2 - th when flip.
+
+    Each end is graded geometrically: down to _ZOLOTAREV_DEPTH of its segment
+    at the end where g -> 0 (th = 0 for alpha < 1, pi/2 above), down to
+    _PEAK_DEPTH at the end where g -> inf and on either side of the peak,
+    where on the long side the depth is taken of s* itself, which may lie
+    decades below pi/2.
+    """
+    ratio = _zolotarev_ratio(alpha)
+    g_vanishes_at_0 = (alpha < 1.0) != flip
+    zero = _graded(ratio, _ZOLOTAREV_DEPTH if g_vanishes_at_0 else _PEAK_DEPTH)
+    far = _graded(ratio, _PEAK_DEPTH if g_vanishes_at_0 else _ZOLOTAREV_DEPTH)
+    peak = _graded(ratio, _PEAK_DEPTH)
+    long_peak = _graded(ratio, _PEAK_DEPTH * float(near.min()) / (math.pi - 2.0 * float(near.min())))
+    short = np.concatenate([[0.0], zero[::-1], 1.0 - peak[1:], [1.0]])
+    long = np.concatenate([[0.0], long_peak[::-1], 1.0 - far[1:], [1.0]])
+    near = near[:, None]
+    return np.concatenate([near * short[:-1], near + (0.5 * math.pi - near) * long], axis=1)
+
+
+def _zolotarev_panels(alpha: float, near: np.ndarray) -> np.ndarray:
+    """Panel count of _zolotarev_edges for each peak s* = near alone."""
+    ratio = _zolotarev_ratio(alpha)
+    long_peak = _grading_panels(ratio, _PEAK_DEPTH * near / (math.pi - 2.0 * near))
+    return long_peak + _grading_panels(ratio, _ZOLOTAREV_DEPTH) + 2.0 * _grading_panels(ratio, _PEAK_DEPTH)
+
+
+def _zolotarev_block(alpha: float, u: np.ndarray, peak: np.ndarray):
+    """The (32-node, 16-node) values of f0 at a block of u, Zolotarev route,
+    given the peaks th* of the block, all on one side of pi/4."""
+    # nodes are placed in phi = pi/2 - th where the peak is nearer pi/2
+    flip = bool(peak[0] > 0.25 * math.pi)
+    edges = _zolotarev_edges(alpha, 0.5 * math.pi - peak if flip else peak, flip)
+    log_uc = (alpha / (alpha - 1.0) * np.log(u))[:, None]
+
+    def weighted_sum(s, w):
+        other = 0.5 * math.pi - s
+        th, phi = (other, s) if flip else (s, other)
+        lg = np.minimum(_zolotarev_log_g(alpha, th, phi, log_uc), 700.0)
+        return np.sum(np.exp(lg - np.exp(lg)) * w, axis=1)
+
+    scale = alpha / (math.pi * abs(alpha - 1.0) * u)
+    return [v * scale for v in _gl_block(edges, weighted_sum)]
+
+
+def _pdf0_vec(alpha: float, u) -> np.ndarray:
+    """f0 at each u > 0 below the tail, u ascending, by the batched routes.
+
+    A value is accepted when its 32- and 16-node values agree to
+    max(_QUAD_EPSABS, _QUAD_EPSREL f0) and are positive; otherwise
+    QuadratureFailure names alpha and u.
+    """
+    u = np.asarray(u, dtype=float).ravel()
+    if np.any(u[1:] < u[:-1]):
+        raise ValueError("u must be ascending")
+    osc = _n_osc(alpha, u)
+    # Zolotarev's integral loses precision near alpha = 1 and has no form at 1
+    crossover = _FOURIER_MAX_OSC if abs(alpha - 1.0) <= _FOURIER_BAND else _PLAIN_OSC
+    plain_end, fourier_end = np.searchsorted(osc, [_PLAIN_OSC, crossover], side="right")
+    if alpha == 1.0 and fourier_end < u.size:
+        raise QuadratureFailure(f"no density route at alpha=1, u={u[-1]}")
+    # doubles per u held at once
+    per_u = 32.0 * (_PLAIN_PANELS + np.where(osc > _PLAIN_OSC, np.ceil(_HALF_PERIOD_PANELS * osc), 0.0))
+    del osc
+    bounds = [plain_end, fourier_end, u.size]
+    if fourier_end < u.size:
+        peak = _zolotarev_peak(alpha, u[fourier_end:])
+        # th* grows with u; past pi/4 the nodes are placed in pi/2 - th
+        flip_at = int(np.searchsorted(peak, 0.25 * math.pi, side="right"))
+        bounds.append(fourier_end + flip_at)
+        per_u[fourier_end:] = _ZOLOTAREV_ARRAYS * 32 * np.concatenate([
+            _zolotarev_panels(alpha, peak[:flip_at]),
+            _zolotarev_panels(alpha, 0.5 * math.pi - peak[flip_at:]),
+        ])
+    f = np.empty(u.size)
+    i = 0
+    while i < u.size:
+        # a block never crosses n_osc = 8, the crossover or th* = pi/4
+        end = min(b for b in bounds if b > i)
+        fits = np.arange(1, end - i + 1) * np.maximum.accumulate(per_u[i:end]) <= _BLOCK_DOUBLES
+        j = i + max(1, int(np.count_nonzero(fits)))
+        if i < fourier_end:
+            f32, f16 = _fourier_block(alpha, u[i:j])
+        else:
+            f32, f16 = _zolotarev_block(alpha, u[i:j], peak[i - fourier_end:j - fourier_end])
+        ok = (np.abs(f32 - f16) <= np.maximum(_QUAD_EPSABS, _QUAD_EPSREL * np.abs(f32))) & (f32 > 0.0)
+        if not np.all(ok):
+            raise QuadratureFailure(
+                f"stable density inversion failed at alpha={alpha}, u={u[i:j][~ok][0]}"
+            )
+        f[i:j] = f32
+        i = j
     return f
 
 
-def _pdf0_floor(alpha: float, u: float) -> float:
-    """f0(0) - u^2 Gamma(3/alpha) / (2 pi alpha), a lower bound on f0(u)."""
-    log_f00 = gammaln(1.0 + 1.0 / alpha) - math.log(math.pi)
-    log_drop = gammaln(3.0 / alpha) + 2.0 * math.log(u) - math.log(2.0 * math.pi * alpha)
-    if log_drop >= log_f00:
-        return 0.0
-    return math.exp(log_f00) - math.exp(log_drop)
-
-
 def _pdf0_quadrature(alpha: float, u: float) -> float:
-    """Standard symmetric density at u by characteristic-function inversion."""
+    """Standard symmetric density at u below the tail, by the batched routes."""
     u = abs(float(u))
     if u == 0.0:
         return math.exp(gammaln(1.0 + 1.0 / alpha)) / math.pi
-    if _n_osc(alpha, u) <= 8.0:
-        f = float(_pdf0_plain_vec(alpha, np.array([u]))[0])
-        if f > 0.0:
-            return f
-        ok = False
-    else:
-        value, _, ok = _pdf0_qawf(alpha, u)
-        if ok and value > 0.0:
-            return value / math.pi
-    if alpha != 1.0:
-        return _pdf0_zolotarev(alpha, u)
-    if ok:
-        return max(value, 0.0) / math.pi
-    raise QuadratureFailure(f"stable density inversion failed at alpha={alpha}, u={u}")
+    return float(_pdf0_vec(alpha, np.array([u]))[0])
 
 
 # The series stops at this index, or once a term's envelope ratio is below 1e-18.
@@ -365,10 +463,11 @@ def _pdf0_tail(alpha: float, u) -> np.ndarray:
 class _StandardDensity:
     """Standard symmetric stable density f0(.; alpha) with a cached log table.
 
-    Scalar `pdf`/`log_pdf` use the accurate quadrature/series routes.  The
-    vectorized `log_pdf_vec` interpolates a cubic spline of log f0 against
-    ln u (built lazily from the accurate route) and is the workhorse behind
-    the strength and quantizer integrands.
+    Scalar `pdf`/`log_pdf` run the Fourier or Zolotarev route on one u, or
+    the power-tail series beyond TAIL_CUTOFF.  The vectorized `log_pdf_vec`
+    interpolates a cubic spline of log f0 against ln u, built lazily from one
+    batched call of both routes over all its nodes, and is the workhorse
+    behind the strength and quantizer integrands.
     """
 
     TABLE_FLOOR = 1e-14
@@ -413,12 +512,7 @@ class _StandardDensity:
         t = np.linspace(
             math.log(self.TABLE_FLOOR), math.log(TAIL_CUTOFF), self.TABLE_NODES
         )
-        u = np.exp(t)
-        f = np.full_like(u, np.nan)
-        plain = _n_osc(self.alpha, u) <= 8.0
-        f[plain] = _pdf0_plain_vec(self.alpha, u[plain])
-        for i in np.flatnonzero(np.isnan(f)):
-            f[i] = _pdf0_quadrature(self.alpha, u[i])
+        f = _pdf0_vec(self.alpha, np.exp(t))
         vals = np.array([math.log(v) for v in f])
         return CubicSpline(t, vals, bc_type="not-a-knot")
 

@@ -57,40 +57,40 @@ SOURCES = {
 
 PINNED = {
     "uniform": {
-        "error_strength": 0.1538760487505783,
+        "error_strength": 0.1538760487505782,
         "output_entropy": 1.0960673284468554,
-        "uniform_error_strength": 0.05650978048213454,
-        "levels_strength": 0.11454432828180604,
+        "uniform_error_strength": 0.056509780482134495,
+        "levels_strength": 0.11454432828180594,
         "levels_entropy": 1.5637452929222075,
-        "solve_strength": 0.4520782438656484,
+        "solve_strength": 0.4520782438656481,
         "cb_strength": 0.27179506427614497,
     },
     "triangle": {
-        "error_strength": 0.13368817714106423,
+        "error_strength": 0.13368817714106418,
         "output_entropy": 1.0325892856988514,
-        "uniform_error_strength": 0.05650978048213454,
-        "levels_strength": 0.07587553174804751,
+        "uniform_error_strength": 0.056509780482134495,
+        "levels_strength": 0.07587553174804748,
         "levels_entropy": 1.5825825142645626,
-        "solve_strength": 0.30700782345689737,
+        "solve_strength": 0.30700782345689714,
         "cb_strength": 0.17505864191339143,
     },
     "laplace": {
-        "error_strength": 0.5656550605640245,
+        "error_strength": 0.5656550605640238,
         "output_entropy": 1.0856954039879534,
-        "uniform_error_strength": 0.056447749700113264,
-        "levels_strength": 0.5527473281184758,
+        "uniform_error_strength": 0.056447749700113244,
+        "levels_strength": 0.552747328118473,
         "levels_entropy": 1.4927658691523313,
-        "solve_strength": 0.9222822853876929,
+        "solve_strength": 0.9222822853876926,
         "cb_strength": 0.4825071118725661,
     },
     "stable": {
-        "error_strength": 7.615950155850792,
+        "error_strength": 7.615950155850765,
         "output_entropy": 1.033879717524604,
-        "uniform_error_strength": 0.05650936177528203,
-        "levels_strength": 7.6148491883765885,
+        "uniform_error_strength": 0.056509361775282,
+        "levels_strength": 7.6148491883765645,
         "levels_entropy": 1.345135938730626,
-        "solve_strength": 7.987558824691353,
-        "cb_strength": 2.4123898191111652,
+        "solve_strength": 7.987558824691307,
+        "cb_strength": 2.4123898191111715,
     },
 }
 
@@ -123,9 +123,9 @@ class TestPinnedSourceOutputs:
 
 
 @pytest.mark.parametrize("kind, strength, point", [
-    ("uniform", 0.22603912194328563, 0.5000000008516365),
-    ("laplace", 0.6075328411050209, 0.7341141526000362),
-    ("stable", 7.027664214765514, 2.653663121211462),
+    ("uniform", 0.22603912194328546, 0.5000000008516365),
+    ("laplace", 0.6075328411050205, 0.7341141526000362),
+    ("stable", 7.02766421476549, 2.6536630037282034),
 ], ids=["uniform", "laplace", "stable"])
 def test_pinned_two_point_design(kind, strength, point):
     report = design_optimal(SOURCES[kind], ALPHA, 2, seed=1)

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 from functools import lru_cache
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
-from scipy import integrate
 from scipy.special import gammaln
 
 from stablerd import stable_core
@@ -30,15 +30,15 @@ from stablerd import (
 )
 from stablerd.stable_core import (
     TAIL_CUTOFF,
-    _LOG_EPS,
     _StandardDensity,
     _gauss_legendre,
     _log_pdf0_tail,
     _n_osc,
     _pdf0_quadrature,
-    _pdf_by_inversion,
     _reference_entropy_cached,
 )
+
+import oracles
 
 # oracle values, frozen from independent computations:
 #  - CHAR_SKEW: 50-digit mpmath evaluation of the characteristic-function formula
@@ -134,7 +134,7 @@ class TestPdf:
         gamma = 1.0 if alpha == 1.0 else 1.0 / math.sqrt(2.0)
         p = StableParams(alpha, 0.0, gamma, 0.0)
         for x in np.linspace(-20.0, 20.0, 21):
-            assert abs(_pdf_by_inversion(p, x) - pdf(p, x)) < 1e-8
+            assert abs(oracles.pdf_by_inversion(p, x) - pdf(p, x)) < 1e-8
 
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.3, 1.7, 2.0])
     def test_mass_is_one(self, alpha):
@@ -305,51 +305,8 @@ def _capture_table(alpha):
 _table_nodes = lru_cache(maxsize=None)(_capture_table)
 
 
-@lru_cache(maxsize=None)
-def _series_coefficients(alpha, terms=120):
-    with mpmath.workdps(40):
-        a = mpmath.mpf(alpha)
-        return tuple(
-            (-1) ** k * mpmath.gamma((2 * k + 1) / a) / mpmath.factorial(2 * k)
-            for k in range(terms)
-        )
-
-
-def _log_small_u_series(alpha, u):
-    """log f0(u) from (1/(pi a)) sum_k (-1)^k Gamma((2k+1)/a)/(2k)! u^(2k) at 40 digits.
-
-    The series converges for alpha > 1 and is only asymptotic below 1: None
-    unless a term falls below 1e-20 of the sum before the terms start to grow.
-    """
-    with mpmath.workdps(40):
-        u2 = mpmath.mpf(u) ** 2
-        total, power, last = mpmath.mpf(0), mpmath.mpf(1), None
-        for k, c in enumerate(_series_coefficients(alpha)):
-            term = c * power
-            total += term
-            if abs(term) < mpmath.mpf(1e-20) * abs(total):
-                return float(mpmath.log(total / (mpmath.pi * mpmath.mpf(alpha))))
-            if k >= 2 and abs(term) > last:
-                return None
-            last = abs(term)
-            power *= u2
-    return None
-
-
-def _pdf0_adaptive(alpha, u):
-    """f0(u) by adaptive QUADPACK on [0, T], split at the zeros of cos(t u)."""
-    T = _LOG_EPS ** (1.0 / alpha)
-    half = math.pi / (2.0 * u)
-    zeros = half * (2 * np.arange(0, min(40, int(T / (2.0 * half)) + 1)) + 1)
-    value, _ = integrate.quad(
-        lambda t: math.exp(-(t ** alpha)) * math.cos(t * u), 0.0, T,
-        points=list(zeros[zeros < T]) or None, epsabs=1e-13, epsrel=1e-11, limit=300,
-    )
-    return value / math.pi
-
-
 class TestTableBuild:
-    """The spline table's nodes: the batched plain rule and its scalar fallback."""
+    """The spline table's nodes: one batched call of the two density routes."""
 
     @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 1.5])
     def test_plain_nodes_against_small_u_series(self, alpha):
@@ -357,7 +314,7 @@ class TestTableBuild:
         plain = _n_osc(alpha, u) <= 8.0
         err = []
         for x, v in zip(u[plain], y[plain]):
-            ref = _log_small_u_series(alpha, x)
+            ref = oracles.log_small_u_series(alpha, x)
             if ref is not None:
                 err.append(abs(v - ref))
         assert len(err) >= 0.75 * plain.sum()
@@ -367,49 +324,88 @@ class TestTableBuild:
     def test_plain_nodes_against_adaptive_quadrature(self, alpha):
         u, y, quad = _table_nodes(alpha)
         plain = _n_osc(alpha, u) <= 8.0
-        ref = np.array([math.log(_pdf0_adaptive(alpha, x)) for x in u[plain]])
+        ref = np.array([math.log(oracles.pdf0_adaptive(alpha, x)) for x in u[plain]])
         assert np.max(np.abs(y[plain] - ref)) <= 2e-12
-        # every oscillatory node, and only those, goes through the scalar route
-        assert quad == list(u[~plain])
+        # no node goes through the scalar entry
+        assert quad == []
 
     @pytest.mark.parametrize("alpha", [0.2, 0.65, 1.35, 1.99])
     def test_plain_rule_continuous_across_switch(self, alpha):
-        # just past n_osc = 8 the Fourier route takes over; both must agree there
+        # just past n_osc = 8 the Zolotarev route takes over; both must agree there
         u, y, _ = _table_nodes(alpha)
         first = np.flatnonzero(_n_osc(alpha, u) > 8.0)[:5]
-        plain = np.log(stable_core._pdf0_plain_vec(alpha, u[first]))
+        with mock.patch.object(stable_core, "_PLAIN_OSC", math.inf):
+            plain = np.log(stable_core._fourier_block(alpha, u[first])[0])
         np.testing.assert_allclose(plain, y[first], rtol=0.0, atol=1e-12)
 
-    def test_rejected_plain_nodes_take_the_scalar_route(self):
-        alpha = 0.65
-        u, y, _ = _table_nodes(alpha)
-        plain = np.flatnonzero(_n_osc(alpha, u) <= 8.0)
-        # where the Zolotarev fallback is accurate (u >= 1e-3 at this alpha)
-        chosen = u[plain[[-200, -100, -1]]]
-        assert chosen.min() >= 1e-3
-        real = stable_core._pdf0_plain_vec
+    @pytest.mark.parametrize("alpha", [0.95, 0.999])
+    def test_routes_agree_past_the_crossover(self, alpha):
+        # near alpha = 1 the Fourier route runs up to n_osc = _FOURIER_MAX_OSC;
+        # at the first five nodes of the table's grid past it, the Zolotarev
+        # route takes over and must agree with it
+        step = math.log(TAIL_CUTOFF / _StandardDensity.TABLE_FLOOR) / (_StandardDensity.TABLE_NODES - 1)
+        u0 = stable_core._FOURIER_MAX_OSC * math.pi / stable_core._LOG_EPS ** (1.0 / alpha)
+        k = math.ceil(math.log(u0 / _StandardDensity.TABLE_FLOOR) / step)
+        u = _StandardDensity.TABLE_FLOOR * np.exp(step * np.arange(k, k + 5))
+        fourier = stable_core._fourier_block(alpha, u)[0]
+        zolotarev = stable_core._zolotarev_block(alpha, u, stable_core._zolotarev_peak(alpha, u))[0]
+        assert np.all(_n_osc(alpha, u) > stable_core._FOURIER_MAX_OSC)
+        np.testing.assert_allclose(np.log(zolotarev), np.log(fourier), rtol=0.0, atol=1e-12)
 
-        def reject(a, x):
-            f = real(a, x)
-            f[np.isin(x, chosen)] = np.nan
-            return f
+    @pytest.mark.parametrize("alpha, at", [(0.65, 100), (0.65, 2300), (1.05, 2300), (0.1, 7)])
+    def test_estimate_disagreement_raises(self, alpha, at):
+        # one node's 16-node estimate pushed 1e-9 off: the build fails, naming
+        # alpha and that node, on the plain, Zolotarev and Fourier routes alike
+        t, _ = np.linspace(
+            math.log(_StandardDensity.TABLE_FLOOR), math.log(TAIL_CUTOFF),
+            _StandardDensity.TABLE_NODES, retstep=True,
+        )
+        target = np.exp(t)[at]
 
-        with mock.patch.object(stable_core, "_pdf0_plain_vec", reject):
-            u2, y2, quad = _capture_table(alpha)
-            scalar = [math.log(_pdf0_quadrature(alpha, x)) for x in chosen]
-        hit = np.isin(u2, chosen)
-        assert u2.tobytes() == u.tobytes()
-        assert list(y2[hit]) == scalar
-        assert set(chosen) <= set(quad)
-        np.testing.assert_allclose(y2[hit], y[hit], rtol=0.0, atol=1e-12)
-        assert y2[~hit].tobytes() == y[~hit].tobytes()
+        def forced(block):
+            def run(a, u, *rest):
+                v32, v16 = block(a, u, *rest)
+                return [v32, np.where(u == target, v16 * (1.0 + 1e-9), v16)]
+            return run
 
-    def test_alpha_01_table_is_all_scalar(self):
+        with mock.patch.object(stable_core, "_fourier_block", forced(stable_core._fourier_block)), \
+                mock.patch.object(stable_core, "_zolotarev_block", forced(stable_core._zolotarev_block)):
+            with pytest.raises(QuadratureFailure, match=re.escape(f"alpha={alpha}, u={target}")):
+                _StandardDensity(alpha)._build_table()
+
+    def test_alpha_01_table_against_series_oracle(self):
+        # every node of the alpha 0.1 table, all on the Zolotarev route,
+        # against the power-tail series in mpmath
         u, y, quad = _table_nodes(0.1)
         assert not np.any(_n_osc(0.1, u) <= 8.0)
-        assert quad == list(u)
-        scalar = np.array([math.log(_pdf0_quadrature(0.1, x)) for x in u])
-        assert y.tobytes() == scalar.tobytes()
+        assert quad == []
+        ref = np.array([oracles.log_pdf0(0.1, x) for x in u])
+        assert np.max(np.abs(y - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [
+        0.1, 0.15, 0.2, 0.3, 0.5, 0.65, 0.9, 0.95, 0.999, 1.001, 1.05, 1.1, 1.35, 1.5, 1.99,
+    ])
+    def test_sampled_nodes_against_oracle(self, alpha):
+        # every 240th node, and the first two past each route switch
+        u, y, quad = _table_nodes(alpha)
+        assert quad == []
+        osc = _n_osc(alpha, u)
+        pick = set(range(0, u.size, 240)) | {u.size - 1}
+        for switch in (8.0, stable_core._FOURIER_MAX_OSC):
+            k = int(np.searchsorted(osc, switch, side="right"))
+            pick |= {k, k + 1} & set(range(u.size))
+        for i in sorted(pick):
+            assert abs(y[i] - oracles.log_pdf0(alpha, u[i])) <= 1e-12, (alpha, u[i])
+
+    def test_no_quadpack_call(self):
+        # the symmetric density, table and scalar entries, runs no QUADPACK
+        with mock.patch.object(stable_core.integrate, "quad", side_effect=AssertionError):
+            for alpha in (0.3, 1.35):
+                eng = _StandardDensity(alpha)
+                eng.log_pdf_vec(np.array([0.5, 3.0]))
+                for x in (1e-3, 0.7, 12.0, 45.0):
+                    assert eng.pdf(x) > 0.0
+            assert pdf(StableParams(0.8, 0.0, 2.0, 0.5), 3.0) > 0.0
 
     @pytest.mark.parametrize("alpha", [0.3, 0.65, 1.5, 1.99])
     def test_last_interval_matches_accurate_route(self, alpha):
@@ -418,7 +414,7 @@ class TestTableBuild:
         t = eng._build_table().x
         for lo, hi in zip(t[-4:-1], t[-3:]):
             for m in np.linspace(lo, hi, 5)[1:-1]:
-                exact = math.log(_pdf0_quadrature(alpha, math.exp(m)))
+                exact = oracles.log_pdf0(alpha, math.exp(m))
                 assert abs(float(eng.log_pdf_vec(math.exp(m))) - exact) <= 1e-9
 
     def test_concurrent_first_builds(self):
@@ -457,21 +453,31 @@ class TestTableBuild:
 
 
 class TestZolotarevFallback:
-    """The non-oscillatory fallback must fail loudly where its quadrature misses
-    the narrow peak of g exp(-g), not return a tiny value."""
+    """The Zolotarev route: it resolves the narrow peak of g exp(-g) that an
+    adaptive quadrature of it missed at these u, and a node whose estimates
+    disagree, as a missed peak would make them, fails loudly."""
 
     # true f0: 0.4349 at alpha 0.65 and 0.2919 at alpha 1.35
     @pytest.mark.parametrize("alpha, u", [
         (0.65, 1e-14), (0.65, 1e-6), (0.65, 1e-4), (1.35, 1e-14),
     ])
     def test_missed_peak_raises(self, alpha, u):
-        with pytest.raises(QuadratureFailure):
-            stable_core._pdf0_zolotarev(alpha, u)
+        x = np.array([u])
+        z32, z16 = stable_core._zolotarev_block(alpha, x, stable_core._zolotarev_peak(alpha, x))
+        assert math.log(z32[0]) == pytest.approx(oracles.log_pdf0(alpha, u), rel=0.0, abs=1e-12)
+        real = stable_core._zolotarev_block
+        with mock.patch.object(stable_core, "_PLAIN_OSC", 0.0), \
+                mock.patch.object(stable_core, "_zolotarev_block",
+                                  lambda a, v, p: [w * (1.0 + 1e-9 * k) for k, w in enumerate(real(a, v, p))]):
+            with pytest.raises(QuadratureFailure, match=re.escape(f"alpha={alpha}, u={u}")):
+                _pdf0_quadrature(alpha, u)
 
     @pytest.mark.parametrize("alpha, u", [(0.65, 5.0), (1.35, 2.0), (0.3, 10.0)])
     def test_matches_quadrature_where_accurate(self, alpha, u):
-        want = _pdf0_quadrature(alpha, u)
-        assert stable_core._pdf0_zolotarev(alpha, u) == pytest.approx(want, rel=1e-12, abs=0.0)
+        x = np.array([u])
+        z32, _ = stable_core._zolotarev_block(alpha, x, stable_core._zolotarev_peak(alpha, x))
+        assert z32[0] == pytest.approx(float(oracles.pdf0(alpha, u)), rel=1e-12, abs=0.0)
+        assert z32[0] == pytest.approx(oracles.pdf0_qawf(alpha, u), rel=1e-9, abs=0.0)
 
 
 class TestReferenceLogPdf:
