@@ -62,10 +62,8 @@ class StableParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "delta", float(self.delta))
+        for name in ("alpha", "beta", "gamma", "delta"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if not -1.0 <= self.beta <= 1.0:
@@ -156,10 +154,9 @@ def char_fn(params: StableParams, omega: float) -> complex:
 # on the truncated range [0, T]:
 #   * the Fourier route integrates on [0, T], on panels graded geometrically
 #     towards the t^alpha cusp at 0.  It takes every u with n_osc <= 8, and
-#     for |alpha - 1| <= _FOURIER_BAND every u up to n_osc = _FOURIER_MAX_OSC,
-#     which holds all of [0, TAIL_CUTOFF] in the band.  Past n_osc = 8
-#     it cuts the panels further, _HALF_PERIOD_PANELS to each half-period of
-#     the largest u of its block.
+#     for |alpha - 1| <= _FOURIER_BAND every u below TAIL_CUTOFF.  Past
+#     n_osc = 8 it cuts the panels further, _HALF_PERIOD_PANELS to each
+#     half-period of the largest u of its block.
 #   * the Zolotarev route takes every other u (alpha != 1):
 #         f0(u) = a/(pi |a-1| u) * int_0^{pi/2} g(th) exp(-g(th)) dth,
 #         g(th) = u^{a/(a-1)} (cos th / sin(a th))^{a/(a-1)} cos((a-1) th) / cos th
@@ -189,7 +186,6 @@ def _quad_result(out, epsabs):
 _PLAIN_PANELS = 48
 _PLAIN_OSC = 8.0
 _FOURIER_BAND = 0.05
-_FOURIER_MAX_OSC = 600.0
 _HALF_PERIOD_PANELS = 2
 # Each half of [0, th*] and of [th*, pi/2] is graded geometrically towards its
 # end, down to _ZOLOTAREV_DEPTH of the segment.  The ratio of the grading falls
@@ -197,10 +193,10 @@ _HALF_PERIOD_PANELS = 2
 _ZOLOTAREV_DEPTH = 1e-11
 _PEAK_DEPTH = 1e-4
 _BISECTIONS = 64
-# Blocks of u are sized so that no temporary exceeds the base panels' 1,536
-# nodes for 64 u; a Zolotarev block holds about five such arrays at once.
+# Fourier blocks are sized so that no temporary exceeds the base panels' 1,536
+# nodes for 64 u.  A Zolotarev block has 8 u on at most about 100 panels.
 _BLOCK_DOUBLES = 64 * 32 * _PLAIN_PANELS
-_ZOLOTAREV_ARRAYS = 5
+_ZOLOTAREV_BLOCK = 8
 
 
 def _n_osc(alpha: float, u):
@@ -209,22 +205,15 @@ def _n_osc(alpha: float, u):
 
 
 def _gl_block(edges: np.ndarray, weighted_sum):
-    """A block of integrals over the panels between edges: the 32-node
-    Gauss-Legendre values, and the 16-node values on the same panels as their
-    error estimate.
-
-    edges holds the panel edges on its last axis, one row shared by the block
-    or one row per integral.  weighted_sum(t, w) returns the integrals from
-    the nodes t and weights w, flattened per row.
+    """The 32-node Gauss-Legendre integrals over the panels between edges (one
+    row shared, or one per integral), and the 16-node ones as their estimate;
+    weighted_sum(t, w) sums them from nodes t and weights w flattened per row.
     """
     mid = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None]
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
     shape = edges.shape[:-1] + (-1,)
-    out = []
-    for n in (32, 16):
-        xg, wg = _gauss_legendre(n)
-        out.append(weighted_sum((mid + half * xg).reshape(shape), (half * wg).reshape(shape)))
-    return out
+    rules = (_gauss_legendre(n) for n in (32, 16))
+    return [weighted_sum((mid + half * xg).reshape(shape), (half * wg).reshape(shape)) for xg, wg in rules]
 
 
 def _fourier_block(alpha: float, u: np.ndarray):
@@ -268,20 +257,12 @@ def _zolotarev_peak(alpha: float, u: np.ndarray) -> np.ndarray:
     return np.minimum(0.5 * (lo + hi), 0.5 * math.pi - _ZOLOTAREV_DEPTH)
 
 
-def _zolotarev_ratio(alpha: float) -> float:
-    """Ratio of the geometric grading; it falls as the powers a/|a-1| and
-    1/|a-1| of g near its ends grow, towards alpha = 1."""
-    return 1.0 + 4.0 / math.sqrt(max(alpha, 1.0) / abs(alpha - 1.0))
-
-
-def _grading_panels(ratio: float, depth):
-    """Panels of a geometric grading from 1/2 down to depth, towards an end of [0, 1]."""
-    return np.ceil(1.0 + np.log(0.5 / depth) / math.log(ratio))
-
-
-def _graded(ratio: float, depth: float) -> np.ndarray:
-    """Distances 1/2, 1/(2 ratio), ... down to depth, towards an end of [0, 1]."""
-    return 0.5 * ratio ** -np.arange(int(_grading_panels(ratio, depth)))
+def _graded(ratio: float, depth0: float, depth1: float) -> np.ndarray:
+    """Edges of [0, 1], graded geometrically from 1/2 towards 0 down to depth0
+    and towards 1 down to depth1."""
+    n0, n1 = (math.ceil(1.0 + math.log(0.5 / d) / math.log(ratio)) for d in (depth0, depth1))
+    to0, to1 = 0.5 * ratio ** -np.arange(n0), 0.5 * ratio ** -np.arange(1, n1)
+    return np.concatenate([[0.0], to0[::-1], 1.0 - to1, [1.0]])
 
 
 def _zolotarev_edges(alpha: float, near: np.ndarray, flip: bool) -> np.ndarray:
@@ -289,28 +270,16 @@ def _zolotarev_edges(alpha: float, near: np.ndarray, flip: bool) -> np.ndarray:
     where s is th, or phi = pi/2 - th when flip.
 
     Each end is graded geometrically: down to _ZOLOTAREV_DEPTH of its segment
-    at the end where g -> 0 (th = 0 for alpha < 1, pi/2 above), down to
-    _PEAK_DEPTH at the end where g -> inf and on either side of the peak,
-    where on the long side the depth is taken of s* itself, which may lie
-    decades below pi/2.
+    where g -> 0 (th = 0 for alpha < 1, pi/2 above), and down to _PEAK_DEPTH
+    where g -> inf and either side of the peak, on its long side of s* itself.
     """
-    ratio = _zolotarev_ratio(alpha)
-    g_vanishes_at_0 = (alpha < 1.0) != flip
-    zero = _graded(ratio, _ZOLOTAREV_DEPTH if g_vanishes_at_0 else _PEAK_DEPTH)
-    far = _graded(ratio, _PEAK_DEPTH if g_vanishes_at_0 else _ZOLOTAREV_DEPTH)
-    peak = _graded(ratio, _PEAK_DEPTH)
-    long_peak = _graded(ratio, _PEAK_DEPTH * float(near.min()) / (math.pi - 2.0 * float(near.min())))
-    short = np.concatenate([[0.0], zero[::-1], 1.0 - peak[1:], [1.0]])
-    long = np.concatenate([[0.0], long_peak[::-1], 1.0 - far[1:], [1.0]])
+    # the ratio falls as the powers a/|a-1| and 1/|a-1| of g grow towards alpha = 1
+    ratio = 1.0 + 4.0 / math.sqrt(max(alpha, 1.0) / abs(alpha - 1.0))
+    zero, far = (_ZOLOTAREV_DEPTH, _PEAK_DEPTH) if (alpha < 1.0) != flip else (_PEAK_DEPTH, _ZOLOTAREV_DEPTH)
+    short = _graded(ratio, zero, _PEAK_DEPTH)
+    long = _graded(ratio, _PEAK_DEPTH * float(near.min()) / (math.pi - 2.0 * float(near.min())), far)
     near = near[:, None]
     return np.concatenate([near * short[:-1], near + (0.5 * math.pi - near) * long], axis=1)
-
-
-def _zolotarev_panels(alpha: float, near: np.ndarray) -> np.ndarray:
-    """Panel count of _zolotarev_edges for each peak s* = near alone."""
-    ratio = _zolotarev_ratio(alpha)
-    long_peak = _grading_panels(ratio, _PEAK_DEPTH * near / (math.pi - 2.0 * near))
-    return long_peak + _grading_panels(ratio, _ZOLOTAREV_DEPTH) + 2.0 * _grading_panels(ratio, _PEAK_DEPTH)
 
 
 def _zolotarev_block(alpha: float, u: np.ndarray, peak: np.ndarray):
@@ -334,48 +303,38 @@ def _zolotarev_block(alpha: float, u: np.ndarray, peak: np.ndarray):
 def _pdf0_vec(alpha: float, u) -> np.ndarray:
     """f0 at each u > 0 below the tail, u ascending, by the batched routes.
 
-    A value is accepted when its 32- and 16-node values agree to
-    max(_QUAD_EPSABS, _QUAD_EPSREL f0) and are positive; otherwise
-    QuadratureFailure names alpha and u.
+    Raises QuadratureFailure, naming alpha and u, unless the 32- and 16-node
+    values agree to max(_QUAD_EPSABS, _QUAD_EPSREL f0) and are positive.
     """
     u = np.asarray(u, dtype=float).ravel()
     if np.any(u[1:] < u[:-1]):
         raise ValueError("u must be ascending")
     osc = _n_osc(alpha, u)
+    plain_end = int(np.searchsorted(osc, _PLAIN_OSC, side="right"))
     # Zolotarev's integral loses precision near alpha = 1 and has no form at 1
-    crossover = _FOURIER_MAX_OSC if abs(alpha - 1.0) <= _FOURIER_BAND else _PLAIN_OSC
-    plain_end, fourier_end = np.searchsorted(osc, [_PLAIN_OSC, crossover], side="right")
-    if alpha == 1.0 and fourier_end < u.size:
-        raise QuadratureFailure(f"no density route at alpha=1, u={u[-1]}")
-    # doubles per u held at once
+    fourier_end = u.size if abs(alpha - 1.0) <= _FOURIER_BAND else plain_end
+    # doubles per u held at once on the Fourier route
     per_u = 32.0 * (_PLAIN_PANELS + np.where(osc > _PLAIN_OSC, np.ceil(_HALF_PERIOD_PANELS * osc), 0.0))
-    del osc
     bounds = [plain_end, fourier_end, u.size]
     if fourier_end < u.size:
         peak = _zolotarev_peak(alpha, u[fourier_end:])
         # th* grows with u; past pi/4 the nodes are placed in pi/2 - th
-        flip_at = int(np.searchsorted(peak, 0.25 * math.pi, side="right"))
-        bounds.append(fourier_end + flip_at)
-        per_u[fourier_end:] = _ZOLOTAREV_ARRAYS * 32 * np.concatenate([
-            _zolotarev_panels(alpha, peak[:flip_at]),
-            _zolotarev_panels(alpha, 0.5 * math.pi - peak[flip_at:]),
-        ])
+        bounds.append(fourier_end + int(np.searchsorted(peak, 0.25 * math.pi, side="right")))
     f = np.empty(u.size)
     i = 0
     while i < u.size:
-        # a block never crosses n_osc = 8, the crossover or th* = pi/4
+        # a block never crosses n_osc = 8, the route switch or th* = pi/4
         end = min(b for b in bounds if b > i)
-        fits = np.arange(1, end - i + 1) * np.maximum.accumulate(per_u[i:end]) <= _BLOCK_DOUBLES
-        j = i + max(1, int(np.count_nonzero(fits)))
         if i < fourier_end:
+            fits = np.arange(1, end - i + 1) * np.maximum.accumulate(per_u[i:end]) <= _BLOCK_DOUBLES
+            j = i + max(1, int(np.count_nonzero(fits)))
             f32, f16 = _fourier_block(alpha, u[i:j])
         else:
+            j = min(end, i + _ZOLOTAREV_BLOCK)
             f32, f16 = _zolotarev_block(alpha, u[i:j], peak[i - fourier_end:j - fourier_end])
         ok = (np.abs(f32 - f16) <= np.maximum(_QUAD_EPSABS, _QUAD_EPSREL * np.abs(f32))) & (f32 > 0.0)
         if not np.all(ok):
-            raise QuadratureFailure(
-                f"stable density inversion failed at alpha={alpha}, u={u[i:j][~ok][0]}"
-            )
+            raise QuadratureFailure(f"stable density inversion failed at alpha={alpha}, u={u[i:j][~ok][0]}")
         f[i:j] = f32
         i = j
     return f
@@ -456,10 +415,6 @@ def _log_pdf0_tail(alpha: float, u, slope: bool = False):
     return log_t1 + np.log1p(corr)
 
 
-def _pdf0_tail(alpha: float, u) -> np.ndarray:
-    return np.exp(_log_pdf0_tail(alpha, u))
-
-
 class _StandardDensity:
     """Standard symmetric stable density f0(.; alpha) with a cached log table.
 
@@ -478,7 +433,8 @@ class _StandardDensity:
         self._lock = threading.Lock()
         self._spline = None
         a = self.alpha
-        self._tail_constant = 0.0 if a == 2.0 else (
+        # k with f0(u) ~ k u^-(alpha+1); the first-order tail coefficient
+        self.tail_constant = 0.0 if a == 2.0 else (
             math.exp(gammaln(a + 1.0)) * math.sin(math.pi * a / 2.0) / math.pi
         )
 
@@ -492,7 +448,7 @@ class _StandardDensity:
         if a == 1.0:
             return 1.0 / (math.pi * (1.0 + u * u))
         if u >= TAIL_CUTOFF:
-            return float(_pdf0_tail(a, u))
+            return float(np.exp(_log_pdf0_tail(a, u)))
         return _pdf0_quadrature(a, u)
 
     def log_pdf(self, u: float) -> float:
@@ -509,9 +465,7 @@ class _StandardDensity:
     # -- fast vectorized route --------------------------------------------
 
     def _build_table(self):
-        t = np.linspace(
-            math.log(self.TABLE_FLOOR), math.log(TAIL_CUTOFF), self.TABLE_NODES
-        )
+        t = np.linspace(math.log(self.TABLE_FLOOR), math.log(TAIL_CUTOFF), self.TABLE_NODES)
         f = _pdf0_vec(self.alpha, np.exp(t))
         vals = np.array([math.log(v) for v in f])
         return CubicSpline(t, vals, bc_type="not-a-knot")
@@ -565,10 +519,6 @@ class _StandardDensity:
 
     def pdf_vec(self, u) -> np.ndarray:
         return np.exp(self.log_pdf_vec(u))
-
-    def tail_constant(self) -> float:
-        """k with f0(u) ~ k u^-(alpha+1); the first-order tail coefficient."""
-        return self._tail_constant
 
 
 _DENSITY_CACHE: dict[float, _StandardDensity] = {}
@@ -636,25 +586,8 @@ def pdf(params: StableParams, x: float) -> float:
     return _pdf_skewed_quadrature(params, x)
 
 
-def _pdf_by_inversion(params: StableParams, x: float) -> float:
-    """Force the numerical-inversion route even where closed forms exist."""
-    if params.beta != 0.0:
-        return _pdf_skewed_quadrature(params, x)
-    u = (float(x) - params.delta) / params.gamma
-    if abs(u) >= TAIL_CUTOFF:
-        return float(_pdf0_tail(params.alpha, u)) / params.gamma
-    return _pdf0_quadrature(params.alpha, u) / params.gamma
-
-
 # ---------------------------------------------------------------------------
 # reference log-density and entropy
-
-
-def _norm_sq(x) -> float:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return float(arr) ** 2
-    return float(np.dot(arr.ravel(), arr.ravel()))
 
 
 def _log_pdf_reference_multid(ref: ReferenceLaw, r: float) -> float:
@@ -698,12 +631,10 @@ def _log_pdf_reference_multid(ref: ReferenceLaw, r: float) -> float:
 def log_pdf_reference(ref: ReferenceLaw, x) -> float:
     """log f of the reference law at x (scalar for d = 1, length-d vector else)."""
     a, d = ref.alpha, ref.d
+    x = np.asarray(x, dtype=float)
     if d == 1:
-        u = float(np.asarray(x, dtype=float).reshape(()))
-        g = ref.scale
-        eng = standard_density(a)
-        return eng.log_pdf(u / g) - math.log(g)
-    r = math.sqrt(_norm_sq(x))
+        return standard_density(a).log_pdf(float(x.reshape(())) / ref.scale) - math.log(ref.scale)
+    r = math.sqrt(float(np.dot(x.ravel(), x.ravel())))
     if a == 2.0:
         return -0.5 * r * r - (d / 2.0) * math.log(2.0 * math.pi)
     if a == 1.0:
@@ -780,7 +711,7 @@ def _tail_integral(alpha: float, phi, u0: float):
     edges[-1] = y_max
     val = _panel_integral(fn, edges)
     X = math.exp(y_max)
-    rem = eng.tail_constant() * X ** (-alpha) / alpha * np.asarray(phi(np.array([X])))[..., 0]
+    rem = eng.tail_constant * X ** (-alpha) / alpha * np.asarray(phi(np.array([X])))[..., 0]
     return val + _reduced(rem)
 
 
@@ -871,13 +802,7 @@ def _cms_standard(alpha: float, beta: float, v: np.ndarray, w: np.ndarray) -> np
             (hp + beta * v) * np.tan(v)
             - beta * np.log((hp * w * np.cos(v)) / (hp + beta * v))
         )
-    if beta == 0.0:
-        av = alpha * v
-        return (
-            np.sin(av)
-            / np.cos(v) ** (1.0 / alpha)
-            * (np.cos(v - av) / w) ** ((1.0 - alpha) / alpha)
-        )
+    # at beta = 0, b0 = 0 and s0 = 1 exactly
     ta = math.tan(math.pi * alpha / 2.0)
     b0 = math.atan(beta * ta) / alpha
     s0 = (1.0 + beta * beta * ta * ta) ** (1.0 / (2.0 * alpha))

@@ -127,7 +127,7 @@ class SymmetricStableSource(_Source):
     @cached_property
     def tail_k(self) -> float:
         p = self.params
-        return standard_density(p.alpha).tail_constant() * p.gamma ** p.alpha
+        return standard_density(p.alpha).tail_constant * p.gamma ** p.alpha
 
     @property
     def reflected(self) -> "SymmetricStableSource":

@@ -188,5 +188,5 @@ def pdf_by_inversion(params, x):
         return stable_core._pdf_skewed_quadrature(params, x)
     u = (float(x) - params.delta) / params.gamma
     if abs(u) >= stable_core.TAIL_CUTOFF:
-        return float(stable_core._pdf0_tail(params.alpha, u)) / params.gamma
+        return float(np.exp(stable_core._log_pdf0_tail(params.alpha, u))) / params.gamma
     return stable_core._pdf0_quadrature(params.alpha, u) / params.gamma

@@ -62,7 +62,7 @@ PINNED = {
         "uniform_error_strength": 0.056509780482134495,
         "levels_strength": 0.11454432828180594,
         "levels_entropy": 1.5637452929222075,
-        "solve_strength": 0.4520782438656481,
+        "solve_strength": 0.45207824386564815,
         "cb_strength": 0.27179506427614497,
     },
     "triangle": {

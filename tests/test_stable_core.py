@@ -338,20 +338,6 @@ class TestTableBuild:
             plain = np.log(stable_core._fourier_block(alpha, u[first])[0])
         np.testing.assert_allclose(plain, y[first], rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.95, 0.999])
-    def test_routes_agree_past_the_crossover(self, alpha):
-        # near alpha = 1 the Fourier route runs up to n_osc = _FOURIER_MAX_OSC;
-        # at the first five nodes of the table's grid past it, the Zolotarev
-        # route takes over and must agree with it
-        step = math.log(TAIL_CUTOFF / _StandardDensity.TABLE_FLOOR) / (_StandardDensity.TABLE_NODES - 1)
-        u0 = stable_core._FOURIER_MAX_OSC * math.pi / stable_core._LOG_EPS ** (1.0 / alpha)
-        k = math.ceil(math.log(u0 / _StandardDensity.TABLE_FLOOR) / step)
-        u = _StandardDensity.TABLE_FLOOR * np.exp(step * np.arange(k, k + 5))
-        fourier = stable_core._fourier_block(alpha, u)[0]
-        zolotarev = stable_core._zolotarev_block(alpha, u, stable_core._zolotarev_peak(alpha, u))[0]
-        assert np.all(_n_osc(alpha, u) > stable_core._FOURIER_MAX_OSC)
-        np.testing.assert_allclose(np.log(zolotarev), np.log(fourier), rtol=0.0, atol=1e-12)
-
     @pytest.mark.parametrize("alpha, at", [(0.65, 100), (0.65, 2300), (1.05, 2300), (0.1, 7)])
     def test_estimate_disagreement_raises(self, alpha, at):
         # one node's 16-node estimate pushed 1e-9 off: the build fails, naming
@@ -386,14 +372,13 @@ class TestTableBuild:
         0.1, 0.15, 0.2, 0.3, 0.5, 0.65, 0.9, 0.95, 0.999, 1.001, 1.05, 1.1, 1.35, 1.5, 1.99,
     ])
     def test_sampled_nodes_against_oracle(self, alpha):
-        # every 240th node, and the first two past each route switch
+        # every 240th node, and the first two past n_osc = 8
         u, y, quad = _table_nodes(alpha)
         assert quad == []
         osc = _n_osc(alpha, u)
         pick = set(range(0, u.size, 240)) | {u.size - 1}
-        for switch in (8.0, stable_core._FOURIER_MAX_OSC):
-            k = int(np.searchsorted(osc, switch, side="right"))
-            pick |= {k, k + 1} & set(range(u.size))
+        k = int(np.searchsorted(osc, 8.0, side="right"))
+        pick |= {k, k + 1} & set(range(u.size))
         for i in sorted(pick):
             assert abs(y[i] - oracles.log_pdf0(alpha, u[i])) <= 1e-12, (alpha, u[i])
 
