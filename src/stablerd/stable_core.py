@@ -62,8 +62,10 @@ class StableParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "delta", float(self.delta))
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if not -1.0 <= self.beta <= 1.0:
@@ -187,15 +189,15 @@ _PLAIN_PANELS = 48
 _PLAIN_OSC = 8.0
 _FOURIER_BAND = 0.05
 _HALF_PERIOD_PANELS = 2
-# Each half of [0, th*] and of [th*, pi/2] is graded geometrically towards its
-# end, down to _ZOLOTAREV_DEPTH of the segment.  The ratio of the grading falls
-# as the powers a/|a-1| and 1/|a-1| of g grow near alpha = 1.
+# Depths of the Zolotarev route's geometric grading (see _zolotarev_block).
 _ZOLOTAREV_DEPTH = 1e-11
 _PEAK_DEPTH = 1e-4
 _BISECTIONS = 64
-# Fourier blocks are sized so that no temporary exceeds the base panels' 1,536
-# nodes for 64 u.  A Zolotarev block has 8 u on at most about 100 panels.
-_BLOCK_DOUBLES = 64 * 32 * _PLAIN_PANELS
+# u per block.  With at most about 1,100 panels past n_osc = 8 on the Fourier
+# route and 100 on the Zolotarev route, no temporary exceeds 64 u on the base
+# panels' 1,536 nodes.
+_PLAIN_BLOCK = 64
+_FOURIER_BLOCK = 2
 _ZOLOTAREV_BLOCK = 8
 
 
@@ -212,8 +214,11 @@ def _gl_block(edges: np.ndarray, weighted_sum):
     mid = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None]
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
     shape = edges.shape[:-1] + (-1,)
-    rules = (_gauss_legendre(n) for n in (32, 16))
-    return [weighted_sum((mid + half * xg).reshape(shape), (half * wg).reshape(shape)) for xg, wg in rules]
+    out = []
+    for n in (32, 16):
+        xg, wg = _gauss_legendre(n)
+        out.append(weighted_sum((mid + half * xg).reshape(shape), (half * wg).reshape(shape)))
+    return out
 
 
 def _fourier_block(alpha: float, u: np.ndarray):
@@ -265,29 +270,25 @@ def _graded(ratio: float, depth0: float, depth1: float) -> np.ndarray:
     return np.concatenate([[0.0], to0[::-1], 1.0 - to1, [1.0]])
 
 
-def _zolotarev_edges(alpha: float, near: np.ndarray, flip: bool) -> np.ndarray:
-    """Panel edges in s of [0, s*] and [s*, pi/2], one row per peak s* = near,
-    where s is th, or phi = pi/2 - th when flip.
+def _zolotarev_block(alpha: float, u: np.ndarray, peak: np.ndarray):
+    """The (32-node, 16-node) values of f0 at a block of u, Zolotarev route,
+    given the peaks th* of the block, all on one side of pi/4.
 
-    Each end is graded geometrically: down to _ZOLOTAREV_DEPTH of its segment
-    where g -> 0 (th = 0 for alpha < 1, pi/2 above), and down to _PEAK_DEPTH
-    where g -> inf and either side of the peak, on its long side of s* itself.
+    The nodes lie in s = th, or in phi = pi/2 - th where the peaks are nearer
+    pi/2.  [0, s*] and [s*, pi/2] are graded geometrically towards their
+    ends: down to _ZOLOTAREV_DEPTH of the segment where g -> 0 (th = 0 for
+    alpha < 1, pi/2 above), and down to _PEAK_DEPTH where g -> inf and either
+    side of the peak, on its long side of s* itself.
     """
+    flip = bool(peak[0] > 0.25 * math.pi)
+    near = (0.5 * math.pi - peak if flip else peak)[:, None]
     # the ratio falls as the powers a/|a-1| and 1/|a-1| of g grow towards alpha = 1
     ratio = 1.0 + 4.0 / math.sqrt(max(alpha, 1.0) / abs(alpha - 1.0))
     zero, far = (_ZOLOTAREV_DEPTH, _PEAK_DEPTH) if (alpha < 1.0) != flip else (_PEAK_DEPTH, _ZOLOTAREV_DEPTH)
+    s_min = float(near.min())
     short = _graded(ratio, zero, _PEAK_DEPTH)
-    long = _graded(ratio, _PEAK_DEPTH * float(near.min()) / (math.pi - 2.0 * float(near.min())), far)
-    near = near[:, None]
-    return np.concatenate([near * short[:-1], near + (0.5 * math.pi - near) * long], axis=1)
-
-
-def _zolotarev_block(alpha: float, u: np.ndarray, peak: np.ndarray):
-    """The (32-node, 16-node) values of f0 at a block of u, Zolotarev route,
-    given the peaks th* of the block, all on one side of pi/4."""
-    # nodes are placed in phi = pi/2 - th where the peak is nearer pi/2
-    flip = bool(peak[0] > 0.25 * math.pi)
-    edges = _zolotarev_edges(alpha, 0.5 * math.pi - peak if flip else peak, flip)
+    long = _graded(ratio, _PEAK_DEPTH * s_min / (math.pi - 2.0 * s_min), far)
+    edges = np.concatenate([near * short[:-1], near + (0.5 * math.pi - near) * long], axis=1)
     log_uc = (alpha / (alpha - 1.0) * np.log(u))[:, None]
 
     def weighted_sum(s, w):
@@ -307,14 +308,9 @@ def _pdf0_vec(alpha: float, u) -> np.ndarray:
     values agree to max(_QUAD_EPSABS, _QUAD_EPSREL f0) and are positive.
     """
     u = np.asarray(u, dtype=float).ravel()
-    if np.any(u[1:] < u[:-1]):
-        raise ValueError("u must be ascending")
-    osc = _n_osc(alpha, u)
-    plain_end = int(np.searchsorted(osc, _PLAIN_OSC, side="right"))
+    plain_end = int(np.searchsorted(_n_osc(alpha, u), _PLAIN_OSC, side="right"))
     # Zolotarev's integral loses precision near alpha = 1 and has no form at 1
     fourier_end = u.size if abs(alpha - 1.0) <= _FOURIER_BAND else plain_end
-    # doubles per u held at once on the Fourier route
-    per_u = 32.0 * (_PLAIN_PANELS + np.where(osc > _PLAIN_OSC, np.ceil(_HALF_PERIOD_PANELS * osc), 0.0))
     bounds = [plain_end, fourier_end, u.size]
     if fourier_end < u.size:
         peak = _zolotarev_peak(alpha, u[fourier_end:])
@@ -326,15 +322,16 @@ def _pdf0_vec(alpha: float, u) -> np.ndarray:
         # a block never crosses n_osc = 8, the route switch or th* = pi/4
         end = min(b for b in bounds if b > i)
         if i < fourier_end:
-            fits = np.arange(1, end - i + 1) * np.maximum.accumulate(per_u[i:end]) <= _BLOCK_DOUBLES
-            j = i + max(1, int(np.count_nonzero(fits)))
+            j = min(end, i + (_PLAIN_BLOCK if i < plain_end else _FOURIER_BLOCK))
             f32, f16 = _fourier_block(alpha, u[i:j])
         else:
             j = min(end, i + _ZOLOTAREV_BLOCK)
             f32, f16 = _zolotarev_block(alpha, u[i:j], peak[i - fourier_end:j - fourier_end])
         ok = (np.abs(f32 - f16) <= np.maximum(_QUAD_EPSABS, _QUAD_EPSREL * np.abs(f32))) & (f32 > 0.0)
         if not np.all(ok):
-            raise QuadratureFailure(f"stable density inversion failed at alpha={alpha}, u={u[i:j][~ok][0]}")
+            raise QuadratureFailure(
+                f"stable density inversion failed at alpha={alpha}, u={u[i:j][~ok][0]}"
+            )
         f[i:j] = f32
         i = j
     return f
@@ -465,7 +462,9 @@ class _StandardDensity:
     # -- fast vectorized route --------------------------------------------
 
     def _build_table(self):
-        t = np.linspace(math.log(self.TABLE_FLOOR), math.log(TAIL_CUTOFF), self.TABLE_NODES)
+        t = np.linspace(
+            math.log(self.TABLE_FLOOR), math.log(TAIL_CUTOFF), self.TABLE_NODES
+        )
         f = _pdf0_vec(self.alpha, np.exp(t))
         vals = np.array([math.log(v) for v in f])
         return CubicSpline(t, vals, bc_type="not-a-knot")
@@ -633,7 +632,10 @@ def log_pdf_reference(ref: ReferenceLaw, x) -> float:
     a, d = ref.alpha, ref.d
     x = np.asarray(x, dtype=float)
     if d == 1:
-        return standard_density(a).log_pdf(float(x.reshape(())) / ref.scale) - math.log(ref.scale)
+        u = float(x.reshape(()))
+        g = ref.scale
+        eng = standard_density(a)
+        return eng.log_pdf(u / g) - math.log(g)
     r = math.sqrt(float(np.dot(x.ravel(), x.ravel())))
     if a == 2.0:
         return -0.5 * r * r - (d / 2.0) * math.log(2.0 * math.pi)
