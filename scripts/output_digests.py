@@ -8,7 +8,7 @@ prints one `sha256  file` line.  The '#' comment lines are left out of the
 digest because they echo the output path, which differs per run.
 
 Run it in two checkouts and diff the output; a refactor that keeps the
-answers prints the same lines (about 40 s on 2 cores):
+answers prints the same lines (about 16 s on 2 cores):
 
     python scripts/output_digests.py > digests.txt
 """
