@@ -15,7 +15,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+# scipy.optimize is imported by the functions that use it, so
+# `import stablerd` does not load it.
+from scipy import special
 
 from . import stable_core, strength
 from .errors import (
@@ -409,6 +411,8 @@ def design_optimal(
     a perturbed simplex), until the strength improvement falls below tol
     (default: 1e-6 of the current strength).
     """
+    from scipy import optimize
+
     if M < 1:
         raise ValueError("M must be >= 1")
     _check_symmetric_unimodal(source)
@@ -736,6 +740,8 @@ def best_uniform_design(source: SourceSpec, alpha: float, M: int, tol: float = 1
     scaled by the ratio of the widths, and the chosen width's solve is
     reused for the result.
     """
+    from scipy import optimize
+
     scale = source.scale
     solved = {}  # ln delta -> (strength solution, output entropy, quantizer)
 
@@ -769,6 +775,8 @@ def best_uniform_design(source: SourceSpec, alpha: float, M: int, tol: float = 1
 
 def kkt_width_solution(ratio: float) -> float:
     """Unique u = delta/(2s) > 0 with arctan(u)/u = 1 - ratio/2, 0 < ratio < 2."""
+    from scipy import optimize
+
     if not 0.0 < ratio < 2.0:
         raise OutOfRange("ratio must lie in (0, 2)")
     target = 1.0 - ratio / 2.0

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
+# scipy.integrate and scipy.interpolate are imported by the functions that
+# use them, so a process that stays at alpha 1 and 2 never loads them.
 from scipy.special import gammaln, digamma, jv
 
 from .errors import AlphaMismatch, QuadratureFailure, ZeroScale
@@ -462,6 +462,8 @@ class _StandardDensity:
     # -- fast vectorized route --------------------------------------------
 
     def _build_table(self):
+        from scipy.interpolate import CubicSpline
+
         t = np.linspace(
             math.log(self.TABLE_FLOOR), math.log(TAIL_CUTOFF), self.TABLE_NODES
         )
@@ -541,6 +543,8 @@ def standard_density(alpha: float) -> _StandardDensity:
 def _pdf_skewed_quadrature(params: StableParams, x: float) -> float:
     # General-beta inversion: f(x) = (1/(pi g)) int_0^inf e^{-t^a} cos(v t - b(t)) dt
     # with v = (x - d)/g and phase b per the characteristic function.
+    from scipy import integrate
+
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     v = (x - d) / g
     if a != 1.0:
@@ -595,6 +599,8 @@ def _log_pdf_reference_multid(ref: ReferenceLaw, r: float) -> float:
     Radial Hankel inversion at reduced tolerance; accuracy beyond d = 2 is
     not guaranteed.
     """
+    from scipy import integrate
+
     a, d, g = ref.alpha, ref.d, ref.scale
     nu = d / 2.0 - 1.0
     T = (_LOG_EPS ** (1.0 / a)) / g
@@ -741,6 +747,8 @@ def _standard_entropy(alpha: float) -> float:
 
 def _multid_entropy(ref: ReferenceLaw) -> float:
     """Numerical entropy for d >= 2, alpha not in {1, 2}; reduced tolerance."""
+    from scipy.interpolate import CubicSpline
+
     a, d = ref.alpha, ref.d
     surf = 2.0 * math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0))
     radii = np.concatenate([[1e-8], np.geomspace(1e-4, 60.0, 140)])

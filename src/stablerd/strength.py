@@ -18,7 +18,8 @@ from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate, optimize
+# scipy.integrate and scipy.optimize are imported by the functions that use
+# them, so `import stablerd` loads neither.
 from scipy.special import digamma, erfc, gammaln
 
 from . import stable_core
@@ -92,6 +93,7 @@ class _Source:
 
     def abs_quantile(self, p: float) -> float:
         """The p-quantile of |X|, by root finding on the mass of [-x, x]."""
+        from scipy import optimize
 
         def fn(x):
             return self.mass(-x, x) - p
@@ -255,6 +257,8 @@ class TabulatedSource(_Source):
     support: tuple = (-np.inf, np.inf)
 
     def __post_init__(self):
+        from scipy import integrate
+
         lo, hi = self.support
         mass, _ = integrate.quad(self.density, lo, hi, limit=400)
         if abs(mass - 1.0) > 1e-6:
@@ -276,6 +280,8 @@ class TabulatedSource(_Source):
         Rough accuracy is fine here, so integration warnings on
         slowly-decaying tails are muted.
         """
+        from scipy import integrate, optimize
+
         lo, hi = self.support
         f = self.density
 
@@ -305,6 +311,8 @@ class TabulatedSource(_Source):
         return np.where((x >= lo) & (x <= hi), vals, 0.0)
 
     def mass(self, a: float, b: float) -> float:
+        from scipy import integrate
+
         if b <= a:
             return 0.0
         return integrate.quad(self.density, a, b, limit=300)[0]
@@ -357,6 +365,8 @@ class TabulatedSource(_Source):
         Adaptive quadrature covers the support within |x| <= 64; infinite ends
         beyond go through `tail_integral`, the lower one on the reflection.
         """
+        from scipy import integrate
+
         lo, hi = self.support
         f = self.density
         c = 64.0

@@ -386,7 +386,7 @@ class TestDesign:
             return OptimizeResult(x=x, fun=fun(x))
 
         start = design_optimal(cauchy_source(1.0), 1.0, 2, seed=7, tol=math.inf)
-        monkeypatch.setattr(quantizer.optimize, "minimize", worse)
+        monkeypatch.setattr("scipy.optimize.minimize", worse)
         report = design_optimal(cauchy_source(1.0), 1.0, 2, seed=7)
         assert (report.stop_reason, report.converged) == ("no_improvement", True)
         assert report.iterations == 1 and len(report.strength_trace) == 1

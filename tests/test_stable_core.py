@@ -284,8 +284,9 @@ class TestGaussLegendreCache:
 def _capture_table(alpha):
     """Build a fresh alpha table; return its nodes u, its node values log f0 and
     the u of every call the build makes to the scalar route."""
+    from scipy.interpolate import CubicSpline as real_spline
+
     seen = {"quad": []}
-    real_spline = stable_core.CubicSpline
     real_quad = stable_core._pdf0_quadrature
 
     def spline(t, y, **kw):
@@ -296,7 +297,7 @@ def _capture_table(alpha):
         seen["quad"].append(u)
         return real_quad(a, u)
 
-    with mock.patch.object(stable_core, "CubicSpline", spline), \
+    with mock.patch("scipy.interpolate.CubicSpline", spline), \
             mock.patch.object(stable_core, "_pdf0_quadrature", quad):
         _StandardDensity(alpha)._build_table()
     return seen["u"], seen["y"], seen["quad"]
@@ -384,7 +385,7 @@ class TestTableBuild:
 
     def test_no_quadpack_call(self):
         # the symmetric density, table and scalar entries, runs no QUADPACK
-        with mock.patch.object(stable_core.integrate, "quad", side_effect=AssertionError):
+        with mock.patch("scipy.integrate.quad", side_effect=AssertionError):
             for alpha in (0.3, 1.35):
                 eng = _StandardDensity(alpha)
                 eng.log_pdf_vec(np.array([0.5, 3.0]))

@@ -1,0 +1,116 @@
+"""Start-up: which SciPy submodules a fresh process loads, and when.
+
+`scipy.optimize`, `scipy.integrate` and `scipy.interpolate` are imported by
+the functions that use them, so each check runs in a new interpreter, where
+`sys.modules` shows exactly what the calls before it loaded.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import stablerd
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(stablerd.__file__)))
+HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
+
+
+def _run_fresh(body):
+    """Run `body` in a new interpreter that imports stablerd from SRC and
+    return its standard output; a failing assertion fails the test."""
+    script = "import sys\nsys.path.insert(0, %r)\n" % SRC + textwrap.dedent(body)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=240)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    return proc.stdout
+
+
+def _loaded_after(body):
+    """The subset of HEAVY loaded once `body` has run in a fresh process."""
+    tail = "\nprint(' '.join(m for m in %r if m in sys.modules))\n" % (HEAVY,)
+    out = _run_fresh(textwrap.dedent(body) + tail)
+    return set(out.split())
+
+
+def test_import_loads_none_of_the_heavy_submodules():
+    assert _loaded_after("import stablerd, stablerd.cli") == set()
+
+
+def test_closed_form_alphas_load_no_table_or_quadrature():
+    # the design workload's set-up and the strengths of U at alpha 1 and 2
+    loaded = _loaded_after("""
+        from stablerd import quantizer, strength
+        q = quantizer.Quantizer.from_points([-0.6, 0.6], symmetric=True)
+        quantizer.error_strength(q, strength.cauchy_source(1.0), 1.0)
+        strength.strength_of_uniform(1.0)
+        strength.strength_of_uniform(2.0)
+    """)
+    assert "scipy.interpolate" not in loaded and "scipy.integrate" not in loaded
+
+
+def test_symmetric_density_loads_no_quadpack():
+    # a stronger form of TestTableBuild.test_no_quadpack_call
+    loaded = _loaded_after("""
+        import numpy as np
+        from stablerd.stable_core import StableParams, _StandardDensity, pdf
+        for alpha in (0.3, 1.35):
+            eng = _StandardDensity(alpha)
+            eng.log_pdf_vec(np.array([0.5, 3.0]))
+            for x in (1e-3, 0.7, 12.0, 45.0):
+                assert eng.pdf(x) > 0.0
+        assert pdf(StableParams(0.8, 0.0, 2.0, 0.5), 3.0) > 0.0
+    """)
+    assert "scipy.interpolate" in loaded and "scipy.integrate" not in loaded
+
+
+def test_concurrent_first_table_use():
+    # two threads make the process's first table call at once, so the first
+    # import of scipy.interpolate runs under the engine lock: one build, and
+    # answers bitwise equal to each other and to a serial build
+    out = _run_fresh("""
+        import threading
+        import numpy as np
+        from stablerd.stable_core import _StandardDensity, standard_density
+
+        assert "scipy.interpolate" not in sys.modules
+        builds = []
+        real = _StandardDensity._build_table
+
+        def counted(self):
+            builds.append(self.alpha)
+            return real(self)
+
+        _StandardDensity._build_table = counted
+        eng = standard_density(0.77)
+        u = np.geomspace(1e-16, 1e3, 400)
+        barrier = threading.Barrier(2, timeout=60)
+        results = [None] * 2
+
+        def work(i):
+            barrier.wait()
+            results[i] = eng.log_pdf_vec(u)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            _StandardDensity._build_table = real
+        assert not any(t.is_alive() for t in threads)
+        assert builds == [0.77], builds
+        assert results[0] is not None and results[1] is not None
+        assert results[0].tobytes() == results[1].tobytes()
+
+        serial = _StandardDensity(0.77)
+        assert serial.log_pdf_vec(u).tobytes() == results[0].tobytes()
+        assert serial._spline.x.tobytes() == eng._spline.x.tobytes()
+        assert serial._spline.c.tobytes() == eng._spline.c.tobytes()
+        print("ok")
+    """)
+    assert out.split() == ["ok"]
