@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Print a sha256 digest of every pinned CLI output, for byte-identity checks.
 
-Runs `reproduce fig1/fig3/fig4/fig5`, a seeded Cauchy design, a stable
-strength and a stable uniform sweep from the `src/` tree next to this script,
-each in its own process, into a temporary directory.  For each output file it
+Runs `reproduce fig1/fig3/fig4/fig5`, a seeded Cauchy design, two stable
+strengths (alpha 1.35 and 0.3) and a stable uniform sweep from the `src/`
+tree next to this script, each in its own process, into a temporary
+directory.  For each output file it
 prints one `sha256  file` line.  The '#' comment lines are left out of the
 digest because they echo the output path, which differs per run.
 
@@ -31,6 +32,8 @@ COMMANDS = (
      ["design", "--source", "cauchy", "--gamma", "1", "--M", "4", "--seed", "7"]),
     ("strength_stable_a1.35_g2.csv",
      ["strength", "--source", "stable", "--alpha", "1.35", "--gamma", "2"]),
+    ("strength_stable_a0.3_g1.csv",
+     ["strength", "--source", "stable", "--alpha", "0.3", "--gamma", "1"]),
     ("uniform_sweep_stable_a0.7_g1.3.csv",
      ["uniform-sweep", "--source", "stable", "--alpha", "0.7", "--gamma", "1.3",
       "--deltas", "0.5,0.1,0.01"]),

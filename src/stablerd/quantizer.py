@@ -33,6 +33,8 @@ from .strength import (
     SourceSpec,
     StrengthSolution,
     SymmetricStableSource,
+    _g_of_partition,
+    _outer_region_integral,
     _solve_monotone,
     reference_neg_log_density,
     solve_strength,
@@ -176,135 +178,6 @@ def _quantize_vec(q: Quantizer, x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # error strength of a quantizer
-
-
-_LADDER = (-60.0, -25.0, -10.0, -4.0, -1.5, -0.5, 0.0, 0.5, 1.5, 4.0, 10.0, 25.0, 60.0)
-_PEAK = (-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0)
-
-
-def _region_edges(a: float, b: float, rep: float, s_scale: float, source) -> np.ndarray:
-    """Panel edges inside [a, b] refined around the representation point,
-    around the source peak, and at density breakpoints.
-
-    Plain floats: at a few dozen edges NumPy's per-call overhead costs more
-    than the arithmetic.  Each capped gap is filled with the points of
-    np.linspace(prev, e, n + 2)[1:-1], computed as k * step + prev.
-    """
-    a, b, rep, s_scale = float(a), float(b), float(rep), float(s_scale)
-    edges = {a, b}
-    for c in _LADDER:
-        x = rep + s_scale * c
-        if a < x < b:
-            edges.add(x)
-    if a < 0.0 < b:
-        g = source.scale
-        for c in _PEAK:
-            x = g * c
-            if a < x < b:
-                edges.add(x)
-    for brk in source.breakpoints:
-        if a < brk < b:
-            edges.add(float(brk))
-    edges = sorted(edges)
-    # cap the widest panels
-    prev = edges[0]
-    out = [prev]
-    cap = max((b - a) / 8.0, 4.0 * s_scale)
-    for e in edges[1:]:
-        n_extra = int((e - prev) / cap)  # at most 8: cap >= (b - a) / 8
-        if n_extra >= 1:
-            step = (e - prev) / (n_extra + 1)
-            out.extend([k * step + prev for k in range(1, n_extra + 1)])
-        out.append(e)
-        prev = e
-    return np.array(out)
-
-
-def _outer_region_integral(source, psi, rep: float, r0: float, s: float):
-    """Integral of f(x) psi((x - rep)/s) over (r0, infinity): panels up to C,
-    at most the support end, and the source's own tail integral beyond.  A
-    stacked psi gives the stacked integrals."""
-    s_scale = s * 3.0
-    C = max(r0 + 80.0 * s_scale, 2.0 * abs(r0) + 4.0 * source.scale, source.core_extent)
-    C = min(C, source.support[1])
-    if C <= r0:
-        return 0.0
-
-    def fn(x):
-        return source.pdf_vec(x) * psi((x - rep) / s)
-
-    edges = _region_edges(r0, C, min(max(rep, r0), C), s_scale, source)
-    val = stable_core._panel_integral(fn, edges)
-    return val + source.tail_integral(lambda x: psi((x - rep) / s), C)
-
-
-def _g_of_partition(points, boundaries, source, psi):
-    """Return G(s) = sum_j int_{R_j} f(x) psi((x - x_j)/s) dx as a callable.
-
-    With the stacked psi of `reference_neg_log_density(alpha, slope=True)`,
-    G(s) is the pair (G, dG/d ln s) from the same nodes.
-    """
-    points = np.asarray(points, dtype=float)
-    boundaries = np.asarray(boundaries, dtype=float)
-
-    if isinstance(source, EmpiricalSource):
-        vals = source.sorted_values
-        idx = np.searchsorted(boundaries, vals, side="left")
-        offs = vals - points[idx]
-
-        def G(s):
-            return np.mean(psi(offs / s), axis=-1)
-
-        return G
-
-    # The left outer region, (-inf, r], is the right outer region (-r, inf) of
-    # the reflected source, with the point negated (psi is even).  A single
-    # region covering the line is split at its point.
-    if points.size > 1:
-        right, left = (points[-1], boundaries[-1]), (-points[0], -boundaries[0])
-    else:
-        right, left = (points[0], points[0]), (-points[0], -points[0])
-    reflected = source.reflected
-    # Both outer regions of a mirrored partition (every design candidate) of a
-    # source that is its own reflection are the same integral: the right one
-    # is added twice.  Two additions, not 2 * right, round as the explicit sum
-    # does.
-    mirrored = reflected is source and right == left
-
-    def G(s):
-        s_scale = 3.0 * s
-        total = 0.0
-        # interior regions, all nodes in one vectorized evaluation
-        if points.size > 1:
-            all_nodes = []
-            all_weights = []
-            all_reps = []
-            xg, wg = stable_core._gauss_legendre(14)
-            for j in range(1, points.size - 1):
-                a, b = boundaries[j - 1], boundaries[j]
-                edges = _region_edges(a, b, points[j], s_scale, source)
-                mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-                half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-                nodes = mid + half * xg[None, :]
-                all_nodes.append(nodes.ravel())
-                all_weights.append((half * wg[None, :]).ravel())
-                all_reps.append(np.full(nodes.size, points[j]))
-            if all_nodes:
-                nodes = np.concatenate(all_nodes)
-                weights = np.concatenate(all_weights)
-                reps = np.concatenate(all_reps)
-                total += np.sum(
-                    weights * source.pdf_vec(nodes) * psi((nodes - reps) / s), axis=-1
-                )
-        right_val = _outer_region_integral(source, psi, *right, s)
-        total += right_val
-        if mirrored:
-            total += right_val
-        else:
-            total += _outer_region_integral(reflected, psi, *left, s)
-        return total
-
-    return G
 
 
 def _error_strength_raw(

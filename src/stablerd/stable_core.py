@@ -664,13 +664,13 @@ def _gauss_legendre(n: int = 16):
     return xg, wg
 
 
-def _panel_integral(fn, edges: np.ndarray, n: int = 16):
-    """Sum of Gauss-Legendre panel integrals of a vectorized fn over edges.
+def _panel_integral(fn, edges: np.ndarray):
+    """Sum of 16-node Gauss-Legendre panel integrals of a vectorized fn over edges.
 
     fn maps the nodes, shape (N,), to values of shape (N,) or to a stack of
     shape (k, N); the integral is a float, or an array of shape (k,).
     """
-    xg, wg = _gauss_legendre(n)
+    xg, wg = _gauss_legendre(16)
     a = edges[:-1]
     b = edges[1:]
     mid = 0.5 * (a + b)[:, None]

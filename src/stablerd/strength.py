@@ -56,16 +56,15 @@ class _Source:
     """The protocol every source kind implements, with the shared defaults.
 
     Every kind has `dim`, `is_zero`, `scale` (for panel placement), `start_scale`
-    (where strength root solves start), `tail_k`, `expect(phi)` and
-    `abs_quantile(p)`.  Density-backed kinds also have `support`,
-    `core_extent` (beyond it a kind's own tail handling takes over),
-    `breakpoints`, `pdf_vec(x)`, `mass(a, b)`, `tail_mass(x)`,
-    `tail_integral(phi, x0)` (the whole integral of f phi over (x0, infinity)
-    for x0 >= core_extent and a phi of log growth, remainder included; a
-    stable kind's tail mass and expectation take their tails from it) and
-    `reflected` (the source of -X; a symmetric kind returns itself).  A new
-    kind implements these on its own class; the strength and quantizer code
-    calls only them.
+    (where strength root solves start), `tail_k` and `abs_quantile(p)`.
+    Density-backed kinds also have `support`, `core_extent` (beyond it a
+    kind's own tail handling takes over), `breakpoints`, `pdf_vec(x)`,
+    `mass(a, b)`, `tail_mass(x)`, `tail_integral(phi, x0)` (the whole
+    integral of f phi over (x0, infinity) for x0 >= core_extent and a phi of
+    log growth, remainder included; a stable kind's tail mass and every
+    G take their tails from it) and `reflected` (the source of -X; a
+    symmetric kind returns itself).  A new kind implements these on its own
+    class; the strength and quantizer code calls only them.
     """
 
     dim = 1
@@ -182,18 +181,6 @@ class SymmetricStableSource(_Source):
         g = self.params.gamma
         return stable_core._tail_integral(self.params.alpha, lambda u: phi_vec(g * u), x0 / g)
 
-    def expect(self, phi_vec) -> float:
-        """E[phi(X)] for an even, log-growth phi."""
-        g_s = self.params.gamma
-        eng = standard_density(self.params.alpha)
-
-        def core_fn(t):
-            return eng.pdf_vec(t) * phi_vec(g_s * t)
-
-        edges = np.concatenate([[0.0], np.geomspace(1e-13, stable_core.TAIL_CUTOFF, 90)])
-        core = stable_core._panel_integral(core_fn, edges)
-        return 2.0 * (core + self.tail_integral(phi_vec, self.core_extent))
-
 
 @dataclass(frozen=True)
 class EmpiricalSource(_Source):
@@ -237,9 +224,6 @@ class EmpiricalSource(_Source):
         out = np.sort(vals)
         out.flags.writeable = False
         return out
-
-    def expect(self, phi_vec):
-        return stable_core._reduced(np.mean(phi_vec(self.sorted_values), axis=-1))
 
     def abs_quantile(self, p: float) -> float:
         return float(np.quantile(np.abs(self.batch.values), p))
@@ -359,42 +343,6 @@ class TabulatedSource(_Source):
             a = b
         raise NonFiniteLogMoment("tail integral did not converge within the doubling budget")
 
-    def expect(self, phi_vec) -> float:
-        """E[phi(X)] with divergence detection.
-
-        Adaptive quadrature covers the support within |x| <= 64; infinite ends
-        beyond go through `tail_integral`, the lower one on the reflection.
-        """
-        from scipy import integrate
-
-        lo, hi = self.support
-        f = self.density
-        c = 64.0
-        a = lo if math.isfinite(lo) else -c
-        b = hi if math.isfinite(hi) else c
-        rows = np.shape(phi_vec(np.array([a])))[:-1]
-        if rows:
-            # A stacked phi, (value, slope) in a strength solve: one adaptive
-            # quadrature per row.  A slope from the density table carries the
-            # wiggle of the spline's derivative, about 1e-8 relative, and
-            # quad warns that it cannot reach 1e-10 there; the slope only
-            # steers the Newton steps, so its warnings are muted.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                slopes = [self.expect(lambda x, k=k: phi_vec(x)[k]) for k in range(1, rows[0])]
-            return np.array([self.expect(lambda x: phi_vec(x)[0]), *slopes])
-        total, _ = integrate.quad(
-            lambda x: f(x) * float(phi_vec(np.asarray([x], dtype=float))[0]), a, b,
-            limit=300, epsabs=1e-12, epsrel=1e-10,
-        )
-        if b < hi:
-            total += self.tail_integral(phi_vec, b)
-        if a > lo:
-            total += self.reflected.tail_integral(lambda x: phi_vec(-x), -a)
-        if not math.isfinite(total):
-            raise NonFiniteLogMoment("expectation evaluated to a non-finite value")
-        return total
-
 
 @dataclass(frozen=True)
 class UniformSource(_Source):
@@ -436,11 +384,6 @@ class UniformSource(_Source):
         w = self.half_width
         return max(0.0, (min(b, w) - max(a, -w))) / (2.0 * w)
 
-    def expect(self, phi_vec) -> float:
-        w = self.half_width
-        edges = np.concatenate([[0.0], np.geomspace(w * 1e-13, w, 60)])
-        return stable_core._panel_integral(phi_vec, edges) / w
-
     def abs_quantile(self, p: float) -> float:
         return p * self.half_width
 
@@ -468,7 +411,7 @@ class StrengthSolution:
 
 
 # ---------------------------------------------------------------------------
-# the negative reference log-density and expectation machinery
+# the negative reference log-density
 
 
 def reference_neg_log_density(alpha: float, slope: bool = False):
@@ -495,15 +438,158 @@ def reference_neg_log_density(alpha: float, slope: bool = False):
 
 
 # ---------------------------------------------------------------------------
+# G(s) of a partition: the integral behind every scalar strength
+
+
+_LADDER = (-60.0, -25.0, -10.0, -4.0, -1.5, -0.5, 0.0, 0.5, 1.5, 4.0, 10.0, 25.0, 60.0)
+_PEAK = (-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0)
+# An outer region that starts at its own point, which only a one-point
+# quantizer has, also gets the edges r0 + _GRADE_START scale _GRADE^k up to
+# its end: they resolve the density's peak and psi's core at any s.
+_GRADE_START = 1e-13
+_GRADE = 1.1
+
+
+def _region_edges(a: float, b: float, rep: float, s_scale: float, source) -> np.ndarray:
+    """Panel edges inside [a, b] refined around the representation point,
+    around the source peak, and at density breakpoints.
+
+    Plain floats: at a few dozen edges NumPy's per-call overhead costs more
+    than the arithmetic.  Each capped gap is filled with the points of
+    np.linspace(prev, e, n + 2)[1:-1], computed as k * step + prev.
+    """
+    a, b, rep, s_scale = float(a), float(b), float(rep), float(s_scale)
+    edges = {a, b}
+    for c in _LADDER:
+        x = rep + s_scale * c
+        if a < x < b:
+            edges.add(x)
+    if a < 0.0 < b:
+        g = source.scale
+        for c in _PEAK:
+            x = g * c
+            if a < x < b:
+                edges.add(x)
+    for brk in source.breakpoints:
+        if a < brk < b:
+            edges.add(float(brk))
+    edges = sorted(edges)
+    # cap the widest panels
+    prev = edges[0]
+    out = [prev]
+    cap = max((b - a) / 8.0, 4.0 * s_scale)
+    for e in edges[1:]:
+        n_extra = int((e - prev) / cap)  # at most 8: cap >= (b - a) / 8
+        if n_extra >= 1:
+            step = (e - prev) / (n_extra + 1)
+            out.extend([k * step + prev for k in range(1, n_extra + 1)])
+        out.append(e)
+        prev = e
+    return np.array(out)
+
+
+def _outer_region_integral(source, psi, rep: float, r0: float, s: float):
+    """Integral of f(x) psi((x - rep)/s) over (r0, infinity): panels up to C,
+    at most the support end, and the source's own tail integral beyond.  A
+    stacked psi gives the stacked integrals."""
+    s_scale = s * 3.0
+    C = max(r0 + 80.0 * s_scale, 2.0 * abs(r0) + 4.0 * source.scale, source.core_extent)
+    C = min(C, source.support[1])
+    if C <= r0:
+        return 0.0
+
+    def fn(x):
+        return source.pdf_vec(x) * psi((x - rep) / s)
+
+    edges = _region_edges(r0, C, min(max(rep, r0), C), s_scale, source)
+    if rep == r0:
+        step = _GRADE_START * source.scale
+        graded = r0 + step * _GRADE ** np.arange(math.log((C - r0) / step) / math.log(_GRADE))
+        edges = np.union1d(edges, graded[graded < C])
+    val = stable_core._panel_integral(fn, edges)
+    return val + source.tail_integral(lambda x: psi((x - rep) / s), C)
+
+
+def _g_of_partition(points, boundaries, source, psi):
+    """Return G(s) = sum_j int_{R_j} f(x) psi((x - x_j)/s) dx as a callable.
+
+    With the stacked psi of `reference_neg_log_density(alpha, slope=True)`,
+    G(s) is the pair (G, dG/d ln s) from the same nodes.
+    """
+    points = np.asarray(points, dtype=float)
+    boundaries = np.asarray(boundaries, dtype=float)
+
+    if isinstance(source, EmpiricalSource):
+        vals = source.sorted_values
+        # the one point at 0 of a strength needs no offset copy of the samples
+        offs = vals - points[np.searchsorted(boundaries, vals, side="left")] if points.any() else vals
+
+        def G(s):
+            return np.mean(psi(offs / s), axis=-1)
+
+        return G
+
+    # The left outer region, (-inf, r], is the right outer region (-r, inf) of
+    # the reflected source, with the point negated (psi is even).  A single
+    # region covering the line is split at its point.
+    if points.size > 1:
+        right, left = (points[-1], boundaries[-1]), (-points[0], -boundaries[0])
+    else:
+        right, left = (points[0], points[0]), (-points[0], -points[0])
+    reflected = source.reflected
+    # Both outer regions of a mirrored partition (every design candidate) of a
+    # source that is its own reflection are the same integral: the right one
+    # is added twice.  Two additions, not 2 * right, round as the explicit sum
+    # does.
+    mirrored = reflected is source and right == left
+
+    def G(s):
+        s_scale = 3.0 * s
+        total = 0.0
+        # interior regions, all nodes in one vectorized evaluation
+        if points.size > 1:
+            all_nodes = []
+            all_weights = []
+            all_reps = []
+            xg, wg = stable_core._gauss_legendre(14)
+            for j in range(1, points.size - 1):
+                a, b = boundaries[j - 1], boundaries[j]
+                edges = _region_edges(a, b, points[j], s_scale, source)
+                mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+                half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+                nodes = mid + half * xg[None, :]
+                all_nodes.append(nodes.ravel())
+                all_weights.append((half * wg[None, :]).ravel())
+                all_reps.append(np.full(nodes.size, points[j]))
+            if all_nodes:
+                nodes = np.concatenate(all_nodes)
+                weights = np.concatenate(all_weights)
+                reps = np.concatenate(all_reps)
+                total += np.sum(
+                    weights * source.pdf_vec(nodes) * psi((nodes - reps) / s), axis=-1
+                )
+        right_val = _outer_region_integral(source, psi, *right, s)
+        total += right_val
+        if mirrored:
+            total += right_val
+        else:
+            total += _outer_region_integral(reflected, psi, *left, s)
+        return total
+
+    return G
+
+
+# ---------------------------------------------------------------------------
 # g and the strength solver
 
 
 def g_value(source: SourceSpec, alpha: float, s: float, slope: bool = False):
     """g(s) = -E[log f_ref(X / s)] in nats.
 
-    With slope, the pair (g(s), dg/d ln s), both from the same evaluation.
-    The slope is None on the d >= 2 path at alpha not in {1, 2}, which
-    inverts the reference density sample by sample.
+    At d = 1 this is G(s) of the one-point quantizer at 0.  With slope, the
+    pair (g(s), dg/d ln s), both from the same evaluation.  The slope is None
+    on the d >= 2 path at alpha not in {1, 2}, which inverts the reference
+    density sample by sample.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")
@@ -515,7 +601,7 @@ def g_value(source: SourceSpec, alpha: float, s: float, slope: bool = False):
                 "diverges at alpha = 2"
             )
         psi = reference_neg_log_density(alpha, slope)
-        g = source.expect(lambda x: psi(np.asarray(x) / s))
+        g = _g_of_partition(np.zeros(1), np.empty(0), source, psi)(s)
         return (float(g[0]), float(g[1])) if slope else float(g)
     # d-dimensional empirical path
     ref = ReferenceLaw(alpha, d)
@@ -689,13 +775,14 @@ def cb_strength(source: SourceSpec, d: int = 1, tol: float = DEFAULT_TOL) -> flo
         if d != 1:
             raise ValueError("d >= 2 requires d-dimensional samples")
 
-        def phi(x, s):
-            q = (np.asarray(x) / s) ** 2
+        def psi(z):
+            q = z ** 2
             return np.stack([np.log1p(q), -2.0 * q / (1.0 + q)])
 
+        G = _g_of_partition(np.zeros(1), np.empty(0), source, psi)
+
         def fn(s):
-            g = source.expect(lambda x: phi(x, s))
-            return g[0] - rhs, g[1]
+            return G(s) - (rhs, 0.0)
 
     s0 = source.start_scale
     if not s0 > 0.0:

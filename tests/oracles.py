@@ -17,8 +17,9 @@ series gets there within _TERM_BUDGET terms, a 30-digit `mpmath.quad` of
 Zolotarev's integral, split at its peak, gives the value.
 
 Also here: QUADPACK's Fourier-weight rule (QAWF), adaptive QUADPACK split at
-the zeros of cos(t u), and the library's inversion forced where closed forms
-exist.
+the zeros of cos(t u), the library's inversion forced where closed forms
+exist, an adaptive-quadrature G(s) of any partition and source, and the root
+oracle that every strength is checked against.
 """
 
 import math
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import gammaln
 
 from stablerd import stable_core
@@ -190,3 +191,41 @@ def pdf_by_inversion(params, x):
     if abs(u) >= stable_core.TAIL_CUTOFF:
         return float(np.exp(stable_core._log_pdf0_tail(params.alpha, u))) / params.gamma
     return stable_core._pdf0_quadrature(params.alpha, u) / params.gamma
+
+
+_G_REACH = 1e6  # |x| beyond which quad_g takes the source's own tail integral
+_DECADES = tuple(sign * 10.0 ** k for k in range(-1, 6) for sign in (-1.0, 1.0))
+
+
+def quad_g(points, boundaries, source, psi, s):
+    """G(s) = sum_j int_{R_j} f(x) psi((x - x_j)/s) dx by adaptive quadrature.
+
+    Each region is integrated by `quad` at epsrel 1e-13, split at 0, at its
+    point, at the source's breakpoints and at decades out to |x| = 1e6; the
+    source's own `tail_integral` gives the rest, the lower one on the
+    reflection.  psi maps an array to an array of the same shape.
+    """
+    cuts = [-math.inf, *boundaries, math.inf]
+    splits = (0.0, *source.breakpoints, *_DECADES)
+    total = 0.0
+    for j, rep in enumerate(points):
+        def phi(x, rep=rep):
+            return psi((np.asarray(x) - rep) / s)
+
+        def fn(x, phi=phi):
+            return float(source.pdf_vec(np.array([x]))[0] * phi(np.array([x]))[0])
+
+        a, b = max(cuts[j], -_G_REACH), min(cuts[j + 1], _G_REACH)
+        edges = sorted({a, b} | {c for c in (rep, *splits) if a < c < b})
+        for e0, e1 in zip(edges, edges[1:]):
+            total += integrate.quad(fn, e0, e1, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        if cuts[j + 1] == math.inf:
+            total += source.tail_integral(phi, _G_REACH)
+        if cuts[j] == -math.inf:
+            total += source.reflected.tail_integral(lambda x, phi=phi: phi(-np.asarray(x)), _G_REACH)
+    return total
+
+
+def root(fn, lo, hi):
+    """The root of fn in [lo, hi] by `brentq` at rtol 4 eps."""
+    return optimize.brentq(fn, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)

@@ -35,22 +35,22 @@ from stablerd import (
     strength_of_uniform,
     uniform_error_strength,
 )
-from stablerd import quantizer
+from stablerd import quantizer, strength
 from stablerd.quantizer import (
     _aliasing_terms,
     _aliasing_weights,
     _direct_radius,
     _direct_weights,
     _error_strength_raw,
-    _g_of_partition,
     _mirror,
-    _region_edges,
     _uniform_weights,
     truncated_uniform,
     uniform_levels_strength,
 )
 from stablerd.stable_core import _gauss_legendre
-from stablerd.strength import reference_neg_log_density
+from stablerd.strength import _g_of_partition, _region_edges, reference_neg_log_density
+
+import oracles
 
 
 def cauchy_psi(z):
@@ -503,7 +503,7 @@ class TestStableTailMass:
 
 
 def _region_edges_reference(a, b, rep, s_scale, source):
-    """The NumPy version of quantizer._region_edges, kept as its bitwise reference."""
+    """The NumPy version of strength._region_edges, kept as its bitwise reference."""
     ladder = rep + s_scale * np.array(
         [-60.0, -25.0, -10.0, -4.0, -1.5, -0.5, 0.0, 0.5, 1.5, 4.0, 10.0, 25.0, 60.0]
     )
@@ -587,7 +587,7 @@ class TestRegionEdges:
 def _g_against_explicit_sum(points, boundaries, source, alpha, s, monkeypatch):
     """(G(s), interior + right + left summed as G sums them, outer-region calls)."""
     psi = reference_neg_log_density(alpha)
-    outer = quantizer._outer_region_integral
+    outer = strength._outer_region_integral
     calls = []
 
     def counted(*args):
@@ -595,9 +595,9 @@ def _g_against_explicit_sum(points, boundaries, source, alpha, s, monkeypatch):
         return outer(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(quantizer, "_outer_region_integral", lambda *args: 0.0)
+        m.setattr(strength, "_outer_region_integral", lambda *args: 0.0)
         interior = _g_of_partition(points, boundaries, source, psi)(s)
-        m.setattr(quantizer, "_outer_region_integral", counted)
+        m.setattr(strength, "_outer_region_integral", counted)
         g = _g_of_partition(points, boundaries, source, psi)(s)
     total = 0.0
     total += interior
@@ -642,14 +642,14 @@ class TestMirroredOuterRegions:
     ], ids=["cauchy", "stable0.7", "uniform"])
     def test_single_point_at_zero_integrates_once(self, source, monkeypatch):
         psi = reference_neg_log_density(1.5)
-        outer = quantizer._outer_region_integral
+        outer = strength._outer_region_integral
         calls = []
 
         def counted(*args):
             calls.append(args)
             return outer(*args)
 
-        monkeypatch.setattr(quantizer, "_outer_region_integral", counted)
+        monkeypatch.setattr(strength, "_outer_region_integral", counted)
         G = _g_of_partition(np.array([0.0]), np.empty(0), source, psi)
         for s in (0.05, 0.7, 3.0):
             calls.clear()
@@ -691,28 +691,6 @@ _TABULATED_QUANTIZERS = {
 }
 
 
-def _g_quad_oracle(points, boundaries, density, support, psi, s):
-    """G(s) by adaptive quadrature (epsrel 1e-13) over each region, split at
-    0, at the region's point and at the support ends."""
-    from scipy.integrate import quad
-
-    lo, hi = support
-    cuts = [-np.inf, *boundaries, np.inf]
-    total = 0.0
-    for j, rep in enumerate(points):
-        a, b = max(cuts[j], lo), min(cuts[j + 1], hi)
-        if b <= a:
-            continue
-        edges = sorted({a, b} | {c for c in (0.0, rep, lo, hi) if a < c < b})
-
-        def fn(x, rep=rep):
-            return density(x) * float(psi(np.array([(x - rep) / s]))[0])
-
-        for e0, e1 in zip(edges, edges[1:]):
-            total += quad(fn, e0, e1, epsabs=0.0, epsrel=1e-13, limit=1000)[0]
-    return total
-
-
 class TestTabulatedG:
     """Tabulated sources on the shared panel path.
 
@@ -736,7 +714,7 @@ class TestTabulatedG:
         root = _error_strength_raw(points, boundaries, source, 1.5).value
         G = _g_of_partition(points, boundaries, source, psi)
         for s in (0.5 * root, root, 1.25 * root):
-            want = _g_quad_oracle(points, boundaries, density, support, psi, s)
+            want = oracles.quad_g(points, boundaries, source, psi, s)
             assert G(s) == pytest.approx(want, rel=1e-9, abs=0.0), s
 
     def test_cauchy_callback_matches_stable_route(self):
@@ -744,6 +722,27 @@ class TestTabulatedG:
         got = error_strength(q, TabulatedSource(_cauchy_pdf), 1.5).value
         want = error_strength(q, cauchy_source(1.0), 1.5).value
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+class TestOnePointG:
+    """The one-point quantizer's G, which every scalar strength solves, where s
+    is several times the density's width (these panels once missed the peak)."""
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("source, s", [
+        (cauchy_source(1.0), 4.76),
+        (cauchy_source(1.0), 9.52),
+        (TabulatedSource(_cauchy_pdf), 4.76),
+        (TabulatedSource(_cauchy_pdf), 9.52),
+        (TabulatedSource(lambda x: 10.0 * math.exp(-20.0 * abs(x))), 3.0),
+        (gaussian_source(0.05), 3.0),
+    ], ids=["cauchy-4.76", "cauchy-9.52", "cauchy-callback-4.76", "cauchy-callback-9.52",
+            "laplace0.05-3", "gaussian0.05-3"])
+    def test_against_quad_oracle(self, source, s):
+        psi = reference_neg_log_density(1.5)
+        got = _g_of_partition(np.zeros(1), np.empty(0), source, psi)(s)
+        want = oracles.quad_g([0.0], [], source, psi, s)
+        assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 def _flat_asymmetric(x):
@@ -768,8 +767,6 @@ class TestAsymmetricTabulated:
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_uniform_levels_against_quad_oracle(self):
-        from scipy.optimize import brentq
-
         from stablerd import ReferenceLaw, reference_entropy
 
         source = TabulatedSource(self.density, self.support)
@@ -782,9 +779,9 @@ class TestAsymmetricTabulated:
         h = reference_entropy(ReferenceLaw(1.5, 1))
 
         def residual(s):
-            return _g_quad_oracle(q.points, q.boundaries, self.density, self.support, psi, s) - h
+            return oracles.quad_g(q.points, q.boundaries, source, psi, s) - h
 
-        want = brentq(residual, 0.5 * sol.value, 2.0 * sol.value, xtol=1e-15, rtol=1e-14)
+        want = oracles.root(residual, 0.5 * sol.value, 2.0 * sol.value)
         assert sol.value == pytest.approx(want, rel=1e-9, abs=0.0)
 
 

@@ -9,9 +9,9 @@ point itself, it is checked against independent routes:
   rule's own error in G moves with s by more than that (a stable source of
   scale 1.3 under regions of width 0.6 at a root of 7.6; the regions'
   panel edges are spaced by s and miss the density's peak), the central
-  difference is taken of an adaptive-quadrature G of the same regions;
-* the solved root against `brentq` at rtol 4 eps on the same value, to
-  1e-14 relative;
+  difference is taken of `oracles.quad_g` over the same regions;
+* the solved root against `oracles.root` (`brentq` at rtol 4 eps) on the
+  same value, to 1e-14 relative;
 * the solution's `evaluations` against the number of calls of fn.
 """
 
@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
 
 from stablerd import (
     EmpiricalSource,
@@ -50,6 +49,8 @@ from stablerd.quantizer import (
     uniform_levels_strength,
 )
 from stablerd.strength import reference_neg_log_density
+
+import oracles
 
 STABLE = SymmetricStableSource(StableParams(0.7, 0.0, 1.3, 0.0))
 UNIFORM = UniformSource(1.0)
@@ -99,35 +100,10 @@ CASES = {
 
 
 def _quad_g(points, boundaries, source, alpha):
-    """G(s) - h by adaptive quadrature (epsrel 1e-13) over each region, split
-    at 0, at the region's point and at decades out to |x| = 1e6; beyond that
-    the source's own tail integral."""
+    """G(s) - h of `oracles.quad_g` at index alpha."""
     psi = reference_neg_log_density(alpha)
     h = reference_entropy(ReferenceLaw(alpha, 1))
-    X = 1e6
-    decades = [sign * 10.0 ** k for k in range(-1, 6) for sign in (-1.0, 1.0)]
-    cuts = [-math.inf, *boundaries, math.inf]
-
-    def G(s):
-        total = 0.0
-        for j, rep in enumerate(points):
-            def phi(x, rep=rep):
-                return psi((np.asarray(x) - rep) / s)
-
-            def fn(x, rep=rep):
-                return float(source.pdf_vec(np.array([x]))[0] * phi(np.array([x]))[0])
-
-            a, b = max(cuts[j], -X), min(cuts[j + 1], X)
-            edges = sorted({a, b} | {c for c in (0.0, rep, *decades) if a < c < b})
-            for e0, e1 in zip(edges, edges[1:]):
-                total += integrate.quad(fn, e0, e1, epsabs=0.0, epsrel=1e-13, limit=500)[0]
-            if cuts[j + 1] == math.inf:
-                total += source.tail_integral(phi, X)
-            if cuts[j] == -math.inf:
-                total += source.reflected.tail_integral(lambda x, phi=phi: phi(-np.asarray(x)), X)
-        return total - h
-
-    return G
+    return lambda s: oracles.quad_g(points, boundaries, source, psi, s) - h
 
 
 LEVELS = truncated_uniform(0.3, 5)
@@ -184,6 +160,5 @@ def test_slope_root_and_evaluations(case, monkeypatch):
         want = (8.0 * (at[2] - at[1]) - (at[3] - at[0])) / (12.0 * h)
         assert float(v) == value(s)
         assert slope == pytest.approx(want, rel=1e-7, abs=0.0), s
-    oracle = optimize.brentq(value, 0.9 * root, 1.1 * root, xtol=1e-300,
-                             rtol=4.0 * np.finfo(float).eps)
+    oracle = oracles.root(value, 0.9 * root, 1.1 * root)
     assert root == pytest.approx(oracle, rel=1e-14, abs=0.0)

@@ -3,14 +3,15 @@ strength entry points.
 
 The values were recorded from the implementation and are compared with
 `==`: a change to how a source kind evaluates its density, masses, tails or
-expectations must leave every figure here bit-identical.  Every strength is
+G must leave every figure here bit-identical.  Every strength is
 solved by safeguarded Newton in ln s to machine precision: each pinned root
 lies within 3.6e-15 relative of the brentq root (rtol 4 eps) of the same G's
 value, and each two-point design strength within 9e-16 of that root at its
-pinned points.  The stable `solve_strength` and `cb_strength` pins come from
-the one power-tail rule of `stable_core._tail_integral`; they lie within
-1.35e-12 and 8e-16 (absolute) of the roots of a dense oracle (3000 tail
-panels over a span 40/alpha longer).  The tabulated `error_strength` and
+pinned points.  The `solve_strength` and `cb_strength` pins are roots of G
+of the one-point quantizer at 0, on the shared panels with their geometric
+grading from the point; under a sum of 16-node panels graded at ratio
+1.0005 from 1e-14 (at most one spline knot each), every residual is below
+1.4e-12 nats.  The tabulated `error_strength` and
 `levels_strength` pins come from the shared panel path for G; each lies
 within 4e-11 relative of an adaptive-quadrature oracle (epsrel 1e-13) that
 integrates the same regions, apart from the lattice rule across the kink at
@@ -62,8 +63,8 @@ PINNED = {
         "uniform_error_strength": 0.056509780482134495,
         "levels_strength": 0.11454432828180594,
         "levels_entropy": 1.5637452929222075,
-        "solve_strength": 0.45207824386564815,
-        "cb_strength": 0.27179506427614497,
+        "solve_strength": 0.45207824386469403,
+        "cb_strength": 0.271795064276145,
     },
     "triangle": {
         "error_strength": 0.13368817714106418,
@@ -71,8 +72,8 @@ PINNED = {
         "uniform_error_strength": 0.056509780482134495,
         "levels_strength": 0.07587553174804748,
         "levels_entropy": 1.5825825142645626,
-        "solve_strength": 0.30700782345689714,
-        "cb_strength": 0.17505864191339143,
+        "solve_strength": 0.30700782344853217,
+        "cb_strength": 0.17505864191390685,
     },
     "laplace": {
         "error_strength": 0.5656550605640238,
@@ -80,8 +81,8 @@ PINNED = {
         "uniform_error_strength": 0.056447749700113244,
         "levels_strength": 0.552747328118473,
         "levels_entropy": 1.4927658691523313,
-        "solve_strength": 0.9222822853876926,
-        "cb_strength": 0.4825071118725661,
+        "solve_strength": 0.9222822854090111,
+        "cb_strength": 0.48250711187256595,
     },
     "stable": {
         "error_strength": 7.615950155850765,
@@ -89,8 +90,8 @@ PINNED = {
         "uniform_error_strength": 0.056509361775282,
         "levels_strength": 7.6148491883765645,
         "levels_entropy": 1.345135938730626,
-        "solve_strength": 7.987558824691307,
-        "cb_strength": 2.4123898191111715,
+        "solve_strength": 7.987558824791285,
+        "cb_strength": 2.4123898191111097,
     },
 }
 
