@@ -648,25 +648,17 @@ def best_uniform_design(source: SourceSpec, alpha: float, M: int, tol: float = 1
 
 def kkt_width_solution(ratio: float) -> float:
     """Unique u = delta/(2s) > 0 with arctan(u)/u = 1 - ratio/2, 0 < ratio < 2."""
-    from scipy import optimize
-
     if not 0.0 < ratio < 2.0:
         raise OutOfRange("ratio must lie in (0, 2)")
     target = 1.0 - ratio / 2.0
 
     def fn(u):
-        return math.atan(u) / u - target
+        # arctan(u)/u falls in u, with slope 1/(1 + u^2) - arctan(u)/u in ln u
+        q = math.atan(u) / u
+        return q - target, 1.0 / (1.0 + u * u) - q
 
-    lo, hi = 1e-9, 1.0
-    while fn(hi) > 0.0:
-        hi *= 4.0
-        if hi > 1e18:
-            raise OutOfRange("no finite solution found")
-    while fn(lo) < 0.0:
-        lo /= 4.0
-        if lo < 1e-300:
-            raise OutOfRange("no positive solution found")
-    return float(optimize.brentq(fn, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    # a residual of 4 eps: the rounding of arctan(u)/u, which is below 1
+    return _solve_monotone(fn, 1.0, 8.9e-16).value
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ from typing import Callable, Union
 import numpy as np
 # scipy.integrate and scipy.optimize are imported by the functions that use
 # them, so `import stablerd` loads neither.
-from scipy.special import digamma, erfc, gammaln
+from scipy.special import erfc, gammaln
 
 from . import stable_core
-from .errors import BracketFailure, NonFiniteLogMoment
+from .errors import BracketFailure, NonFiniteLogMoment, QuadratureFailure
 from .stable_core import ReferenceLaw, SampleBatch, StableParams, standard_density
 
 __all__ = [
@@ -114,7 +114,7 @@ class SymmetricStableSource(_Source):
     support = (-math.inf, math.inf)
 
     def __post_init__(self):
-        if self.params.beta != 0.0 or self.params.delta != 0.0:
+        if not self.params.is_symmetric:
             raise ValueError("symmetric stable source requires beta = delta = 0")
 
     @property
@@ -206,22 +206,30 @@ class EmpiricalSource(_Source):
     def start_scale(self) -> float:
         """The median of |X| (vector norms for d >= 2), or its mean if that is 0."""
         vals = self.batch.values
-        r = np.sqrt(np.einsum("ij,ij->i", vals, vals)) if vals.ndim == 2 else np.abs(vals)
+        r = np.sqrt(self.squared_norms) if vals.ndim == 2 else np.abs(vals)
         med = float(np.median(r))
         return med if med > 0.0 else float(np.mean(r))
 
     @cached_property
+    def squared_norms(self) -> np.ndarray:
+        """||x_i||^2 of the d-vector samples: a read-only array, computed once."""
+        vals = self.batch.values
+        out = np.einsum("ij,ij->i", vals, vals)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def sorted_values(self) -> np.ndarray:
-        """The 1-d samples in ascending order: a read-only copy, sorted once.
+        """The 1-d samples (or one column of them) in ascending order: a
+        read-only copy, sorted once.
 
         The density table's spline finds its intervals fastest on ordered
         input, so every sample mean runs over this copy; a mean depends only
         on the multiset of samples, and `batch.values` keeps its order.
         """
-        vals = self.batch.values
-        if vals.ndim != 1:
+        if self.dim != 1:
             raise ValueError("scalar expectation requires 1-d samples")
-        out = np.sort(vals)
+        out = np.sort(self.batch.values.ravel())
         out.flags.writeable = False
         return out
 
@@ -587,9 +595,7 @@ def g_value(source: SourceSpec, alpha: float, s: float, slope: bool = False):
     """g(s) = -E[log f_ref(X / s)] in nats.
 
     At d = 1 this is G(s) of the one-point quantizer at 0.  With slope, the
-    pair (g(s), dg/d ln s), both from the same evaluation.  The slope is None
-    on the d >= 2 path at alpha not in {1, 2}, which inverts the reference
-    density sample by sample.
+    pair (g(s), dg/d ln s), both from the same evaluation.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")
@@ -604,39 +610,40 @@ def g_value(source: SourceSpec, alpha: float, s: float, slope: bool = False):
         g = _g_of_partition(np.zeros(1), np.empty(0), source, psi)(s)
         return (float(g[0]), float(g[1])) if slope else float(g)
     # d-dimensional empirical path
-    ref = ReferenceLaw(alpha, d)
-    vals = source.batch.values / s
-    r2 = np.einsum("ij,ij->i", vals, vals)
+    r2 = source.squared_norms / (s * s)
     if alpha == 2.0:
         g = float(np.mean(0.5 * r2 + (d / 2.0) * math.log(2.0 * math.pi)))
         dg = -float(np.mean(r2))
     elif alpha == 1.0:
         half = (d + 1.0) / 2.0
-        g = float(
-            np.mean(
-                half * math.log(math.pi)
-                - gammaln(half)
-                + half * np.log1p(r2)
-            )
-        )
+        g = half * math.log(math.pi) - gammaln(half) + half * float(np.mean(np.log1p(r2)))
         dg = -2.0 * half * float(np.mean(r2 / (1.0 + r2)))
     else:
-        # No closed form: per-sample radial inversion (slow; intended for small n).
-        g = float(
-            -np.mean(
-                [stable_core.log_pdf_reference(ref, v) for v in vals]
-            )
-        )
-        dg = None
+        # No closed form: radius by radius inversion (slow; for small n).  As
+        # f_{d+2}(r) = -f_d'(r) / (2 pi r), the slope r f_d'/f_d is
+        # -2 pi r^2 f_{d+2}/f_d; NaN where only the d + 2 inversion fails.
+        radii = np.sqrt(r2)
+        ref, up = ReferenceLaw(alpha, d), ReferenceLaw(alpha, d + 2)
+        logs = [stable_core._log_pdf_reference_multid(ref, r) for r in radii]
+        g = -float(np.mean(logs))
+        if not slope:
+            return g
+        kappa = []
+        for r, log_f in zip(radii, logs):
+            try:
+                log_up = stable_core._log_pdf_reference_multid(up, r)
+            except QuadratureFailure:
+                log_up = math.nan
+            kappa.append(-2.0 * math.pi * r * r * math.exp(log_up - log_f))
+        dg = float(np.mean(kappa))
     return (g, dg) if slope else g
 
 
 def _solve_monotone(fn, s0: float, tol: float) -> StrengthSolution:
     """Root of a non-increasing fn(s) by safeguarded Newton in t = ln s.
 
-    fn(s) returns (value, slope) with slope = d value / d ln s, or None for
-    the slope where none is at hand; the secant through the last two
-    iterates then stands in for it.  One call is one evaluation.
+    fn(s) returns (value, slope) with slope = d value / d ln s, a float that
+    may be NaN where none is at hand.  One call is one evaluation.
 
     With slopes at the last two iterates, the step is the root of the local
     quadratic whose curvature is their difference quotient: it has the sign
@@ -658,7 +665,7 @@ def _solve_monotone(fn, s0: float, tol: float) -> StrengthSolution:
     evals = 0
     t = math.log(s0)
     lo = hi = None  # ln s of the closest points with fn > 0 and fn < 0
-    prev = None  # (t, value, slope or None) of the previous iterate
+    prev = None  # (t, slope) of the previous iterate
     step = step_before = math.inf
     modelled = False  # whether the step to t came from a slope
     steps_unbracketed = 0
@@ -675,29 +682,18 @@ def _solve_monotone(fn, s0: float, tol: float) -> StrengthSolution:
             lo = t
         else:
             hi = t
-        known = None if slope is None else float(slope)
-        curvature = None
-        if known is None:
-            if prev is not None and t != prev[0]:
-                slope = (value - prev[1]) / (t - prev[0])
-            # the secant converges superlinearly, not quadratically: the
-            # step test takes the product of its last two steps
-            settled = abs(step) * abs(step_before)
-        else:
-            slope = known
-            if prev is not None and prev[2] is not None and t != prev[0]:
-                curvature = (slope - prev[2]) / (t - prev[0])
-            settled = step * step
-        usable = slope is not None and math.isfinite(slope) and slope < 0.0
+        slope = float(slope)
+        curvature = None if prev is None or t == prev[0] else (slope - prev[1]) / (t - prev[0])
+        usable = math.isfinite(slope) and slope < 0.0
         if abs(value) <= tol and (
             (usable and abs(value / slope) <= _ROOT_STEP)
-            or (modelled and settled <= _NEWTON_DONE ** 2)
+            or (modelled and step * step <= _NEWTON_DONE ** 2)
         ):
             break
         bracketed = lo is not None and hi is not None
         if bracketed and abs(hi - lo) <= 4.0 * np.finfo(float).eps * max(1.0, abs(t)):
             break
-        prev = (t, value, known)
+        prev = (t, slope)
         new = None
         if usable:
             new = -value / slope
@@ -756,33 +752,31 @@ def strength_closed_form(alpha: float, gamma: float) -> float:
 
 def cb_strength(source: SourceSpec, d: int = 1, tol: float = DEFAULT_TOL) -> float:
     """Cauchy-based strength: the unique s with E[ln(1 + ||X||^2/s^2)] equal to
-    ln 4 + psi((d+1)/2) + euler_gamma (which reduces to ln 4 when d = 1)."""
+    ln 4 + psi((d+1)/2) + euler_gamma (which reduces to ln 4 when d = 1).
+
+    At d >= 2 this is the strength at alpha = 1.  At d = 1 the condition is
+    integrated as it stands, free of the constant ln pi in g at alpha = 1.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     if source.is_zero:
         return 0.0
-    rhs = math.log(4.0) + digamma((d + 1.0) / 2.0) + np.euler_gamma
-    if isinstance(source, EmpiricalSource) and source.batch.values.ndim == 2:
-        vals = source.batch.values
-        if vals.shape[1] != d:
-            raise ValueError("sample dimension does not match d")
-        r2 = np.einsum("ij,ij->i", vals, vals)
+    if source.dim != d:
+        raise ValueError(
+            "d >= 2 requires d-dimensional samples" if source.dim == 1
+            else "sample dimension does not match d"
+        )
+    if d >= 2:
+        return solve_strength(source, 1.0, tol).value
 
-        def fn(s):
-            q = r2 / (s * s)
-            return float(np.mean(np.log1p(q))) - rhs, -2.0 * float(np.mean(q / (1.0 + q)))
-    else:
-        if d != 1:
-            raise ValueError("d >= 2 requires d-dimensional samples")
+    def psi(z):
+        q = z ** 2
+        return np.stack([np.log1p(q), -2.0 * q / (1.0 + q)])
 
-        def psi(z):
-            q = z ** 2
-            return np.stack([np.log1p(q), -2.0 * q / (1.0 + q)])
+    G = _g_of_partition(np.zeros(1), np.empty(0), source, psi)
 
-        G = _g_of_partition(np.zeros(1), np.empty(0), source, psi)
-
-        def fn(s):
-            return G(s) - (rhs, 0.0)
+    def fn(s):
+        return G(s) - (math.log(4.0), 0.0)
 
     s0 = source.start_scale
     if not s0 > 0.0:

@@ -49,6 +49,13 @@ def test_closed_form_alphas_load_no_table_or_quadrature():
     assert "scipy.interpolate" not in loaded and "scipy.integrate" not in loaded
 
 
+def test_kkt_width_loads_no_heavy_submodule():
+    assert _loaded_after("""
+        from stablerd import quantizer
+        quantizer.kkt_width_solution(1.0)
+    """) == set()
+
+
 def test_symmetric_density_loads_no_quadpack():
     # a stronger form of TestTableBuild.test_no_quadpack_call
     loaded = _loaded_after("""

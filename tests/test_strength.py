@@ -180,6 +180,15 @@ class TestCBStrength:
         src = empirical([-3.0, -1.0, 1.0, 3.0])
         assert cb_strength(src) == pytest.approx(solve_strength(src, 1.0).value, rel=1e-8)
 
+    def test_one_column_samples_and_dimension_checks(self):
+        values = [-3.0, -1.0, 0.5, 1.0, 3.0]
+        column = cb_strength(empirical([[v] for v in values]))
+        assert column == pytest.approx(cb_strength(empirical(values)), rel=1e-14, abs=0.0)
+        with pytest.raises(ValueError, match="requires d-dimensional samples"):
+            cb_strength(empirical(values), d=2)
+        with pytest.raises(ValueError, match="does not match d"):
+            cb_strength(empirical([[1.0, 2.0]]), d=3)
+
 
 class TestUniformStrength:
     def test_gaussian_case_exact(self):
@@ -267,20 +276,6 @@ class TestSolverEdges:
         assert sol.value == pytest.approx(2.5, rel=1e-12, abs=0.0)
         assert sol.bracket[0] <= sol.value <= sol.bracket[1]
 
-    def test_missing_slope_converges_by_secant(self):
-        from stablerd.strength import _solve_monotone
-
-        calls = []
-
-        def fn(s):
-            calls.append(s)
-            return 1.0 / s - 0.4 + 0.1 * math.atan(s), None
-
-        sol = _solve_monotone(fn, 2.0, 1e-12)
-        want = sol.value
-        assert abs(1.0 / want - 0.4 + 0.1 * math.atan(want)) <= 1e-12
-        assert sol.evaluations == len(calls) <= 12
-
     def test_warm_design_solve_takes_at_most_four_evaluations(self, monkeypatch):
         from stablerd import quantizer
         from stablerd.quantizer import _error_strength_raw, _mirror, midpoint_boundaries
@@ -336,6 +331,40 @@ class TestMultiDimensional:
         batch = sample(StableParams(1.5, 0.0, 1.0, 0.0), 4, seed=2, d=2)
         val = g_value(EmpiricalSource(batch), 1.5, 1.0)
         assert math.isfinite(val) and val > 0.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dimension_walk_gives_the_cauchy_slope(self, d):
+        # kappa_d = r f_d'/f_d = -2 pi r^2 f_{d+2}/f_d, the slope behind the
+        # d >= 2 strength at alpha off {1, 2}, against the circular Cauchy's
+        # closed -(d + 1) r^2 / (1 + r^2), both inversions run at alpha = 1
+        from stablerd.stable_core import _log_pdf_reference_multid
+
+        for r in (0.05, 0.3, 1.0, 3.0, 10.0):
+            log_d = _log_pdf_reference_multid(ReferenceLaw(1.0, d), r)
+            log_up = _log_pdf_reference_multid(ReferenceLaw(1.0, d + 2), r)
+            kappa = -2.0 * math.pi * r * r * math.exp(log_up - log_d)
+            assert kappa == pytest.approx(-(d + 1.0) * r * r / (1.0 + r * r), rel=1e-8, abs=0.0)
+
+    def test_g_value_d2_general_alpha_slope(self):
+        # the slope against a five-point central difference of the value in ln s
+        src = empirical([[0.3, -1.0], [2.0, 0.5], [-0.7, 0.1], [5.0, -3.0], [0.05, 0.02]])
+        h = 1e-3
+        for s in (0.5, 1.0, 2.0):
+            _, slope = g_value(src, 1.5, s, slope=True)
+            at = [g_value(src, 1.5, s * math.exp(k * h)) for k in (-2, -1, 1, 2)]
+            want = (8.0 * (at[2] - at[1]) - (at[3] - at[0])) / (12.0 * h)
+            assert slope == pytest.approx(want, rel=1e-7, abs=0.0)
+
+    def test_slope_is_nan_where_only_the_walk_fails(self):
+        # at alpha 0.7 the d = 4 inversion fails from r = 75, the d = 2 one at 100
+        value, slope = g_value(empirical([[80.0, 0.0]]), 0.7, 1.0, slope=True)
+        assert math.isfinite(value) and math.isnan(slope)
+
+    def test_d3_general_alpha_solve_steps_by_newton(self):
+        src = EmpiricalSource(sample(StableParams(1.5, 0.0, 1.0, 0.0), 50, seed=0, d=3))
+        sol = solve_strength(src, 1.5)
+        assert sol.evaluations <= 6
+        assert sol.value == pytest.approx(1.493539030367788, rel=1e-12, abs=0.0)
 
     @pytest.mark.xfail(raises=QuadratureFailure, strict=True, reason=(
         "the d >= 2 reference density has no tail series: its radial inversion "
