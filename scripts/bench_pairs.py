@@ -53,13 +53,28 @@ def _tree_digest(root, sub):
     return h.hexdigest()
 
 
-def _revision(root):
+def _git(root, *args):
+    """stdout of `git -C root args`, or None where git fails (not a checkout)."""
     try:
-        out = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"], capture_output=True,
-                             text=True, check=True)
+        out = subprocess.run(["git", "-C", root, *args], capture_output=True, check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
-    return out.stdout.strip()
+    return out.stdout
+
+
+def _side(root):
+    """A checkout's revision, and whether its src/ differs from that revision
+    (untracked files included), with a sha256 of `git diff HEAD -- src`: an
+    uncommitted change is measured as it stands, and recorded as such."""
+    head = _git(root, "rev-parse", "HEAD")
+    status = _git(root, "status", "--porcelain", "--", "src")
+    diff = _git(root, "diff", "HEAD", "--", "src")
+    return {
+        "revision": None if head is None else head.decode().strip(),
+        "src_dirty": None if status is None else bool(status.strip()),
+        "src_diff_sha256": None if diff is None else hashlib.sha256(diff).hexdigest(),
+        "src_sha256": _tree_digest(root, "src"),
+    }
 
 
 def _run(root, workload, seed, seconds, trace):
@@ -123,8 +138,7 @@ def main(argv=None):
     result = {
         "benchmark": {"perfbench_sha256": bench["change"], "run_seconds": seconds},
         "bytecode": "python " + " ".join(PRECOMPILE) + " in both checkouts before the first run",
-        "sides": {name: {"revision": _revision(root), "src_sha256": _tree_digest(root, "src")}
-                  for name, root in sides.items()},
+        "sides": {name: _side(root) for name, root in sides.items()},
         "workloads": {},
     }
     for workload, pairs in wanted:

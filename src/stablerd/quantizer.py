@@ -221,7 +221,7 @@ def error_strength(
 def output_entropy(q: Quantizer, source: SourceSpec) -> float:
     """Entropy H(V) of the quantizer output, in nats."""
     if isinstance(source, EmpiricalSource):
-        idx = _quantize_vec(q, source.batch.values)
+        idx = _quantize_vec(q, source.sorted_values)
         counts = np.bincount(idx, minlength=q.levels).astype(float)
         p = counts / counts.sum()
     else:
@@ -503,7 +503,7 @@ def uniform_error_strength(
     psi = reference_neg_log_density(alpha, slope=True)
     h = reference_entropy(ReferenceLaw(alpha, 1))
     if isinstance(source, EmpiricalSource):
-        vals = source.batch.values
+        vals = source.sorted_values
         offs = np.sort(vals - np.round(vals / spec.delta) * spec.delta)  # see sorted_values
         return _solve_monotone(
             lambda s: np.mean(psi(offs / s), axis=-1) - (h, 0.0),

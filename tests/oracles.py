@@ -1,11 +1,12 @@
-"""Independent routes to the standard symmetric stable density, for tests.
+"""Every independent route the tests check the library against.
 
-f0(u; alpha) = (1/pi) int_0^inf exp(-t^alpha) cos(t u) dt, with scale 1 as in
-`stablerd.stable_core`.  The main oracle, `log_pdf0`, sums one of two series
-in mpmath:
+The standard symmetric stable density is f0(u; alpha) = (1/pi) int_0^inf
+exp(-t^alpha) cos(t u) dt, with scale 1 as in `stablerd.stable_core`.  Its
+main oracle, `log_pdf0`, sums one of two series in mpmath:
 
 * the power-tail series (1/pi) sum_{k>=1} (-1)^(k-1) Gamma(a k + 1)/k!
-  sin(k pi a/2) u^(-a k - 1), convergent for alpha < 1;
+  sin(k pi a/2) u^(-a k - 1), convergent for alpha < 1 (integrated term by
+  term, the "survival" series gives P(U > u));
 * the small-u series (1/(pi a)) sum_{k>=0} (-1)^k Gamma((2k + 1)/a)/(2k)!
   u^(2k), convergent for alpha > 1.
 
@@ -17,9 +18,11 @@ series gets there within _TERM_BUDGET terms, a 30-digit `mpmath.quad` of
 Zolotarev's integral, split at its peak, gives the value.
 
 Also here: QUADPACK's Fourier-weight rule (QAWF), adaptive QUADPACK split at
-the zeros of cos(t u), the library's inversion forced where closed forms
-exist, an adaptive-quadrature G(s) of any partition and source, and the root
-oracle that every strength is checked against.
+the zeros of cos(t u) and its total mass of the library's density, the
+library's inversion forced where closed forms exist, `quad_g` (G(s) as one
+Gauss-Legendre sum on panels that hold no spline knot), a cell-by-cell G of
+the uniform quantizer, a design grid search, and the root oracle that every
+strength is checked against.
 """
 
 import math
@@ -30,7 +33,11 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import gammaln
 
-from stablerd import stable_core
+from stablerd import ReferenceLaw, StableParams, SymmetricStableSource, cauchy_source, stable_core
+from stablerd import reference_entropy
+from stablerd.quantizer import _error_strength_raw
+from stablerd.stable_core import TAIL_CUTOFF, _StandardDensity
+from stablerd.strength import reference_neg_log_density
 
 _TERM_BUDGET = 3000
 _EXTRA_DIGITS = 20
@@ -40,10 +47,12 @@ _QUAD_DIGITS = 30
 def _log_terms(alpha, u, kind):
     """ln |term k| of a series at u in floats (sines left out), k < _TERM_BUDGET."""
     k = np.arange(_TERM_BUDGET, dtype=float)
+    if kind == "small":
+        return gammaln((2.0 * k + 1.0) / alpha) - gammaln(2.0 * k + 1.0) + 2.0 * k * math.log(u)
+    k = k + 1.0
     if kind == "tail":
-        k = k + 1.0
         return gammaln(alpha * k + 1.0) - gammaln(k + 1.0) - (alpha * k + 1.0) * math.log(u)
-    return gammaln((2.0 * k + 1.0) / alpha) - gammaln(2.0 * k + 1.0) + 2.0 * k * math.log(u)
+    return gammaln(alpha * k + 1.0) - gammaln(k + 1.0) - np.log(alpha * k) - alpha * k * math.log(u)
 
 
 @lru_cache(maxsize=None)
@@ -51,20 +60,25 @@ def _coefficients(alpha, kind, dps, terms):
     """The u-free factors of the first `terms` terms, at dps digits."""
     with mpmath.workdps(dps):
         a = mpmath.mpf(alpha)
-        if kind == "tail":
+        if kind == "small":
             return tuple(
-                (-1) ** (k - 1) * mpmath.gamma(a * k + 1) / mpmath.factorial(k)
-                * mpmath.sin(k * mpmath.pi * a / 2) / mpmath.pi
-                for k in range(1, terms + 1)
+                (-1) ** k * mpmath.gamma((2 * k + 1) / a) / mpmath.factorial(2 * k) / (mpmath.pi * a)
+                for k in range(terms)
             )
+        # the survival series is the tail series integrated term by term
         return tuple(
-            (-1) ** k * mpmath.gamma((2 * k + 1) / a) / mpmath.factorial(2 * k) / (mpmath.pi * a)
-            for k in range(terms)
+            (-1) ** (k - 1) * mpmath.gamma(a * k + 1) / mpmath.factorial(k)
+            * mpmath.sin(k * mpmath.pi * a / 2) / mpmath.pi / (1 if kind == "tail" else a * k)
+            for k in range(1, terms + 1)
         )
 
 
-def _series(alpha, u, kind):
-    """f0(u) as an mpf from one series, or None past the term budget."""
+def series(alpha, u, kind):
+    """f0(u) from the "small"-u or the power-"tail" series alone, or P(U > u)
+    from the "survival" one, as an mpf; None where the series does not get
+    there within the term budget (the small-u one, always at alpha < 1 but
+    for small u)."""
+    u = abs(float(u))
     log_terms = _log_terms(alpha, u, kind)
     top = np.maximum.accumulate(log_terms)
     dps = _EXTRA_DIGITS
@@ -79,10 +93,11 @@ def _series(alpha, u, kind):
         coef = _coefficients(alpha, kind, dps_key, terms_key)[:terms]
         with mpmath.workdps(dps_key):
             x = mpmath.mpf(u)
-            if kind == "tail":
-                step, power = x ** -alpha, 1 / x ** (alpha + 1)
-            else:
+            if kind == "small":
                 step, power = x * x, mpmath.mpf(1)
+            else:
+                step = x ** -alpha
+                power = 1 / x ** (alpha + 1) if kind == "tail" else step
             total = mpmath.mpf(0)
             for c in coef:
                 total += c * power
@@ -139,7 +154,7 @@ def pdf0(alpha, u):
         return mpmath.gamma(1 + 1 / mpmath.mpf(alpha)) / mpmath.pi
     first = "tail" if alpha < 1.0 or (alpha == 1.0 and u > 1.0) else "small"
     for kind in (first, "small" if first == "tail" else "tail"):
-        value = _series(alpha, u, kind)
+        value = series(alpha, u, kind)
         if value is not None:
             return value
     return _zolotarev_quad(alpha, u)
@@ -151,11 +166,16 @@ def log_pdf0(alpha, u):
         return float(mpmath.log(pdf0(alpha, u)))
 
 
-def log_small_u_series(alpha, u):
-    """ln f0(u) from the small-u series alone, or None where it does not get
-    there within the term budget (always, at alpha < 1, but for small u)."""
-    value = _series(alpha, abs(float(u)), "small")
-    return None if value is None else float(mpmath.log(value))
+def tail_entropy(alpha):
+    """int_30^inf -f0 ln f0 du by a 25-digit `mpmath.quad` of the tail series,
+    in y = ln u on panels 4/alpha wide out to 100/alpha."""
+    with mpmath.workdps(25):
+        def integrand(y):
+            f = series(alpha, mpmath.exp(y), "tail")
+            return -f * mpmath.log(f) * mpmath.exp(y)
+
+        y0 = mpmath.log(TAIL_CUTOFF)
+        return float(mpmath.quad(integrand, [y0 + 4 * j / mpmath.mpf(alpha) for j in range(26)]))
 
 
 def pdf0_qawf(alpha, u):
@@ -188,42 +208,123 @@ def pdf_by_inversion(params, x):
     if params.beta != 0.0:
         return stable_core._pdf_skewed_quadrature(params, x)
     u = (float(x) - params.delta) / params.gamma
-    if abs(u) >= stable_core.TAIL_CUTOFF:
+    if abs(u) >= TAIL_CUTOFF:
         return float(np.exp(stable_core._log_pdf0_tail(params.alpha, u))) / params.gamma
-    return stable_core._pdf0_quadrature(params.alpha, u) / params.gamma
+    # at alpha = 2 the Zolotarev route meets 0/0 at th = pi/2, which the
+    # library's own alpha = 2 path (the closed form) never reaches
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return stable_core._pdf0_quadrature(params.alpha, u) / params.gamma
+
+
+def quadpack_mass(alpha):
+    """The total mass of the library's density `pdf(StableParams(alpha))` by
+    QUADPACK: [0, 30] in x, [30, e^(60/alpha)] in ln x, and the first-order
+    power-tail remainder beyond, doubled."""
+    p = StableParams(alpha, 0.0, 1.0, 0.0)
+    core = integrate.quad(lambda x: stable_core.pdf(p, x), 0.0, TAIL_CUTOFF, limit=200)[0]
+    if alpha == 2.0:
+        return 2.0 * core
+    tail = integrate.quad(
+        lambda y: stable_core.pdf(p, math.exp(y)) * math.exp(y),
+        math.log(TAIL_CUTOFF), 60.0 / alpha, limit=200,
+    )[0]
+    k = math.gamma(alpha + 1.0) * math.sin(math.pi * alpha / 2.0) / math.pi
+    return 2.0 * (core + tail + k * math.exp(-60.0) / alpha)
 
 
 _G_REACH = 1e6  # |x| beyond which quad_g takes the source's own tail integral
-_DECADES = tuple(sign * 10.0 ** k for k in range(-1, 6) for sign in (-1.0, 1.0))
+_T = np.linspace(math.log(_StandardDensity.TABLE_FLOOR), math.log(TAIL_CUTOFF),
+                 _StandardDensity.TABLE_NODES)  # the density table's knots in ln u
 
 
-def quad_g(points, boundaries, source, psi, s):
-    """G(s) = sum_j int_{R_j} f(x) psi((x - x_j)/s) dx by adaptive quadrature.
+def _knots(scale):
+    """scale e^t for the table's knots t, continued at their ratio past
+    TAIL_CUTOFF until scale e^t passes 2 _G_REACH."""
+    step = _T[1] - _T[0]
+    more = np.arange(1.0, math.log(2.0 * _G_REACH / (scale * TAIL_CUTOFF)) / step + 2.0)
+    return scale * np.exp(np.concatenate([_T, _T[-1] + step * more]))
 
-    Each region is integrated by `quad` at epsrel 1e-13, split at 0, at its
-    point, at the source's breakpoints and at decades out to |x| = 1e6; the
-    source's own `tail_integral` gives the rest, the lower one on the
-    reflection.  psi maps an array to an array of the same shape.
+
+def quad_g(points, boundaries, source, alpha, s, nodes=32):
+    """G(s) = sum_j int_{R_j} f(x) psi((x - x_j)/s) dx at index alpha, as one
+    Gauss-Legendre sum, `nodes` nodes a panel, over panels that hold no
+    spline knot.
+
+    psi = -ln f_ref reads the density table's spline at |x - x_j| / (s c), c
+    the reference scale, so region j is cut at x_j +- s c e^t_k, t_k the
+    table's knots; a stable source's own spline puts cuts at +-scale e^t_k.
+    Both ladders go on at the same ratio past TAIL_CUTOFF, and 0, the point
+    and the source's breakpoints are cuts too.  The panels reach |x| = 1e6;
+    the source's own `tail_integral` gives the rest, the lower one on the
+    reflection.
     """
+    psi = reference_neg_log_density(alpha)
+    fixed = [0.0, *source.breakpoints]
+    if isinstance(source, SymmetricStableSource):
+        fixed = np.concatenate([fixed, _knots(source.scale), -_knots(source.scale)])
+    ladder = _knots(s * (1.0 / alpha) ** (1.0 / alpha))
     cuts = [-math.inf, *boundaries, math.inf]
-    splits = (0.0, *source.breakpoints, *_DECADES)
-    total = 0.0
+    panels, tails = [], 0.0
     for j, rep in enumerate(points):
+        a, b = max(cuts[j], -_G_REACH), min(cuts[j + 1], _G_REACH)
+        e = np.concatenate([[a, b, rep], fixed, rep + ladder, rep - ladder])
+        e = np.unique(e[(e >= a) & (e <= b)])
+        panels.append(np.stack([e[:-1], e[1:], np.full(e.size - 1, float(rep))]))
+
         def phi(x, rep=rep):
             return psi((np.asarray(x) - rep) / s)
 
-        def fn(x, phi=phi):
-            return float(source.pdf_vec(np.array([x]))[0] * phi(np.array([x]))[0])
-
-        a, b = max(cuts[j], -_G_REACH), min(cuts[j + 1], _G_REACH)
-        edges = sorted({a, b} | {c for c in (rep, *splits) if a < c < b})
-        for e0, e1 in zip(edges, edges[1:]):
-            total += integrate.quad(fn, e0, e1, epsabs=0.0, epsrel=1e-13, limit=500)[0]
         if cuts[j + 1] == math.inf:
-            total += source.tail_integral(phi, _G_REACH)
+            tails += source.tail_integral(phi, _G_REACH)
         if cuts[j] == -math.inf:
-            total += source.reflected.tail_integral(lambda x, phi=phi: phi(-np.asarray(x)), _G_REACH)
-    return total
+            tails += source.reflected.tail_integral(lambda x, phi=phi: phi(-np.asarray(x)), _G_REACH)
+    lo, hi, rep = np.concatenate(panels, axis=1)[:, :, None]
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xg
+    return float(np.sum(source.pdf_vec(x) * psi((x - rep) / s) * (0.5 * (hi - lo) * wg))) + tails
+
+
+def quad_residual(points, boundaries, source, alpha):
+    """s -> quad_g - h, h the reference entropy at alpha."""
+    h = reference_entropy(ReferenceLaw(alpha, 1))
+    return lambda s: quad_g(points, boundaries, source, alpha, s) - h
+
+
+def uniform_g_trapezoid(alpha, s, n=100_001):
+    """G(s) at index alpha of the uniform source on (-1/2, 1/2) with one point
+    at 0: the trapezoid rule on n equally spaced points."""
+    u = np.linspace(-0.5, 0.5, n)
+    return float(np.trapezoid(reference_neg_log_density(alpha)(u / s), u))
+
+
+def cauchy_lattice_g(delta, s, cells=3000):
+    """G(s) at index 1 of the uniform quantizer x -> round(x / delta) delta
+    for the standard Cauchy source: `quad` of the closed-form density and psi
+    over each cell out to `cells` cells either side, and the mass beyond
+    times the mean of psi over a cell."""
+    def cell(c, f=lambda x: 1.0 / (math.pi * (1.0 + x * x))):
+        return integrate.quad(lambda x: f(x) * (math.log(math.pi) + math.log1p(((x - c) / s) ** 2)),
+                              c - 0.5 * delta, c + 0.5 * delta, limit=200)[0]
+
+    rest = 1.0 - 2.0 * math.atan((cells + 0.5) * delta) / math.pi
+    return cell(0.0) + 2.0 * sum(cell(k * delta) for k in range(1, cells + 1)) \
+        + rest * cell(0.0, lambda x: 1.0 / delta)
+
+
+def design_grid_search(points_of, lo=0.001, hi=10.0, step=1e-3):
+    """(a, strength) at the least error strength of the standard Cauchy source
+    at index 1 over the quantizers points_of(a) = (points, boundaries), a on a
+    grid from lo to hi.  Each strength is the library's own solve, warm-started
+    from the last: this checks the design optimizer, not G."""
+    best_s, best_a, hint = math.inf, None, None
+    src = cauchy_source(1.0)
+    for a in np.arange(lo, hi + step / 2, step):
+        pts, bnd = points_of(a)
+        sol = _error_strength_raw(pts, bnd, src, 1.0, tol=1e-8, s_hint=hint)
+        hint = sol.value
+        if sol.value < best_s:
+            best_s, best_a = sol.value, a
+    return best_a, best_s
 
 
 def root(fn, lo, hi):

@@ -29,7 +29,7 @@ from stablerd import (
     strength_of_uniform,
     uniform_error_strength,
 )
-from stablerd.quantizer import _error_strength_raw, best_uniform_design
+from stablerd.quantizer import best_uniform_design
 from stablerd.stable_core import pdf
 
 import oracles
@@ -108,18 +108,6 @@ def test_criterion_4_high_rate_convergence():
     )
 
 
-def _exhaustive_design_oracle(points_of, lo=0.001, hi=10.0, step=1e-3):
-    best_s, best_a, hint = math.inf, None, None
-    src = cauchy_source(1.0)
-    for a in np.arange(lo, hi + step / 2, step):
-        pts, bnd = points_of(a)
-        sol = _error_strength_raw(pts, bnd, src, 1.0, tol=1e-8, s_hint=hint)
-        hint = sol.value
-        if sol.value < best_s:
-            best_s, best_a = sol.value, a
-    return best_a, best_s
-
-
 def test_criterion_5_design_properties(cauchy_designs):
     t0 = time.time()
     # (a) every run's trace is non-increasing
@@ -141,10 +129,8 @@ def test_criterion_5_design_properties(cauchy_designs):
         r = np.corrcoef(gammas, series)[0, 1]
         assert r * r > 0.9999, (series, r * r)
     # (d) M = 2 and M = 3 match the exhaustive 1e-3 grid-search oracle
-    a2, s2 = _exhaustive_design_oracle(
-        lambda a: (np.array([-a, a]), np.array([0.0]))
-    )
-    a3, s3 = _exhaustive_design_oracle(
+    a2, s2 = oracles.design_grid_search(lambda a: (np.array([-a, a]), np.array([0.0])))
+    a3, s3 = oracles.design_grid_search(
         lambda a: (np.array([-a, 0.0, a]), np.array([-a / 2.0, a / 2.0]))
     )
     rel2 = abs(cauchy_designs[2].error_strength - s2) / s2
@@ -225,17 +211,8 @@ def test_criterion_8_density_machinery():
         for x in np.linspace(-20.0, 20.0, 81):
             assert abs(oracles.pdf_by_inversion(p, float(x)) - pdf(p, float(x))) <= 1e-8
     # total mass
-    from scipy import integrate
-
     for alpha in (0.5, 0.8, 1.3, 1.7):
-        p = StableParams(alpha, 0.0, 1.0, 0.0)
-        core, _ = integrate.quad(lambda x: pdf(p, x), 0.0, 30.0, limit=200)
-        tail, _ = integrate.quad(
-            lambda y: pdf(p, math.exp(y)) * math.exp(y),
-            math.log(30.0), 60.0 / alpha, limit=200,
-        )
-        k = math.gamma(alpha + 1.0) * math.sin(math.pi * alpha / 2.0) / math.pi
-        mass = 2.0 * (core + tail + k * math.exp(-60.0) / alpha)
+        mass = oracles.quadpack_mass(alpha)
         assert abs(mass - 1.0) <= 1e-6, (alpha, mass)
     # reference entropy
     assert abs(reference_entropy(ReferenceLaw(1.0)) - math.log(4.0 * math.pi)) <= 1e-6
@@ -247,16 +224,9 @@ def test_criterion_9_kkt():
     rng = np.random.default_rng(9)
     for ratio in rng.uniform(1e-3, 2.0 - 1e-3, size=50):
         target = 1.0 - ratio / 2.0
-        lo, hi = 1e-12, 1e12
-        while hi / lo > 1.0 + 1e-12:
-            mid = math.sqrt(lo * hi)
-            if math.atan(mid) / mid > target:
-                lo = mid
-            else:
-                hi = mid
-        oracle = math.sqrt(lo * hi)
+        oracle = oracles.root(lambda u: math.atan(u) / u - target, 1e-12, 1e12)
         assert kkt_width_solution(float(ratio)) == pytest.approx(oracle, rel=1e-9)
     u = np.geomspace(1e-6, 1e6, 2000)
     vals = np.arctan(u) / u
     assert np.all(np.diff(vals) < 0.0)
-    report(9, "50 ratios match the 1e-12 bisection oracle; arctan(u)/u strictly decreasing", t0, 1.0)
+    report(9, "50 ratios match the brentq root oracle; arctan(u)/u strictly decreasing", t0, 1.0)

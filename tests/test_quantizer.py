@@ -31,6 +31,7 @@ from stablerd import (
     quantize,
     quantizer_from_json,
     quantizer_to_json,
+    sample,
     solve_strength,
     strength_of_uniform,
     uniform_error_strength,
@@ -51,44 +52,6 @@ from stablerd.stable_core import _gauss_legendre
 from stablerd.strength import _g_of_partition, _region_edges, reference_neg_log_density
 
 import oracles
-
-
-def cauchy_psi(z):
-    return math.log(math.pi) + math.log1p(z * z)
-
-
-def simpson_error_strength_oracle(points, boundaries, a_max=1e4, n=2_000_001):
-    """Dense-grid Simpson + bisection for a standard Cauchy source at index 1.
-
-    Only valid for symmetric point sets; integrates f(x) psi((x - rep)/s) on
-    [0, a_max] (doubled), with a first-order analytic remainder beyond.
-    """
-    from scipy.integrate import simpson
-
-    x = np.linspace(0.0, a_max, n)
-    f = 1.0 / (math.pi * (1.0 + x * x))
-    idx = np.searchsorted(boundaries, x, side="left")
-    reps = np.asarray(points, dtype=float)[idx]
-
-    def G(s):
-        vals = f * (math.log(math.pi) + np.log1p(((x - reps) / s) ** 2))
-        core = 2.0 * simpson(vals, x=x)
-        top = points[-1]
-        rem = (1.0 / math.pi) * (
-            (math.log(math.pi) - 2.0 * math.log(s)) / a_max
-            + 2.0 * (math.log(a_max - top) + 1.0) / a_max
-        )
-        return core + 2.0 * rem
-
-    h = math.log(4.0 * math.pi)
-    lo, hi = 1e-4, 50.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if G(mid) - h > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 class TestMidpointsAndQuantize:
@@ -141,11 +104,12 @@ class TestErrorStrength:
         sol = error_strength(q, cauchy_source(1.0), 1.0)
         assert sol.value == pytest.approx(1.0, rel=1e-9)
 
-    def test_two_point_against_simpson_oracle(self):
+    def test_two_point_against_quad_oracle(self):
         q = Quantizer.from_points([-1.0, 1.0], symmetric=True)
         sol = error_strength(q, cauchy_source(1.0), 1.0)
-        oracle = simpson_error_strength_oracle(q.points, q.boundaries)
-        assert sol.value == pytest.approx(oracle, rel=1e-5)
+        G = oracles.quad_residual(q.points, q.boundaries, cauchy_source(1.0), 1.0)
+        oracle = oracles.root(G, 0.1, 10.0)
+        assert sol.value == pytest.approx(oracle, rel=1e-12)
 
     def test_small_width_uniform_gaussian(self):
         sol = uniform_error_strength(UniformSpec(0.05), gaussian_source(1.0), 2.0)
@@ -190,32 +154,10 @@ class TestUniform:
         # Delta = 1 sits outside the high-rate regime; an independent
         # region-by-region quadrature oracle pins the value (which lands
         # slightly BELOW the high-rate limit for the untruncated quantizer)
-        from scipy.integrate import quad
-
-        def G(s):
-            tot, _ = quad(lambda x: (1 / (math.pi * (1 + x * x))) * cauchy_psi(x / s),
-                          -0.5, 0.5, limit=200)
-            for k in range(1, 3000):
-                val, _ = quad(
-                    lambda x: (1 / (math.pi * (1 + x * x))) * cauchy_psi((x - k) / s),
-                    k - 0.5, k + 0.5, limit=100,
-                )
-                tot += 2.0 * val
-            p_rest = 1.0 - 2.0 * math.atan(3000.5) / math.pi
-            psibar, _ = quad(lambda u: cauchy_psi(u / s), -0.5, 0.5, limit=200)
-            return tot + p_rest * psibar
-
         h = math.log(4.0 * math.pi)
-        lo, hi = 0.05, 0.5
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if G(mid) - h > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        oracle = 0.5 * (lo + hi)
+        oracle = oracles.root(lambda s: oracles.cauchy_lattice_g(1.0, s) - h, 0.05, 0.5)
         sol = uniform_error_strength(UniformSpec(1.0), cauchy_source(1.0), 1.0)
-        assert sol.value == pytest.approx(oracle, rel=1e-5)
+        assert sol.value == pytest.approx(oracle, rel=1e-8)
         assert sol.value < high_rate_prediction(1.0, 1.0)
 
     def test_truncated_fast_path_matches_general(self):
@@ -245,6 +187,11 @@ class TestUniform:
     def test_uniform_spec_validation(self):
         with pytest.raises(ValueError):
             UniformSpec(0.0)
+
+    def test_two_dimensional_samples_rejected(self):
+        src = EmpiricalSource(sample(StableParams(1.5, 0.0, 1.0, 0.0), 500, seed=1, d=2))
+        with pytest.raises(ValueError, match="scalar expectation requires 1-d samples"):
+            uniform_error_strength(UniformSpec(0.25), src, 1.5)
 
 
 def _stable_adapter(alpha, gamma=1.0):
@@ -335,6 +282,11 @@ class TestOutputEntropy:
         src = EmpiricalSource(SampleBatch(values=np.array([-2.0, -1.0, 1.0, 2.0]), seed=0))
         q = Quantizer.from_points([-1.5, 1.5], symmetric=True)
         assert output_entropy(q, src) == pytest.approx(math.log(2.0))
+
+    def test_two_dimensional_samples_rejected(self):
+        src = EmpiricalSource(sample(StableParams(1.5, 0.0, 1.0, 0.0), 500, seed=1, d=2))
+        with pytest.raises(ValueError, match="scalar expectation requires 1-d samples"):
+            output_entropy(Quantizer.from_points([-1.0, 0.0, 1.0]), src)
 
 
 class TestDesign:
@@ -427,15 +379,9 @@ class TestKKT:
     def test_u_equals_one(self):
         assert kkt_width_solution(2.0 * (1.0 - math.pi / 4.0)) == pytest.approx(1.0, rel=1e-12)
 
-    def test_ratio_one_against_bisection(self):
-        lo, hi = 1e-6, 1e6
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if math.atan(mid) / mid > 0.5:
-                lo = mid
-            else:
-                hi = mid
-        assert kkt_width_solution(1.0) == pytest.approx(math.sqrt(lo * hi), rel=1e-10)
+    def test_ratio_one_against_root_oracle(self):
+        oracle = oracles.root(lambda u: math.atan(u) / u - 0.5, 1e-6, 1e6)
+        assert kkt_width_solution(1.0) == pytest.approx(oracle, rel=1e-10)
 
     def test_small_ratio_small_u(self):
         assert kkt_width_solution(1e-6) < 2e-3
@@ -698,7 +644,6 @@ class TestTabulatedG:
     needs its accuracy; farther out the solve uses only the sign of G - h.
     """
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("quant", sorted(_TABULATED_QUANTIZERS))
     @pytest.mark.parametrize("kind", sorted(_TABULATED))
     def test_against_quad_oracle(self, kind, quant):
@@ -710,11 +655,10 @@ class TestTabulatedG:
             boundaries = width * np.array(bnd)
         else:
             boundaries = midpoint_boundaries(points) if points.size > 1 else np.empty(0)
-        psi = reference_neg_log_density(1.5)
         root = _error_strength_raw(points, boundaries, source, 1.5).value
-        G = _g_of_partition(points, boundaries, source, psi)
+        G = _g_of_partition(points, boundaries, source, reference_neg_log_density(1.5))
         for s in (0.5 * root, root, 1.25 * root):
-            want = oracles.quad_g(points, boundaries, source, psi, s)
+            want = oracles.quad_g(points, boundaries, source, 1.5, s)
             assert G(s) == pytest.approx(want, rel=1e-9, abs=0.0), s
 
     def test_cauchy_callback_matches_stable_route(self):
@@ -728,7 +672,6 @@ class TestOnePointG:
     """The one-point quantizer's G, which every scalar strength solves, where s
     is several times the density's width (these panels once missed the peak)."""
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("source, s", [
         (cauchy_source(1.0), 4.76),
         (cauchy_source(1.0), 9.52),
@@ -739,9 +682,8 @@ class TestOnePointG:
     ], ids=["cauchy-4.76", "cauchy-9.52", "cauchy-callback-4.76", "cauchy-callback-9.52",
             "laplace0.05-3", "gaussian0.05-3"])
     def test_against_quad_oracle(self, source, s):
-        psi = reference_neg_log_density(1.5)
-        got = _g_of_partition(np.zeros(1), np.empty(0), source, psi)(s)
-        want = oracles.quad_g([0.0], [], source, psi, s)
+        got = _g_of_partition(np.zeros(1), np.empty(0), source, reference_neg_log_density(1.5))(s)
+        want = oracles.quad_g([0.0], [], source, 1.5, s)
         assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
@@ -765,23 +707,15 @@ class TestAsymmetricTabulated:
         got = output_entropy(q, TabulatedSource(self.density, self.support))
         assert got == pytest.approx(self._entropy([0.34, 0.12, 0.54]), rel=1e-12, abs=0.0)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_uniform_levels_against_quad_oracle(self):
-        from stablerd import ReferenceLaw, reference_entropy
-
         source = TabulatedSource(self.density, self.support)
         sol, entropy, q = uniform_levels_strength(0.3, 5, source, 1.5)
         # regions (-2, -0.45], three of width 0.3, (0.45, 3)
         assert entropy == pytest.approx(
             self._entropy([0.31, 0.06, 0.06, 0.06, 0.51]), rel=1e-12, abs=0.0
         )
-        psi = reference_neg_log_density(1.5)
-        h = reference_entropy(ReferenceLaw(1.5, 1))
-
-        def residual(s):
-            return oracles.quad_g(q.points, q.boundaries, source, psi, s) - h
-
-        want = oracles.root(residual, 0.5 * sol.value, 2.0 * sol.value)
+        G = oracles.quad_residual(q.points, q.boundaries, source, 1.5)
+        want = oracles.root(G, 0.5 * sol.value, 2.0 * sol.value)
         assert sol.value == pytest.approx(want, rel=1e-9, abs=0.0)
 
 

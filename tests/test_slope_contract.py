@@ -9,7 +9,8 @@ point itself, it is checked against independent routes:
   rule's own error in G moves with s by more than that (a stable source of
   scale 1.3 under regions of width 0.6 at a root of 7.6; the regions'
   panel edges are spaced by s and miss the density's peak), the central
-  difference is taken of `oracles.quad_g` over the same regions;
+  difference is taken of `oracles.quad_g` over the same regions, a sum on
+  panels that hold no spline knot;
 * the solved root against `oracles.root` (`brentq` at rtol 4 eps) on the
   same value, to 1e-14 relative;
 * the solution's `evaluations` against the number of calls of fn.
@@ -23,7 +24,6 @@ import pytest
 from stablerd import (
     EmpiricalSource,
     Quantizer,
-    ReferenceLaw,
     SampleBatch,
     StableParams,
     SymmetricStableSource,
@@ -35,7 +35,6 @@ from stablerd import (
     error_strength,
     gaussian_source,
     quantizer,
-    reference_entropy,
     sample,
     solve_strength,
     strength,
@@ -48,7 +47,6 @@ from stablerd.quantizer import (
     truncated_uniform,
     uniform_levels_strength,
 )
-from stablerd.strength import reference_neg_log_density
 
 import oracles
 
@@ -99,17 +97,11 @@ CASES = {
 }
 
 
-def _quad_g(points, boundaries, source, alpha):
-    """G(s) - h of `oracles.quad_g` at index alpha."""
-    psi = reference_neg_log_density(alpha)
-    h = reference_entropy(ReferenceLaw(alpha, 1))
-    return lambda s: oracles.quad_g(points, boundaries, source, psi, s) - h
-
-
 LEVELS = truncated_uniform(0.3, 5)
+# (points, boundaries, source, alpha) of the cases differenced under quad_g
 QUAD_G = {
-    "error-stable": lambda: _quad_g(Q3.points, Q3.boundaries, STABLE, 1.5),
-    "levels-stable": lambda: _quad_g(LEVELS.points, LEVELS.boundaries, STABLE, 1.5),
+    "error-stable": (Q3.points, Q3.boundaries, STABLE, 1.5),
+    "levels-stable": (LEVELS.points, LEVELS.boundaries, STABLE, 1.5),
 }
 
 
@@ -141,7 +133,6 @@ def test_lattice_routes():
     assert _route(500.0, STABLE) == "direct"
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_slope_root_and_evaluations(case, monkeypatch):
     fn, sol, calls = _capture(CASES[case], monkeypatch)
@@ -152,7 +143,7 @@ def test_slope_root_and_evaluations(case, monkeypatch):
     def value(s):
         return float(fn(s)[0])
 
-    differenced = QUAD_G[case]() if case in QUAD_G else value
+    differenced = oracles.quad_residual(*QUAD_G[case]) if case in QUAD_G else value
     for s in (0.8 * root, root, 1.25 * root):
         v, slope = fn(s)
         h = 1e-3

@@ -9,13 +9,14 @@ lies within 3.6e-15 relative of the brentq root (rtol 4 eps) of the same G's
 value, and each two-point design strength within 9e-16 of that root at its
 pinned points.  The `solve_strength` and `cb_strength` pins are roots of G
 of the one-point quantizer at 0, on the shared panels with their geometric
-grading from the point; under a sum of 16-node panels graded at ratio
-1.0005 from 1e-14 (at most one spline knot each), every residual is below
-1.4e-12 nats.  The tabulated `error_strength` and
-`levels_strength` pins come from the shared panel path for G; each lies
-within 4e-11 relative of an adaptive-quadrature oracle (epsrel 1e-13) that
-integrates the same regions, apart from the lattice rule across the kink at
-0 inside `levels_strength`.
+grading from the point.  Under `oracles.quad_g`, a Gauss-Legendre sum on
+panels that hold no spline knot, every `solve_strength` residual is below
+1.4e-12 nats; so is every `cb_strength` one but the stable source's,
+-5.4e-12: its density table integrates to 1 - 4.7e-12, and cb's psi,
+log1p(z^2), carries no ln pi to see that.  The tabulated `error_strength`
+and `levels_strength` pins come from the shared panel path for G; each lies
+within 2.1e-11 relative of the root of `quad_g` over the same regions,
+apart from the lattice rule across the kink at 0 inside `levels_strength`.
 """
 
 import math

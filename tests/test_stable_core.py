@@ -19,6 +19,7 @@ from stablerd import (
     ReferenceLaw,
     SampleBatch,
     StableParams,
+    SymmetricStableSource,
     ZeroScale,
     add_independent,
     char_fn,
@@ -138,23 +139,7 @@ class TestPdf:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.3, 1.7, 2.0])
     def test_mass_is_one(self, alpha):
-        from scipy import integrate
-
-        p = StableParams(alpha, 0.0, 1.0, 0.0)
-        core, _ = integrate.quad(lambda x: pdf(p, x), 0.0, 30.0, limit=200)
-        if alpha == 2.0:
-            tail = 0.0
-        else:
-            tail, _ = integrate.quad(
-                lambda y: pdf(p, math.exp(y)) * math.exp(y),
-                math.log(30.0),
-                60.0 / alpha,
-                limit=200,
-            )
-            # first-order power-tail remainder
-            k = math.gamma(alpha + 1.0) * math.sin(math.pi * alpha / 2.0) / math.pi
-            tail += k * math.exp(-60.0) / alpha
-        assert 2.0 * (core + tail) == pytest.approx(1.0, abs=1e-6)
+        assert oracles.quadpack_mass(alpha) == pytest.approx(1.0, abs=1e-6)
 
     def test_symmetric_and_unimodal(self):
         p = StableParams(1.3, 0.0, 1.0, 0.0)
@@ -315,9 +300,9 @@ class TestTableBuild:
         plain = _n_osc(alpha, u) <= 8.0
         err = []
         for x, v in zip(u[plain], y[plain]):
-            ref = oracles.log_small_u_series(alpha, x)
+            ref = oracles.series(alpha, x, "small")
             if ref is not None:
-                err.append(abs(v - ref))
+                err.append(abs(v - float(mpmath.log(ref))))
         assert len(err) >= 0.75 * plain.sum()
         assert max(err) <= 1e-14
 
@@ -530,34 +515,22 @@ class TestReferenceEntropy:
         )
         assert reference_entropy(ref) == pytest.approx(mc, abs=4e-3)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the d >= 2 entropy fits one power law through its spline at r = 50 and "
+        "60 and drops the next tail terms: +2.43e-4 nats at d = 2, +5.49e-4 at d = 3"
+    ))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_multid_entropy_generic_path_matches_cauchy_closed_form(self, d):
+        # alpha = 1 forced through the route that serves alpha not in {1, 2}
+        got = stable_core._multid_entropy(ReferenceLaw(1.0, d))
+        assert got == pytest.approx(_reference_entropy_cached(1.0, d), rel=0.0, abs=1e-12)
+
     def test_cached(self):
         first = reference_entropy(ReferenceLaw(1.5))
         hits = _reference_entropy_cached.cache_info().hits
         assert reference_entropy(ReferenceLaw(1.5)) is first
         assert _reference_entropy_cached.cache_info().hits == hits + 1
         assert ReferenceLaw(1.0).entropy == reference_entropy(ReferenceLaw(1.0))
-
-
-def _series_terms(alpha, u, power):
-    """The power-tail series (1/pi) sum_k (-1)^(k-1) Gamma(a k + 1)/k! sin(k pi a/2)
-    u^-(a k + power) c_k at mpmath precision, with c_k = 1/(a k) for power 0
-    (the survival function) and 1 for power 1 (the density).  The sum stops
-    where the terms' envelope stops decreasing (the series is asymptotic for
-    alpha > 1) or drops below the working precision; terms whose sine
-    vanishes do not stop it."""
-    a, u = mpmath.mpf(alpha), mpmath.mpf(u)
-    total, last = mpmath.mpf(0), mpmath.inf
-    for k in range(1, 400):
-        env = mpmath.gamma(a * k + 1) / mpmath.factorial(k) * u ** (-a * k - power)
-        if power == 0:
-            env /= a * k
-        if env >= last:
-            break
-        total += (-1) ** (k - 1) * env * mpmath.sin(k * mpmath.pi * a / 2)
-        last = env
-        if env < mpmath.eps * abs(total):
-            break
-    return total / mpmath.pi
 
 
 class TestTailIntegral:
@@ -567,29 +540,15 @@ class TestTailIntegral:
     @pytest.mark.parametrize("u0", [30.0, 300.0, 1e5])
     def test_tail_mass_against_termwise_series(self, alpha, u0):
         # P(U > u0) from the series integrated term by term
-        from stablerd import SymmetricStableSource
-
-        with mpmath.workdps(40):
-            want = float(_series_terms(alpha, u0, 0))
+        want = float(oracles.series(alpha, u0, "survival"))
         got = SymmetricStableSource(StableParams(alpha, 0.0, 1.0, 0.0)).tail_mass(u0)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_entropy_tail_against_quadrature(self, alpha):
-        # int_30^inf -f0 ln f0 du by mpmath.quad of the series density, in
-        # y = ln u on panels 4/alpha wide out to 100/alpha
         eng = stable_core.standard_density(alpha)
         got = stable_core._tail_integral(alpha, lambda u: -eng.log_pdf_vec(u), TAIL_CUTOFF)
-        with mpmath.workdps(25):
-            a = mpmath.mpf(alpha)
-
-            def integrand(y):
-                f = _series_terms(alpha, mpmath.exp(y), 1)
-                return -f * mpmath.log(f) * mpmath.exp(y)
-
-            y0 = mpmath.log(TAIL_CUTOFF)
-            want = float(mpmath.quad(integrand, [y0 + 4 * j / a for j in range(26)]))
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got == pytest.approx(oracles.tail_entropy(alpha), rel=1e-12, abs=0.0)
 
     def test_cauchy_takes_the_closed_form(self):
         # at alpha = 1 the density engine's -ln pi - log1p(u^2) is used, not

@@ -94,9 +94,8 @@ class TestStrengthIsOnePointG:
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_small_alpha_root_residual_against_quad_oracle(self, alpha):
         sol = solve_strength(SMALL_ALPHA, alpha)
-        psi = reference_neg_log_density(alpha)
         h = reference_entropy(ReferenceLaw(alpha, 1))
-        assert abs(oracles.quad_g([0.0], [], SMALL_ALPHA, psi, sol.value) - h) <= 1e-9
+        assert abs(oracles.quad_g([0.0], [], SMALL_ALPHA, alpha, sol.value) - h) <= 1e-9
 
     @pytest.mark.parametrize("source, alpha", [
         (SMALL_ALPHA, 1.0), (SMALL_ALPHA, 1.5), (UniformSource(0.5), 0.1),
@@ -202,23 +201,8 @@ class TestUniformStrength:
         assert r == pytest.approx(2.124, abs=0.01)
 
     def test_alpha_15_against_fixed_grid_oracle(self):
-        # independent route: 1e5-point trapezoid of the reference log-density
-        # over the unit interval + plain bisection on the defining equation
-        psi = reference_neg_log_density(1.5)
         h = reference_entropy(ReferenceLaw(1.5))
-        u = np.linspace(-0.5, 0.5, 100_001)
-
-        def g(s):
-            return float(np.trapezoid(psi(u / s), u))
-
-        lo, hi = 0.01, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if g(mid) - h > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        oracle = 0.5 * (lo + hi)
+        oracle = oracles.root(lambda s: oracles.uniform_g_trapezoid(1.5, s) - h, 0.01, 1.0)
         assert strength_of_uniform(1.5) == pytest.approx(oracle, rel=1e-6)
 
     def test_library_solver_agrees_with_arctan_route(self):
