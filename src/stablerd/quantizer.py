@@ -329,16 +329,23 @@ def design_optimal(
         iterations += 1
         pts = _mirror(free, M)
         bnd_fixed = midpoint_boundaries(pts)  # regions frozen during the point update
+        # Regions, tol and s_hint are fixed for this iteration, so a point set
+        # solved before (the same v again, or another v with the same sorted
+        # points) has the same deterministic root: each is solved once.
+        solved = {}
 
         def objective(v):
             p = np.sort(np.exp(v))
             if np.any(np.diff(p) < _MERGE_GAP) or (M % 2 and p[0] < _MERGE_GAP):
                 return s_cur * 10.0
             full = _mirror(p, M)
-            return _error_strength_raw(
-                full, bnd_fixed, source, alpha, tol=max(1e-10, 1e-8 * s_cur),
-                s_hint=s_hint,
-            ).value
+            key = full.tobytes()
+            if key not in solved:
+                solved[key] = _error_strength_raw(
+                    full, bnd_fixed, source, alpha, tol=max(1e-10, 1e-8 * s_cur),
+                    s_hint=s_hint,
+                ).value
+            return solved[key]
 
         v0 = np.log(free)
         res = optimize.minimize(
@@ -586,11 +593,21 @@ def _truncated_uniform_g(delta, M, source, alpha):
     return G, probs, q
 
 
+def _require_density(source: SourceSpec) -> None:
+    """The M-level uniform G integrates a density; samples have none yet."""
+    if isinstance(source, EmpiricalSource):
+        raise ValueError(
+            "the M-level uniform quantizer's G needs a density source; "
+            "sample sources are not supported"
+        )
+
+
 def uniform_levels_strength(
     delta: float, M: int, source: SourceSpec, alpha: float, tol: float = DEFAULT_TOL
 ):
     """(strength solution, output entropy, quantizer) for the M-level uniform
-    quantizer of width delta."""
+    quantizer of width delta, for a density source."""
+    _require_density(source)
     return _uniform_levels_from(delta, M, source, alpha, 0.3 * delta, tol)
 
 
@@ -611,10 +628,11 @@ def best_uniform_design(source: SourceSpec, alpha: float, M: int, tol: float = 1
     Returns (delta, strength solution, output entropy, quantizer).  Each
     solve starts from the strength at the nearest width already solved,
     scaled by the ratio of the widths, and the chosen width's solve is
-    reused for the result.
+    reused for the result.  The source must have a density.
     """
     from scipy import optimize
 
+    _require_density(source)
     scale = source.scale
     solved = {}  # ln delta -> (strength solution, output entropy, quantizer)
 

@@ -482,13 +482,29 @@ class _StandardDensity:
         """
         a = self.alpha
         u = np.abs(np.asarray(u, dtype=float))
-        if a == 2.0:
-            lp = -u * u / 4.0 - 0.5 * math.log(4.0 * math.pi)
-            return np.stack([lp, -0.5 * (u * u)]) if slope else lp
-        if a == 1.0:
-            u2 = u * u
-            lp = -math.log(math.pi) - np.log1p(u2)
-            return np.stack([lp, -2.0 * u2 / (1.0 + u2)]) if slope else lp
+        if a in (1.0, 2.0):
+            if not slope:
+                if a == 2.0:
+                    return -u * u / 4.0 - 0.5 * math.log(4.0 * math.pi)
+                return -math.log(math.pi) - np.log1p(u * u)
+            # both rows in place, in the operation order of the expressions
+            # above and of the slopes -0.5 * (u * u) and -2.0 * u2 / (1.0 + u2)
+            out = np.empty((2,) + u.shape)
+            lp, kappa = out[0, ...], out[1, ...]
+            np.multiply(u, u, out=kappa)
+            if a == 2.0:
+                np.negative(u, out=lp)
+                lp *= u
+                lp /= 4.0
+                lp -= 0.5 * math.log(4.0 * math.pi)
+                kappa *= -0.5
+            else:
+                np.log1p(kappa, out=lp)
+                np.subtract(-math.log(math.pi), lp, out=lp)
+                num = -2.0 * kappa
+                kappa += 1.0
+                np.divide(num, kappa, out=kappa)
+            return out
         if self._spline is None:
             with self._lock:
                 if self._spline is None:
@@ -706,20 +722,26 @@ def _tail_integral(alpha: float, phi, u0: float):
     ln u0 + 5, in 31 equal Gauss-Legendre panels; beyond X = e^y_max the
     first-order remainder k X^-alpha / alpha * phi(X) is added, phi frozen at X.
     A stacked phi, shape (k, N), gives k integrals from the same nodes.
+
+    phi runs once, on the nodes with X appended: X is the largest argument, so
+    the series' term count at every node is that of the nodes alone.
     """
     eng = standard_density(alpha)
     log_u0 = math.log(u0)
     y_max = 60.0 / alpha + log_u0 + 5.0
+    X = math.exp(y_max)
+    phi_X = []
 
     def fn(y):
         u = np.exp(y)
-        return np.exp(eng.log_pdf_vec(u)) * phi(u) * u
+        vals = np.asarray(phi(np.append(u, X)))
+        phi_X.append(vals[..., -1])
+        return np.exp(eng.log_pdf_vec(u)) * vals[..., :-1] * u
 
     edges = _TAIL_INDEX * ((y_max - log_u0) / _TAIL_PANELS) + log_u0
     edges[-1] = y_max
     val = _panel_integral(fn, edges)
-    X = math.exp(y_max)
-    rem = eng.tail_constant * X ** (-alpha) / alpha * np.asarray(phi(np.array([X])))[..., 0]
+    rem = eng.tail_constant * X ** (-alpha) / alpha * phi_X[0]
     return val + _reduced(rem)
 
 

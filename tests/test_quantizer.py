@@ -344,6 +344,43 @@ class TestDesign:
         assert report.iterations == 1 and len(report.strength_trace) == 1
         assert report.strength_trace[0] == start.strength_trace[0] == report.error_strength
 
+    @staticmethod
+    def _solve_keys(monkeypatch):
+        """(points, boundaries, tol, s_hint) of every solve a design makes."""
+        keys = []
+        raw = quantizer._error_strength_raw
+
+        def counted(points, boundaries, source, alpha, tol=strength.DEFAULT_TOL,
+                    s_hint=None):
+            keys.append((np.asarray(points).tobytes(), np.asarray(boundaries).tobytes(),
+                         tol, s_hint))
+            return raw(points, boundaries, source, alpha, tol, s_hint)
+
+        monkeypatch.setattr(quantizer, "_error_strength_raw", counted)
+        return keys
+
+    def test_each_point_set_is_solved_once(self, monkeypatch):
+        keys = self._solve_keys(monkeypatch)
+        design_optimal(cauchy_source(1.0), 1.0, 2, seed=5)
+        assert len(keys) > 1 and len(set(keys)) == len(keys)
+
+    def test_solved_point_sets_are_not_kept_between_calls(self, monkeypatch):
+        keys = self._solve_keys(monkeypatch)
+        first = design_optimal(cauchy_source(1.0), 1.0, 2, seed=5)
+        n_first = len(keys)
+        second = design_optimal(cauchy_source(1.0), 1.0, 2, seed=5)
+        # both calls solve their Nelder-Mead points, not only one measure per
+        # iteration, and solve the same ones
+        assert n_first > first.iterations + 1
+        assert keys[n_first:] == keys[:n_first]
+
+        def fields(r):
+            q = r.quantizer
+            return (q.points.tobytes(), q.boundaries.tobytes(), q.symmetric, r.error_strength,
+                    r.iterations, r.strength_trace, r.seed, r.converged, r.stop_reason)
+
+        assert fields(second) == fields(first)
+
     def test_scale_equivariance(self):
         base = design_optimal(cauchy_source(1.0), 1.0, 2, seed=2)
         for c in (2.0, 5.0):
@@ -793,6 +830,13 @@ class TestMirroredLattice:
 
 
 class TestBestUniform:
+    def test_sample_source_rejected(self):
+        src = EmpiricalSource(sample(StableParams(1.5, 0.0, 1.0, 0.0), 2000, seed=21))
+        with pytest.raises(ValueError, match="needs a density source"):
+            uniform_levels_strength(0.5, 8, src, 1.5)
+        with pytest.raises(ValueError, match="needs a density source"):
+            quantizer.best_uniform_design(src, 1.5, 8)
+
     def test_result_is_the_solve_at_the_returned_width(self, monkeypatch):
         source = SymmetricStableSource(StableParams(1.5, 0.0, 1.0, 0.0))
         widths = []

@@ -605,6 +605,18 @@ class TestTailIntegralTrims:
         assert got[0] == stable_core._tail_integral(1.5, np.ones_like, 40.0)
         assert got[1] == stable_core._tail_integral(1.5, lambda u: -eng.log_pdf_vec(u), 40.0)
 
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5])
+    def test_phi_runs_once(self, alpha):
+        # the remainder's phi(X) comes from the same call as the nodes
+        calls = []
+
+        def phi(u):
+            calls.append(u.max())
+            return np.ones_like(u)
+
+        stable_core._tail_integral(alpha, phi, 40.0)
+        assert calls == [math.exp(60.0 / alpha + math.log(40.0) + 5.0)]
+
 
 class TestKappa:
     """kappa = d log f0 / d ln u from `log_pdf_vec(u, slope=True)` against a
@@ -637,6 +649,17 @@ class TestKappa:
         np.testing.assert_array_equal(
             stable_core.standard_density(2.0).log_pdf_vec(u, slope=True)[1], -0.5 * u * u
         )
+        # the stack is the value and slope expressions, byte for byte, at any shape
+        for x in (np.array(-2.5), -u, np.outer(u, [-1.0, 0.5, 3.0])):
+            a = np.abs(x)
+            u2 = a * a
+            want = {
+                1.0: np.stack([-math.log(math.pi) - np.log1p(u2), -2.0 * u2 / (1.0 + u2)]),
+                2.0: np.stack([-a * a / 4.0 - 0.5 * math.log(4.0 * math.pi), -0.5 * (a * a)]),
+            }
+            for alpha, rows in want.items():
+                got = stable_core.standard_density(alpha).log_pdf_vec(x, slope=True)
+                assert (got.shape, got.tobytes()) == (rows.shape, rows.tobytes())
 
 
 class TestSampling:
