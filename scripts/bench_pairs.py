@@ -18,6 +18,8 @@ are the per-layer metrics whose unit is not seconds.  `raw_pass_s` summarizes
 each run's median raw pass seconds (the details line's `pass_raw_s`) the same
 way, outside the gain rule: a gain that shows in reference seconds but not in
 raw ones came from the calibration kernel, not from the change.
+`raw_setup_s` does the same for the median raw set-up seconds (`setup_raw_s`),
+since `setup_s` at reference speed spreads about as widely as its bound.
 
     python scripts/bench_pairs.py --parent ../parent --change . \\
         --workloads design=10,tables-cold=4,uniform-highrate=4 --out BENCH_N.json
@@ -39,6 +41,8 @@ import sys
 
 TRACE_SEED = 5  # the seed of every traced count recorded in CHANGES.md and ROADMAP.md
 PRECOMPILE = ("-m", "compileall", "-q", "src", "perfbench")
+# each summary of raw wall seconds, and the details line's per-pass list it reads
+RAW = {"raw_pass_s": "pass_raw_s", "raw_setup_s": "setup_raw_s"}
 
 
 def _tree_digest(root, sub):
@@ -150,14 +154,15 @@ def main(argv=None):
     }
     for workload, pairs in wanted:
         runs = {"parent": [], "change": []}
-        raw = {"parent": [], "change": []}  # per run, the median raw pass seconds
+        raw = {name: {"parent": [], "change": []} for name in RAW}  # per run, the median
         seeds = [args.first_seed + i for i in range(int(pairs))]
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 details, res = _run(sides[side], workload, seed, seconds, 0)
                 runs[side].append(res)
-                raw[side].append(statistics.median(details["pass_raw_s"]))
+                for name, key in RAW.items():
+                    raw[name][side].append(statistics.median(details[key]))
                 result.setdefault("environment", {
                     k: v for k, v in details["environment"].items() if k != "loadavg_at_start"
                 })
@@ -181,12 +186,13 @@ def main(argv=None):
                 **_compare(values["parent"], values["change"], metric["better"],
                            metric["bound"]),
             }
-        entry["raw_pass_s"] = {
-            "unit": "s",
-            "better": "lower",
-            "note": "wall seconds, not scaled to the reference speed; outside the gain rule",
-            **_compare(raw["parent"], raw["change"], "lower"),
-        }
+        for name in RAW:
+            entry[name] = {
+                "unit": "s",
+                "better": "lower",
+                "note": "wall seconds, not scaled to the reference speed; outside the gain rule",
+                **_compare(raw[name]["parent"], raw[name]["change"], "lower"),
+            }
         for side in ("parent", "change"):
             _, res = _run(sides[side], workload, TRACE_SEED, seconds, 1)
             entry["traced"][side] = {k: v["value"] for k, v in res["metrics"].items()

@@ -280,16 +280,15 @@ def design_optimal(
     """Design a strength-optimal M-point quantizer for a symmetric unimodal source.
 
     Alternates the midpoint rule for the regions with a Nelder-Mead update of
-    the mirrored positive points (searched in log space, restarted once from
-    a perturbed simplex), until the strength improvement falls below tol
-    (default: 1e-6 of the current strength).
+    the mirrored positive points (searched in log space from the current
+    points), until the strength improvement falls below tol (default: 1e-6 of
+    the current strength).  The seed perturbs only the start points.
     """
     from scipy import optimize
 
     if M < 1:
         raise ValueError("M must be >= 1")
     _check_symmetric_unimodal(source)
-    rng = np.random.default_rng(seed)
 
     if M == 1:
         sol = solve_strength(source, alpha)
@@ -308,7 +307,7 @@ def design_optimal(
     levels = (2.0 * np.arange(m) + 1.0) / (2.0 * M)
     init = np.array([source.abs_quantile(p) for p in levels])
     init = np.maximum(init, 1e-9)
-    init *= np.exp(0.05 * rng.standard_normal(m))
+    init *= np.exp(0.05 * np.random.default_rng(seed).standard_normal(m))
     init = np.sort(init)
 
     s_hint = None
@@ -347,27 +346,13 @@ def design_optimal(
                 ).value
             return solved[key]
 
-        v0 = np.log(free)
         res = optimize.minimize(
             objective,
-            v0,
+            np.log(free),
             method="Nelder-Mead",
             options={"xatol": 1e-7, "fatol": 1e-9 * s_cur, "maxiter": 250 * m},
         )
-        simplex = res.x + 0.05 * rng.standard_normal((m + 1, m))
-        res2 = optimize.minimize(
-            objective,
-            res.x,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-7,
-                "fatol": 1e-9 * s_cur,
-                "maxiter": 250 * m,
-                "initial_simplex": simplex,
-            },
-        )
-        best = res2.x if res2.fun < res.fun else res.x
-        free_new = np.sort(np.exp(best))
+        free_new = np.sort(np.exp(res.x))
         s_new = measure(free_new)  # midpoint-consistent state
         if s_new > s_cur:
             stop_reason = "no_improvement"  # numerical noise floor reached

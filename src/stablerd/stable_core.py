@@ -510,17 +510,18 @@ class _StandardDensity:
                 if self._spline is None:
                     self._spline = self._build_table()
         out = np.empty((2,) + u.shape if slope else u.shape)
-        lp = out[0] if slope else out
+        # views, also for a 0-d u, where out[0] would be a NumPy scalar
+        lp, kappa = (out[0, ...], out[1, ...]) if slope else (out, None)
         tiny = u < self.TABLE_FLOOR
         tail = u >= TAIL_CUTOFF
         core = ~tiny & ~tail
         if np.any(tiny):
             lp[tiny] = math.log(self.pdf(0.0))
             if slope:
-                out[1][tiny] = 0.0
+                kappa[tiny] = 0.0
         if np.any(tail):
             if slope:
-                lp[tail], out[1][tail] = _log_pdf0_tail(a, u[tail], slope=True)
+                lp[tail], kappa[tail] = _log_pdf0_tail(a, u[tail], slope=True)
             else:
                 lp[tail] = _log_pdf0_tail(a, u[tail])
         if np.any(core):
@@ -531,7 +532,7 @@ class _StandardDensity:
             del u
             lp[core] = self._spline(t)
             if slope:
-                out[1][core] = self._spline(t, 1)
+                kappa[core] = self._spline(t, 1)
         return out
 
     def pdf_vec(self, u) -> np.ndarray:

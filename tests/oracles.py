@@ -21,8 +21,8 @@ Also here: QUADPACK's Fourier-weight rule (QAWF), adaptive QUADPACK split at
 the zeros of cos(t u) and its total mass of the library's density, the
 library's inversion forced where closed forms exist, `quad_g` (G(s) as one
 Gauss-Legendre sum on panels that hold no spline knot), a cell-by-cell G of
-the uniform quantizer, a design grid search, and the root oracle that every
-strength is checked against.
+the uniform quantizer, a design grid search, a Brent design search, and the
+root oracle that every strength is checked against.
 """
 
 import math
@@ -325,6 +325,23 @@ def design_grid_search(points_of, lo=0.001, hi=10.0, step=1e-3):
         if sol.value < best_s:
             best_s, best_a = sol.value, a
     return best_a, best_s
+
+
+def design_optimum(points_of, lo, hi, gamma=1.0):
+    """(a, strength) at the least error strength of the Cauchy source of scale
+    gamma at index 1 over the quantizers points_of(a) = (points, boundaries),
+    by a bounded Brent search in a on [lo, hi] to xatol 1e-12.  Each strength
+    is the library's own solve: like `design_grid_search`, this checks the
+    design optimizer, not G."""
+    src = cauchy_source(gamma)
+
+    def strength(a):
+        pts, bnd = points_of(a)
+        return _error_strength_raw(pts, bnd, src, 1.0).value
+
+    res = optimize.minimize_scalar(strength, bounds=(lo, hi), method="bounded",
+                                   options={"xatol": 1e-12})
+    return float(res.x), float(res.fun)
 
 
 def root(fn, lo, hi):

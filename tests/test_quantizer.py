@@ -381,6 +381,34 @@ class TestDesign:
 
         assert fields(second) == fields(first)
 
+    def test_one_search_per_outer_iteration(self, monkeypatch):
+        import scipy.optimize
+        from unittest import mock
+
+        spy = mock.Mock(wraps=scipy.optimize.minimize)
+        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+        report = design_optimal(cauchy_source(1.0), 1.0, 2, seed=7)
+        assert spy.call_count == report.iterations
+
+    @pytest.mark.parametrize("gamma", [1.0, 3.0])
+    def test_two_point_design_at_the_brent_optimum(self, gamma):
+        # the design's strength against a bounded Brent search over (-a, a);
+        # worst measured 8.9e-16 relative
+        _, best = oracles.design_optimum(
+            lambda a: (np.array([-a, a]), np.array([0.0])), 0.1 * gamma, 3.0 * gamma, gamma)
+        report = design_optimal(cauchy_source(gamma), 1.0, 2, seed=7)
+        assert report.error_strength == pytest.approx(best, rel=1e-14, abs=0.0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the outer alternation stops once an iteration improves s by <= 1e-6 s: "
+        "the M = 3 design sits 3.7e-7 relative above the optimum over (-a, 0, a)"
+    ))
+    def test_three_point_design_at_the_brent_optimum(self):
+        _, best = oracles.design_optimum(
+            lambda a: (np.array([-a, 0.0, a]), np.array([-0.5 * a, 0.5 * a])), 0.3, 5.0)
+        report = design_optimal(cauchy_source(1.0), 1.0, 3, seed=7)
+        assert report.error_strength == pytest.approx(best, rel=1e-9, abs=0.0)
+
     def test_scale_equivariance(self):
         base = design_optimal(cauchy_source(1.0), 1.0, 2, seed=2)
         for c in (2.0, 5.0):

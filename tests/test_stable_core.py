@@ -661,6 +661,16 @@ class TestKappa:
                 got = stable_core.standard_density(alpha).log_pdf_vec(x, slope=True)
                 assert (got.shape, got.tobytes()) == (rows.shape, rows.tobytes())
 
+    @pytest.mark.parametrize("alpha", [0.7, 1.5])
+    def test_zero_d_u_at_generic_alpha(self, alpha):
+        # a 0-d u gives shape (2,), the 1-d call's column byte for byte: below
+        # TABLE_FLOOR, in the core and in the tail
+        eng = stable_core.standard_density(alpha)
+        for x in (0.5e-14, 0.5, 3.0, 100.0):
+            got = eng.log_pdf_vec(np.float64(x), slope=True)
+            col = eng.log_pdf_vec(np.array([x]), slope=True)[:, 0]
+            assert (got.shape, got.tobytes()) == ((2,), col.tobytes())
+
 
 class TestSampling:
     def test_reproducible(self):
