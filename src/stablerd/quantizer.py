@@ -417,8 +417,12 @@ def _direct_weights(delta: float, source: SourceSpec, k_core: int):
     ks = np.arange(-k_core, k_core + 1)
     nodes = ks[:, None] * delta + u[None, :]
     fsum = source.pdf_vec(nodes.ravel()).reshape(nodes.shape).sum(axis=0)
-    tail = source.tail_mass(k_core * delta + 0.5 * delta)
-    fsum = fsum + 2.0 * tail / delta  # grouped mass of all remaining regions
+    # grouped mass of all remaining regions on each side: the left side's is
+    # the right side's of -X, reused when the source is its own reflection
+    edge = k_core * delta + 0.5 * delta
+    right = source.tail_mass(edge)
+    left = right if source.reflected is source else source.reflected.tail_mass(edge)
+    fsum = fsum + (right + left) / delta
     return u, 0.5 * delta * wg * fsum
 
 

@@ -12,14 +12,13 @@ from the same nodes, and the root is found by safeguarded Newton in ln s.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
-# scipy.integrate and scipy.optimize are imported by the functions that use
-# them, so `import stablerd` loads neither.
+# scipy.integrate is imported by TabulatedSource.mass, the one function that
+# uses it, so `import stablerd` does not load it.
 from scipy.special import erfc, gammaln
 
 from . import stable_core
@@ -64,7 +63,10 @@ class _Source:
     log growth, remainder included; a stable kind's tail mass and every
     G take their tails from it) and `reflected` (the source of -X; a
     symmetric kind returns itself).  A new kind implements these on its own
-    class; the strength and quantizer code calls only them.
+    class.  Six entry points still check a source's class (ROADMAP item 6):
+    `_g_of_partition`, `output_entropy`, `_check_symmetric_unimodal`,
+    `uniform_error_strength` and `_require_density` for `EmpiricalSource`,
+    and `_uniform_weights` for `SymmetricStableSource`'s aliasing route.
     """
 
     dim = 1
@@ -91,18 +93,13 @@ class _Source:
         return 0.0
 
     def abs_quantile(self, p: float) -> float:
-        """The p-quantile of |X|, by root finding on the mass of [-x, x]."""
-        from scipy import optimize
+        """The p-quantile of |X|: the root of p - mass(-x, x), found by the
+        strength solver's Newton in ln x with the slope -x (f(x) + f(-x))."""
 
         def fn(x):
-            return self.mass(-x, x) - p
+            return p - self.mass(-x, x), -x * float(np.sum(self.pdf_vec(np.array([x, -x]))))
 
-        hi = self.scale
-        for _ in range(80):
-            if fn(hi) > 0.0:
-                break
-            hi *= 2.0
-        return float(optimize.brentq(fn, 1e-12 * self.scale, hi, rtol=1e-10))
+        return _solve_monotone(fn, self.scale, 4.0 * np.finfo(float).eps).value
 
 
 @dataclass(frozen=True)
@@ -249,10 +246,7 @@ class TabulatedSource(_Source):
     support: tuple = (-np.inf, np.inf)
 
     def __post_init__(self):
-        from scipy import integrate
-
-        lo, hi = self.support
-        mass, _ = integrate.quad(self.density, lo, hi, limit=400)
+        mass = self.mass(*self.support)
         if abs(mass - 1.0) > 1e-6:
             raise ValueError(f"tabulated density has mass {mass}, expected 1 +- 1e-6")
 
@@ -267,30 +261,8 @@ class TabulatedSource(_Source):
 
     @property
     def start_scale(self) -> float:
-        """The median of |X| by bisection on the mass; 1 if that fails.
-
-        Rough accuracy is fine here, so integration warnings on
-        slowly-decaying tails are muted.
-        """
-        from scipy import integrate, optimize
-
-        lo, hi = self.support
-        f = self.density
-
-        def mass_above(c):
-            pieces = 0.0
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                if hi > c:
-                    pieces += integrate.quad(f, c, hi, limit=200)[0]
-                if lo < -c:
-                    pieces += integrate.quad(f, lo, -c, limit=200)[0]
-            return pieces - 0.5
-
-        try:
-            return optimize.brentq(mass_above, 1e-12, 1e6)
-        except ValueError:
-            return 1.0
+        """The median of |X|."""
+        return self.abs_quantile(0.5)
 
     @cached_property
     def _density_vec(self):

@@ -304,11 +304,12 @@ class TestDesign:
         assert r1.seed == 5
 
     def test_pinned_cauchy_design(self):
-        # the points are those recorded before the quadrature caches landed; the
-        # strength moved by 1 ulp when root solves went to machine precision
+        # the start point is the quartile of |X| to rounding; the Brent optimum
+        # over (0.1, 3) (oracles.design_optimum) is 0.7172356202174561 at
+        # a = 0.7895263438059998
         report = design_optimal(cauchy_source(1.0), 1.0, 2, seed=7)
-        assert report.error_strength == 0.7172356202174566
-        assert report.quantizer.points.tolist() == [-0.7895263207070173, 0.7895263207070173]
+        assert report.error_strength == 0.7172356202174569
+        assert report.quantizer.points.tolist() == [-0.7895263207108231, 0.7895263207108231]
 
     def test_stop_reason_tol(self):
         report = design_optimal(cauchy_source(1.0), 1.0, 2, seed=7)
@@ -782,6 +783,28 @@ class TestAsymmetricTabulated:
         G = oracles.quad_residual(q.points, q.boundaries, source, 1.5)
         want = oracles.root(G, 0.5 * sol.value, 2.0 * sol.value)
         assert sol.value == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def _half_cauchy(x):
+    return 2.0 / (math.pi * (1.0 + x * x)) if x >= 0.0 else 0.0
+
+
+class TestOneSidedLattice:
+    """A source with no left tail (the half-Cauchy on (0, inf)): the direct
+    lattice route groups the regions past k_core through each side's own
+    tail mass, the left one from `source.reflected`."""
+
+    source = TabulatedSource(_half_cauchy, (0.0, math.inf))
+
+    @pytest.mark.parametrize("delta", [0.5, 0.1])
+    def test_weights_sum_to_one(self, delta):
+        _, W = _direct_weights(delta, self.source, _direct_radius(UniformSpec(delta), self.source))
+        assert W.sum() == pytest.approx(1.0, rel=0.0, abs=1e-14)
+
+    def test_high_rate_law(self):
+        # s / delta against s_1(U), the paper's high-rate limit
+        sol = uniform_error_strength(UniformSpec(0.1), self.source, 1.0)
+        assert sol.value / 0.1 == pytest.approx(strength_of_uniform(1.0), rel=1e-9, abs=0.0)
 
 
 class _FullLattice:

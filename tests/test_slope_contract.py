@@ -14,6 +14,11 @@ point itself, it is checked against independent routes:
 * the solved root against `oracles.root` (`brentq` at rtol 4 eps) on the
   same value, to 1e-14 relative;
 * the solution's `evaluations` against the number of calls of fn.
+
+A tabulated source's `solve_strength` and `cb_strength` first find the start
+scale, the median of |X|, with the same solver; every captured solve has its
+evaluations and residual checked, and the strength solve, the last one, its
+slope and root.
 """
 
 import math
@@ -106,7 +111,8 @@ QUAD_G = {
 
 
 def _capture(call, monkeypatch):
-    """Run call(); return the fn, the solution and the fn calls of its root solve."""
+    """Run call(); return (fn, solution, fn calls) of each of its root solves,
+    in the order they finish."""
     solve = strength._solve_monotone
     seen = []
 
@@ -124,8 +130,7 @@ def _capture(call, monkeypatch):
     monkeypatch.setattr(strength, "_solve_monotone", spy)
     monkeypatch.setattr(quantizer, "_solve_monotone", spy)
     call()
-    (captured,) = seen
-    return captured
+    return seen
 
 
 def test_lattice_routes():
@@ -135,9 +140,11 @@ def test_lattice_routes():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_slope_root_and_evaluations(case, monkeypatch):
-    fn, sol, calls = _capture(CASES[case], monkeypatch)
-    assert sol.evaluations == calls
-    assert sol.residual <= 1e-9
+    solves = _capture(CASES[case], monkeypatch)
+    for _, sol, calls in solves:
+        assert sol.evaluations == calls
+        assert sol.residual <= 1e-9
+    fn, sol, _ = solves[-1]
     root = sol.value
 
     def value(s):

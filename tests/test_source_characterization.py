@@ -73,7 +73,7 @@ PINNED = {
         "uniform_error_strength": 0.056509780482134495,
         "levels_strength": 0.07587553174804748,
         "levels_entropy": 1.5825825142645626,
-        "solve_strength": 0.30700782344853217,
+        "solve_strength": 0.30700782344853206,
         "cb_strength": 0.17505864191390685,
     },
     "laplace": {
@@ -82,7 +82,7 @@ PINNED = {
         "uniform_error_strength": 0.056447749700113244,
         "levels_strength": 0.552747328118473,
         "levels_entropy": 1.4927658691523313,
-        "solve_strength": 0.9222822854090111,
+        "solve_strength": 0.9222822854090112,
         "cb_strength": 0.48250711187256595,
     },
     "stable": {
@@ -130,7 +130,7 @@ class TestPinnedSourceOutputs:
 @pytest.mark.parametrize("kind, strength, point", [
     ("uniform", 0.22603912194328563, 0.5000000142248026),
     ("laplace", 0.6075328411050205, 0.7341141526000362),
-    ("stable", 7.02766421476549, 2.6536630037282034),
+    ("stable", 7.027664214765492, 2.6536630037302564),
 ], ids=["uniform", "laplace", "stable"])
 def test_pinned_two_point_design(kind, strength, point):
     report = design_optimal(SOURCES[kind], ALPHA, 2, seed=1)

@@ -56,6 +56,15 @@ def test_kkt_width_loads_no_heavy_submodule():
     """) == set()
 
 
+def test_abs_quantile_loads_no_heavy_submodule():
+    # the quantile runs the strength solver's Newton on the Cauchy mass, so
+    # no SciPy root finder loads
+    assert _loaded_after("""
+        from stablerd import strength
+        strength.cauchy_source(1.0).abs_quantile(0.25)
+    """) == set()
+
+
 def test_symmetric_density_loads_no_quadpack():
     # a stronger form of TestTableBuild.test_no_quadpack_call
     loaded = _loaded_after("""

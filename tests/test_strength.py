@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from stablerd import (
     EmpiricalSource,
@@ -240,6 +241,31 @@ class TestTabulatedTail:
         assert ref is src.reflected  # built once
         x = np.linspace(-4.0, 4.0, 33)
         np.testing.assert_array_equal(ref.pdf_vec(x), src.pdf_vec(-x))
+
+
+LAPLACE = TabulatedSource(lambda x: 0.5 * math.exp(-abs(x)))
+TRIANGLE = TabulatedSource(lambda x: max(0.0, 1.0 - abs(x)), (-1.0, 1.0))
+
+
+class TestAbsQuantile:
+    """The p-quantile of |X| against its closed form."""
+
+    @pytest.mark.parametrize("source, quantile", [
+        (cauchy_source(2.0), lambda p: 2.0 * math.tan(math.pi * p / 2.0)),
+        (gaussian_source(1.0), lambda p: math.sqrt(2.0) * float(special.erfinv(p))),
+        (LAPLACE, lambda p: -math.log1p(-p)),
+        (TRIANGLE, lambda p: 1.0 - math.sqrt(1.0 - p)),
+    ], ids=["cauchy", "gaussian", "laplace", "triangle"])
+    @pytest.mark.parametrize("p", [1.0 / 6.0, 0.25, 0.5, 0.75])
+    def test_closed_forms(self, source, quantile, p):
+        assert source.abs_quantile(p) == pytest.approx(quantile(p), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("source, median", [
+        (LAPLACE, math.log(2.0)),
+        (TRIANGLE, 1.0 - math.sqrt(0.5)),
+    ], ids=["laplace", "triangle"])
+    def test_tabulated_start_scale_is_the_median(self, source, median):
+        assert abs(source.start_scale - median) <= 2.0 * math.ulp(median)
 
 
 class TestSolverEdges:
