@@ -418,11 +418,9 @@ def _direct_weights(delta: float, source: SourceSpec, k_core: int):
     nodes = ks[:, None] * delta + u[None, :]
     fsum = source.pdf_vec(nodes.ravel()).reshape(nodes.shape).sum(axis=0)
     # grouped mass of all remaining regions on each side: the left side's is
-    # the right side's of -X, reused when the source is its own reflection
+    # the right side's of -X
     edge = k_core * delta + 0.5 * delta
-    right = source.tail_mass(edge)
-    left = right if source.reflected is source else source.reflected.tail_mass(edge)
-    fsum = fsum + (right + left) / delta
+    fsum = fsum + (source.tail_mass(edge) + source.reflected.tail_mass(edge)) / delta
     return u, 0.5 * delta * wg * fsum
 
 

@@ -239,7 +239,8 @@ class TabulatedSource(_Source):
     """A source given by a density callback with support hints.
 
     `density` maps a scalar x to f(x); `support` is (lo, hi) and may be
-    infinite.  Normalization is checked to 1e-6 on construction.
+    infinite, and the callback is read only inside it.  Normalization is
+    checked to 1e-6 on construction.
     """
 
     density: Callable[[float], float]
@@ -275,11 +276,14 @@ class TabulatedSource(_Source):
         return np.where((x >= lo) & (x <= hi), vals, 0.0)
 
     def mass(self, a: float, b: float) -> float:
+        """The integral of the density over [a, b] cut to the support."""
         from scipy import integrate
 
+        lo, hi = self.support
+        a, b = max(a, lo), min(b, hi)
         if b <= a:
             return 0.0
-        return integrate.quad(self.density, a, b, limit=300)[0]
+        return integrate.quad(self.density, a, b, limit=400)[0]
 
     @cached_property
     def reflected(self) -> "TabulatedSource":

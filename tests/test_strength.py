@@ -245,6 +245,9 @@ class TestTabulatedTail:
 
 LAPLACE = TabulatedSource(lambda x: 0.5 * math.exp(-abs(x)))
 TRIANGLE = TabulatedSource(lambda x: max(0.0, 1.0 - abs(x)), (-1.0, 1.0))
+# One-sided sources; the ramp's callback is nonzero (negative) left of its support
+RAMP = TabulatedSource(lambda x: 2.0 * x, (0.0, 1.0))
+EXPONENTIAL = TabulatedSource(lambda x: math.exp(-x), (0.0, np.inf))
 
 
 class TestAbsQuantile:
@@ -255,7 +258,9 @@ class TestAbsQuantile:
         (gaussian_source(1.0), lambda p: math.sqrt(2.0) * float(special.erfinv(p))),
         (LAPLACE, lambda p: -math.log1p(-p)),
         (TRIANGLE, lambda p: 1.0 - math.sqrt(1.0 - p)),
-    ], ids=["cauchy", "gaussian", "laplace", "triangle"])
+        (RAMP, math.sqrt),
+        (EXPONENTIAL, lambda p: -math.log1p(-p)),
+    ], ids=["cauchy", "gaussian", "laplace", "triangle", "ramp", "exponential"])
     @pytest.mark.parametrize("p", [1.0 / 6.0, 0.25, 0.5, 0.75])
     def test_closed_forms(self, source, quantile, p):
         assert source.abs_quantile(p) == pytest.approx(quantile(p), rel=1e-14, abs=0.0)
@@ -263,9 +268,19 @@ class TestAbsQuantile:
     @pytest.mark.parametrize("source, median", [
         (LAPLACE, math.log(2.0)),
         (TRIANGLE, 1.0 - math.sqrt(0.5)),
-    ], ids=["laplace", "triangle"])
+        (RAMP, math.sqrt(0.5)),
+        (EXPONENTIAL, math.log(2.0)),
+    ], ids=["laplace", "triangle", "ramp", "exponential"])
     def test_tabulated_start_scale_is_the_median(self, source, median):
         assert abs(source.start_scale - median) <= 2.0 * math.ulp(median)
+
+    def test_callback_outside_the_support_is_ignored(self):
+        # the same law with its callback zeroed outside (0, 1)
+        masked = TabulatedSource(lambda x: 2.0 * x if 0.0 <= x <= 1.0 else 0.0, (0.0, 1.0))
+        assert RAMP.mass(-1.0, 0.5) == pytest.approx(0.25, rel=1e-14, abs=0.0)
+        assert solve_strength(RAMP, 1.0).value == pytest.approx(
+            solve_strength(masked, 1.0).value, rel=1e-12, abs=0.0)
+        assert cb_strength(RAMP) == pytest.approx(cb_strength(masked), rel=1e-12, abs=0.0)
 
 
 class TestSolverEdges:
