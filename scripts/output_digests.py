@@ -2,7 +2,8 @@
 """Print a sha256 digest of every pinned CLI output, for byte-identity checks.
 
 Runs `reproduce fig1/fig3/fig4/fig5`, a seeded Cauchy design, two stable
-strengths (alpha 1.35 and 0.3) and a stable uniform sweep from the `src/`
+strengths (alpha 1.35 and 0.3), a stable uniform sweep and two d >= 2
+reference entropies (alpha 0.8, d 2 and alpha 1.5, d 3) from the `src/`
 tree next to this script, each in its own process, into a temporary
 directory.  For each output file it
 prints one `sha256  file` line.  The '#' comment lines are left out of the
@@ -37,6 +38,8 @@ COMMANDS = (
     ("uniform_sweep_stable_a0.7_g1.3.csv",
      ["uniform-sweep", "--source", "stable", "--alpha", "0.7", "--gamma", "1.3",
       "--deltas", "0.5,0.1,0.01"]),
+    ("entropy_a0.8_d2.csv", ["entropy", "--alpha", "0.8", "--d", "2"]),
+    ("entropy_a1.5_d3.csv", ["entropy", "--alpha", "1.5", "--d", "3"]),
 )
 
 

@@ -525,22 +525,24 @@ def truncated_uniform(delta: float, M: int) -> Quantizer:
     Even M uses points +-(k - 1/2) delta (mid-rise); odd M uses k delta
     (mid-tread).  The two outer regions are unbounded.
     """
+    return Quantizer.from_points(_uniform_points(delta, M), symmetric=True)
+
+
+def _uniform_points(delta: float, M: int) -> np.ndarray:
+    """The points of `truncated_uniform(delta, M)`, without building it."""
     if M < 2:
         raise ValueError("M must be >= 2")
     if M % 2 == 0:
         ks = np.arange(1, M // 2 + 1)
-        pts = np.concatenate([-(ks[::-1] - 0.5), ks - 0.5]) * delta
-    else:
-        half = (M - 1) // 2
-        pts = np.arange(-half, half + 1) * delta
-    return Quantizer.from_points(pts, symmetric=True)
+        return np.concatenate([-(ks[::-1] - 0.5), ks - 0.5]) * delta
+    half = (M - 1) // 2
+    return np.arange(-half, half + 1) * delta
 
 
 def _truncated_uniform_g(delta, M, source, alpha):
-    """(G, dG/d ln s) callable plus region masses for the M-level uniform quantizer."""
+    """(G, dG/d ln s) callable and region masses of the M-level uniform quantizer."""
     psi = reference_neg_log_density(alpha, slope=True)
-    q = truncated_uniform(delta, M)
-    pts = q.points
+    pts = _uniform_points(delta, M)
     top = pts[-1]
     edge = top - 0.5 * delta  # the top region is (top - delta/2, infinity)
     n_inner = M - 2
@@ -577,7 +579,7 @@ def _truncated_uniform_g(delta, M, source, alpha):
     p_right = source.tail_mass(edge)
     p_left = p_right if mirrored else reflected.tail_mass(edge)
     probs = np.concatenate([[p_left], p_inner, [p_right]])
-    return G, probs, q
+    return G, probs
 
 
 def _require_density(source: SourceSpec) -> None:
@@ -595,18 +597,20 @@ def uniform_levels_strength(
     """(strength solution, output entropy, quantizer) for the M-level uniform
     quantizer of width delta, for a density source."""
     _require_density(source)
-    return _uniform_levels_from(delta, M, source, alpha, 0.3 * delta, tol)
+    sol, entropy = _uniform_levels_from(delta, M, source, alpha, 0.3 * delta, tol)
+    return sol, entropy, truncated_uniform(delta, M)
 
 
 def _uniform_levels_from(delta, M, source, alpha, s0, tol=DEFAULT_TOL):
-    """`uniform_levels_strength` with its root solve started at s0."""
-    G, probs, q = _truncated_uniform_g(delta, M, source, alpha)
+    """(strength solution, output entropy) of `uniform_levels_strength`, with
+    its root solve started at s0."""
+    G, probs = _truncated_uniform_g(delta, M, source, alpha)
     h = reference_entropy(ReferenceLaw(alpha, 1))
     sol = _solve_monotone(lambda s: G(s) - (h, 0.0), s0, tol)
     p = probs[probs > 0.0]
     p = p / p.sum()
     entropy = float(-np.sum(p * np.log(p)))
-    return sol, entropy, q
+    return sol, entropy
 
 
 def best_uniform_design(source: SourceSpec, alpha: float, M: int, tol: float = 1e-6):
@@ -615,13 +619,14 @@ def best_uniform_design(source: SourceSpec, alpha: float, M: int, tol: float = 1
     Returns (delta, strength solution, output entropy, quantizer).  Each
     solve starts from the strength at the nearest width already solved,
     scaled by the ratio of the widths, and the chosen width's solve is
-    reused for the result.  The source must have a density.
+    reused for the result; only its quantizer is built.  The source must have
+    a density.
     """
     from scipy import optimize
 
     _require_density(source)
     scale = source.scale
-    solved = {}  # ln delta -> (strength solution, output entropy, quantizer)
+    solved = {}  # ln delta -> (strength solution, output entropy)
 
     def strength_of(logd):
         if logd not in solved:
@@ -644,7 +649,8 @@ def best_uniform_design(source: SourceSpec, alpha: float, M: int, tol: float = 1
         options={"xatol": tol},
     )
     strength_of(res.x)  # the optimizer returns a width it evaluated: no new solve
-    return (math.exp(res.x), *solved[res.x])
+    delta = math.exp(res.x)
+    return (delta, *solved[res.x], truncated_uniform(delta, M))
 
 
 # ---------------------------------------------------------------------------

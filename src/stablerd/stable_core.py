@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# scipy.integrate and scipy.interpolate are imported by the functions that
-# use them, so a process that stays at alpha 1 and 2 never loads them.
+# scipy.integrate is imported by the functions that use it, so the symmetric
+# density, its tables included, never loads it.
 from scipy.special import gammaln, digamma, jv
 
 from .errors import AlphaMismatch, QuadratureFailure, ZeroScale
@@ -412,14 +412,164 @@ def _log_pdf0_tail(alpha: float, u, slope: bool = False):
     return log_t1 + np.log1p(corr)
 
 
+# ---------------------------------------------------------------------------
+# not-a-knot cubic spline
+#
+# The interpolant of SciPy's `CubicSpline` with its default not-a-knot ends,
+# without importing SciPy's interpolate package (which loads scipy.optimize,
+# scipy.linalg and scipy.sparse).  The build keeps CubicSpline's expressions
+# and their order, and solves its tridiagonal system for the knot slopes the
+# way LAPACK's dgtsv does (the routine scipy.linalg.solve_banded calls for one
+# band each side; E. Anderson et al., LAPACK Users' Guide, SIAM 1999).
+# Evaluation keeps PPoly's power sums.  Coefficients, values and slopes are
+# therefore bitwise those of SciPy's spline; keep every expression as it is.
+
+# A fraction of a knot spacing: the arithmetic index is checked by exact
+# comparison wherever it lands this near a knot.
+_NEAR_KNOT = 1e-9
+_SPLINE_BLOCK = 8192
+
+
+def _gtsv(dl, d, du, b):
+    """x with A x = b for the tridiagonal A with sub-, main and super-diagonals
+    dl, d and du: Gaussian elimination with partial pivoting, as dgtsv for one
+    right-hand side, on Python floats so that each operation rounds as there."""
+    dl, d, du, b = (list(map(float, v)) for v in (dl, d, du, b))
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise ZeroDivisionError("singular tridiagonal system")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            # swap rows i and i + 1; dl[i] keeps the fill-in of row i
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise ZeroDivisionError("singular tridiagonal system")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return np.array(b)
+
+
+class _Spline:
+    """Not-a-knot cubic spline through (x, y), x strictly increasing, n >= 4.
+
+    `c` holds the power-form coefficients of each interval, highest first,
+    shape (4, n - 1), so that on [x[i], x[i+1]] the spline is
+    c[0, i] s^3 + c[1, i] s^2 + c[2, i] s + c[3, i], s = t - x[i].  Below
+    x[0] and above x[-1] the end polynomials extrapolate.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = x.size
+        if x.ndim != 1 or y.shape != x.shape or n < 4:
+            raise ValueError("a spline needs matching 1-D x and y of at least 4 points")
+        dx = np.diff(x)
+        if not np.all(dx > 0.0):
+            raise ValueError("spline knots must be strictly increasing")
+        slope = np.diff(y) / dx
+        # the system row by row, as CubicSpline fills its banded form
+        d = np.empty(n)
+        du = np.empty(n - 1)
+        dl = np.empty(n - 1)
+        b = np.empty(n)
+        d[1:-1] = 2 * (dx[:-1] + dx[1:])
+        du[1:] = dx[:-1]
+        dl[:-1] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        w = x[2] - x[0]
+        d[0], du[0] = dx[1], w
+        b[0] = ((dx[0] + 2 * w) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / w
+        w = x[-1] - x[-3]
+        d[-1], dl[-1] = dx[-2], w
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * w + dx[-1]) * dx[-2] * slope[-1]) / w
+        s = _gtsv(dl, d, du, b)
+        # the Hermite form's power coefficients, as CubicHermiteSpline
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        # one row per interval: its left knot, then c[3], c[2], c[1], c[0]
+        self._rows = np.ascontiguousarray(np.column_stack((x[:-1], self.c[::-1].T)))
+        # Equal spacing gives the interval arithmetically.  The fraction is
+        # monotone in t, so knots within _NEAR_KNOT of their index make the
+        # index exact wherever the fraction is farther than that from a knot.
+        self._inv_h = (n - 1) / (x[-1] - x[0])
+        frac = (x - x[0]) * self._inv_h
+        self._uniform = bool(np.all(np.abs(frac - np.arange(n)) < _NEAR_KNOT))
+
+    def _interval(self, t):
+        """The interval i of each t, x[i] <= t < x[i+1], as PPoly finds it once
+        `take` clips i to [0, n - 2]: t below x[0] takes the first interval,
+        t at or above x[-1] the last, and NaN any (it evaluates to NaN)."""
+        if not self._uniform:
+            return np.searchsorted(self.x, t, side="right") - 1
+        f = t - self.x[0]
+        f *= self._inv_h
+        i = f.astype(np.intp)
+        f -= i  # the fraction past knot i: NaN, or outside [0, 1) out of range
+        if not (f.min() >= _NEAR_KNOT and f.max() <= 1.0 - _NEAR_KNOT):
+            near = ~((f >= _NEAR_KNOT) & (f <= 1.0 - _NEAR_KNOT))
+            i[near] = np.searchsorted(self.x, t[near], side="right") - 1
+        return i
+
+    def __call__(self, t, slope: bool = False) -> np.ndarray:
+        """The spline at t, shape t.shape; with slope, the stack of it and its
+        derivative, shape (2,) + t.shape.  NaN gives NaN."""
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        out = np.empty((2 if slope else 1, flat.size))
+        # invalid: the index cast of NaN and of out-of-range fractions
+        with np.errstate(invalid="ignore"):
+            for lo in range(0, flat.size, _SPLINE_BLOCK):
+                tb = flat[lo:lo + _SPLINE_BLOCK]
+                rows = self._rows.take(self._interval(tb), axis=0, mode="clip")
+                x, c3, c2, c1, c0 = rows.T
+                s = tb - x
+                s2 = s * s
+                # PPoly's sums: c3 + c2 s + c1 s^2 + c0 (s^2 s), c2 + c1 s 2 + c0 s^2 3
+                v = out[0, lo:lo + _SPLINE_BLOCK]
+                np.multiply(c2, s, out=v)
+                v += c3
+                v += c1 * s2
+                tmp = s2 * s
+                tmp *= c0
+                v += tmp
+                if slope:
+                    k = out[1, lo:lo + _SPLINE_BLOCK]
+                    np.multiply(c1, s, out=k)
+                    k *= 2
+                    k += c2
+                    np.multiply(c0, s2, out=tmp)
+                    tmp *= 3
+                    k += tmp
+        return out.reshape((2,) + t.shape) if slope else out[0].reshape(t.shape)
+
+
 class _StandardDensity:
     """Standard symmetric stable density f0(.; alpha) with a cached log table.
 
     Scalar `pdf`/`log_pdf` run the Fourier or Zolotarev route on one u, or
     the power-tail series beyond TAIL_CUTOFF.  The vectorized `log_pdf_vec`
-    interpolates a cubic spline of log f0 against ln u, built lazily from one
-    batched call of both routes over all its nodes, and is the workhorse
-    behind the strength and quantizer integrands.
+    interpolates a not-a-knot cubic spline (`_Spline`) of log f0 against
+    ln u, built lazily from one batched call of both routes over all its
+    nodes, and is the workhorse behind the strength and quantizer integrands.
     """
 
     TABLE_FLOOR = 1e-14
@@ -462,14 +612,12 @@ class _StandardDensity:
     # -- fast vectorized route --------------------------------------------
 
     def _build_table(self):
-        from scipy.interpolate import CubicSpline
-
         t = np.linspace(
             math.log(self.TABLE_FLOOR), math.log(TAIL_CUTOFF), self.TABLE_NODES
         )
         f = _pdf0_vec(self.alpha, np.exp(t))
         vals = np.array([math.log(v) for v in f])
-        return CubicSpline(t, vals, bc_type="not-a-knot")
+        return _Spline(t, vals)
 
     def log_pdf_vec(self, u, slope: bool = False) -> np.ndarray:
         """log f0(|u|), vectorized.
@@ -526,13 +674,15 @@ class _StandardDensity:
                 lp[tail] = _log_pdf0_tail(a, u[tail])
         if np.any(core):
             # ln u in place of its copy, and u dropped before the spline
-            # runs: the slope row then holds no more temporaries at once
+            # runs, so that no copy of u is held beside the spline's output
             t = u[core]
             np.log(t, out=t)
             del u
-            lp[core] = self._spline(t)
+            # (row by row: a boolean index after an Ellipsis is 4-5x slower)
             if slope:
-                kappa[core] = self._spline(t, 1)
+                lp[core], kappa[core] = self._spline(t, slope=True)
+            else:
+                lp[core] = self._spline(t)
         return out
 
     def pdf_vec(self, u) -> np.ndarray:
@@ -770,13 +920,11 @@ def _standard_entropy(alpha: float) -> float:
 
 def _multid_entropy(ref: ReferenceLaw) -> float:
     """Numerical entropy for d >= 2, alpha not in {1, 2}; reduced tolerance."""
-    from scipy.interpolate import CubicSpline
-
     a, d = ref.alpha, ref.d
     surf = 2.0 * math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0))
     radii = np.concatenate([[1e-8], np.geomspace(1e-4, 60.0, 140)])
     logs = np.array([_log_pdf_reference_multid(ref, float(r)) for r in radii])
-    spl = CubicSpline(radii, logs)
+    spl = _Spline(radii, logs)
 
     def integrand(r):
         lp = spl(r)

@@ -21,8 +21,9 @@ Also here: QUADPACK's Fourier-weight rule (QAWF), adaptive QUADPACK split at
 the zeros of cos(t u) and its total mass of the library's density, the
 library's inversion forced where closed forms exist, `quad_g` (G(s) as one
 Gauss-Legendre sum on panels that hold no spline knot), a cell-by-cell G of
-the uniform quantizer, a design grid search, a Brent design search, and the
-root oracle that every strength is checked against.
+the uniform quantizer, a design grid search, a Brent design search, the
+root oracle that every strength is checked against, and SciPy's not-a-knot
+`CubicSpline`, which the library's own spline reproduces bit for bit.
 """
 
 import math
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, interpolate, optimize
 from scipy.special import gammaln
 
 from stablerd import ReferenceLaw, StableParams, SymmetricStableSource, cauchy_source, stable_core
@@ -347,3 +348,9 @@ def design_optimum(points_of, lo, hi, gamma=1.0):
 def root(fn, lo, hi):
     """The root of fn in [lo, hi] by `brentq` at rtol 4 eps."""
     return optimize.brentq(fn, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+
+
+def cubic_spline(x, y):
+    """SciPy's not-a-knot `CubicSpline` through (x, y); called as `spl(t)` and
+    `spl(t, 1)` it gives PPoly's values and derivatives."""
+    return interpolate.CubicSpline(x, y, bc_type="not-a-knot")

@@ -851,11 +851,10 @@ class TestMirroredLattice:
     def test_bitwise_equal_to_full_nodes(self, source, M):
         delta = 0.4
         sol, _, _ = uniform_levels_strength(delta, M, source, 1.5)
-        G, probs, q = quantizer._truncated_uniform_g(delta, M, source, 1.5)
-        G_full, probs_full, q_full = quantizer._truncated_uniform_g(
+        G, probs = quantizer._truncated_uniform_g(delta, M, source, 1.5)
+        G_full, probs_full = quantizer._truncated_uniform_g(
             delta, M, _FullLattice(source), 1.5
         )
-        assert q.points.tobytes() == q_full.points.tobytes()
         assert probs.tobytes() == probs_full.tobytes()
         for f in (0.8, 1.0, 1.25):
             s = f * sol.value
@@ -906,6 +905,26 @@ class TestBestUniform:
         assert sol.value == pytest.approx(cold.value, rel=1e-14, abs=0.0)
         assert sol.residual <= 1e-9
         assert (entropy, q.points.tobytes()) == (cold_entropy, cold_q.points.tobytes())
+
+    def test_one_quantizer_per_result(self, monkeypatch):
+        # the widths searched are solved without a Quantizer; only the
+        # returned one is built and validated
+        source = SymmetricStableSource(StableParams(1.5, 0.0, 1.0, 0.0))
+        built = []
+        post_init = Quantizer.__post_init__
+
+        def counted(self):
+            built.append(np.size(self.points))
+            post_init(self)
+
+        monkeypatch.setattr(Quantizer, "__post_init__", counted)
+        d, sol, entropy, q = quantizer.best_uniform_design(source, 1.5, 32)
+        assert built == [32]
+        built.clear()
+        cold, cold_entropy, cold_q = uniform_levels_strength(d, 32, source, 1.5)
+        assert built == [32]
+        want = truncated_uniform(d, 32).points.tobytes()
+        assert q.points.tobytes() == cold_q.points.tobytes() == want
 
     def test_warm_starts_save_evaluations(self, monkeypatch):
         def evaluations(source, alpha, M):

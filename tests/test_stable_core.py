@@ -29,6 +29,7 @@ from stablerd import (
     sample,
     scale_shift,
 )
+from stablerd.figures import FIG3_ALPHAS
 from stablerd.stable_core import (
     TAIL_CUTOFF,
     _StandardDensity,
@@ -277,28 +278,34 @@ class TestGaussLegendreCache:
 
 
 def _capture_table(alpha):
-    """Build a fresh alpha table; return its nodes u, its node values log f0 and
-    the u of every call the build makes to the scalar route."""
-    from scipy.interpolate import CubicSpline as real_spline
-
+    """Build a fresh alpha table; return a dict of its knots t = ln u, its node
+    values y = log f0 and the u of every call the build makes to the scalar
+    route (quad)."""
     seen = {"quad": []}
+    real_spline = stable_core._Spline
     real_quad = stable_core._pdf0_quadrature
 
-    def spline(t, y, **kw):
-        seen["u"], seen["y"] = np.exp(t), np.array(y)
-        return real_spline(t, y, **kw)
+    def spline(t, y):
+        seen["t"], seen["y"] = np.array(t), np.array(y)
+        return real_spline(t, y)
 
     def quad(a, u):
         seen["quad"].append(u)
         return real_quad(a, u)
 
-    with mock.patch("scipy.interpolate.CubicSpline", spline), \
+    with mock.patch.object(stable_core, "_Spline", spline), \
             mock.patch.object(stable_core, "_pdf0_quadrature", quad):
         _StandardDensity(alpha)._build_table()
-    return seen["u"], seen["y"], seen["quad"]
+    return seen
 
 
-_table_nodes = lru_cache(maxsize=None)(_capture_table)
+_captured_table = lru_cache(maxsize=None)(_capture_table)
+
+
+def _table_nodes(alpha):
+    """The nodes u, node values log f0 and scalar-route calls of an alpha table."""
+    seen = _captured_table(alpha)
+    return np.exp(seen["t"]), seen["y"], seen["quad"]
 
 
 class TestTableBuild:
@@ -431,6 +438,95 @@ class TestTableBuild:
         assert builds == [1.5]
         assert results[0] is not None and results[1] is not None
         assert results[0].tobytes() == results[1].tobytes()
+
+
+class TestSpline:
+    """`_Spline` against SciPy's not-a-knot `CubicSpline`: the same coefficients,
+    and PPoly's values and derivatives, bit for bit."""
+
+    ALPHAS = FIG3_ALPHAS + (0.65, 1.35)
+
+    @staticmethod
+    def _knots(alpha):
+        """A table's knots and node values; closed forms at alpha 1 and 2, which
+        serve their densities without a table."""
+        if alpha in (1.0, 2.0):
+            t = _captured_table(1.5)["t"]
+            return t, _StandardDensity(alpha).log_pdf_vec(np.exp(t))
+        seen = _captured_table(alpha)
+        return seen["t"], seen["y"]
+
+    @staticmethod
+    def _probes(t):
+        """Each knot and its neighbours one ulp either side, the midpoints, and
+        points below the first knot, at the last and above it."""
+        return np.concatenate([
+            t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+            0.5 * (t[:-1] + t[1:]),
+            [t[0] - 2.0, t[0] - 1e-6, t[-1], t[-1] + 1e-6, t[-1] + 2.0],
+        ])
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_coefficients_bitwise_equal(self, alpha):
+        t, y = self._knots(alpha)
+        spl = stable_core._Spline(t, y)
+        assert spl.x.tobytes() == t.tobytes()
+        assert spl.c.tobytes() == oracles.cubic_spline(t, y).c.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.65, 1.0, 1.35, 1.99])
+    def test_values_and_slopes_bitwise_equal(self, alpha):
+        t, y = self._knots(alpha)
+        spl, ref = stable_core._Spline(t, y), oracles.cubic_spline(t, y)
+        p = self._probes(t)
+        value, kappa = spl(p, slope=True)
+        assert value.tobytes() == ref(p).tobytes()
+        assert kappa.tobytes() == ref(p, 1).tobytes()
+        assert spl(p).tobytes() == value.tobytes()
+
+    def test_non_uniform_knots(self):
+        # the d >= 2 entropy's radii take the searched index
+        r = np.concatenate([[1e-8], np.geomspace(1e-4, 60.0, 140)])
+        y = -np.log1p(r * r) + np.sin(r)
+        spl, ref = stable_core._Spline(r, y), oracles.cubic_spline(r, y)
+        assert not spl._uniform
+        assert spl.c.tobytes() == ref.c.tobytes()
+        p = np.concatenate([self._probes(r), np.geomspace(1e-9, 100.0, 3001)])
+        value, kappa = spl(p, slope=True)
+        assert value.tobytes() == ref(p).tobytes()
+        assert kappa.tobytes() == ref(p, 1).tobytes()
+
+    def test_pivoting_solve(self):
+        # spacings growing by 3 each step make the elimination swap rows,
+        # which neither caller's knots do
+        x = 3.0 ** np.arange(10)
+        y = np.cos(x)
+        spl, ref = stable_core._Spline(x, y), oracles.cubic_spline(x, y)
+        assert spl.c.tobytes() == ref.c.tobytes()
+
+    def test_shapes_and_nan(self):
+        t, y = self._knots(1.35)
+        spl, ref = stable_core._Spline(t, y), oracles.cubic_spline(t, y)
+        at = np.float64(-3.0)
+        assert spl(at).shape == () and spl(at).tobytes() == ref(at).tobytes()
+        assert spl(at, slope=True).shape == (2,)
+        assert spl(np.empty(0)).shape == (0,) and spl(np.empty(0), slope=True).shape == (2, 0)
+        grid = np.array([[t[5], np.nan], [np.nan, t[7]]])
+        value, kappa = spl(grid, slope=True)
+        assert value.tobytes() == ref(grid).tobytes() and kappa.tobytes() == ref(grid, 1).tobytes()
+        assert np.isnan(value[0, 1]) and np.isnan(kappa[1, 0])
+        # NaN in, NaN out through the density as well
+        eng = _StandardDensity(1.35)
+        assert np.isnan(eng.log_pdf_vec(np.nan))
+        assert np.all(np.isnan(eng.log_pdf_vec(np.array([np.nan]), slope=True)))
+
+    @pytest.mark.parametrize("alpha, d, want", [
+        (0.8, 2, 5.915648839002295),
+        (1.5, 3, 5.212098079744328),
+        (1.3, 2, 3.917931818382343),
+    ])
+    def test_multid_entropy_pins(self, alpha, d, want):
+        # `_multid_entropy`, the spline's other caller, reads as with SciPy's
+        assert stable_core._multid_entropy(ReferenceLaw(alpha, d)) == want
 
 
 class TestZolotarevFallback:

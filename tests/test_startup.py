@@ -1,8 +1,9 @@
 """Start-up: which SciPy submodules a fresh process loads, and when.
 
-`scipy.optimize`, `scipy.integrate` and `scipy.interpolate` are imported by
-the functions that use them, so each check runs in a new interpreter, where
-`sys.modules` shows exactly what the calls before it loaded.
+`scipy.optimize` and `scipy.integrate` are imported by the functions that use
+them, and `scipy.interpolate` by none (the density tables are splines of the
+library's own), so each check runs in a new interpreter, where `sys.modules`
+shows exactly what the calls before it loaded.
 """
 
 import os
@@ -77,13 +78,24 @@ def test_symmetric_density_loads_no_quadpack():
                 assert eng.pdf(x) > 0.0
         assert pdf(StableParams(0.8, 0.0, 2.0, 0.5), 3.0) > 0.0
     """)
-    assert "scipy.interpolate" in loaded and "scipy.integrate" not in loaded
+    assert "scipy.interpolate" not in loaded and "scipy.integrate" not in loaded
+
+
+def test_generic_alpha_strength_loads_no_heavy_submodule():
+    # the alpha 0.65 table, reference entropy and strength solve run on the
+    # library's own spline, panels and Newton
+    assert _loaded_after("""
+        from stablerd import strength
+        from stablerd.stable_core import StableParams
+        source = strength.SymmetricStableSource(StableParams(0.65, 0.0, 1.0, 0.0))
+        assert strength.solve_strength(source, 0.65).value > 0.0
+    """) == set()
 
 
 def test_concurrent_first_table_use():
     # two threads make the process's first table call at once, so the first
-    # import of scipy.interpolate runs under the engine lock: one build, and
-    # answers bitwise equal to each other and to a serial build
+    # table build runs under the engine lock: one build, and answers bitwise
+    # equal to each other and to a serial build
     out = _run_fresh("""
         import threading
         import numpy as np
@@ -125,8 +137,10 @@ def test_concurrent_first_table_use():
 
         serial = _StandardDensity(0.77)
         assert serial.log_pdf_vec(u).tobytes() == results[0].tobytes()
-        assert serial._spline.x.tobytes() == eng._spline.x.tobytes()
-        assert serial._spline.c.tobytes() == eng._spline.c.tobytes()
+        for name in ("x", "c", "_rows"):
+            want = getattr(serial._spline, name).tobytes()
+            assert getattr(eng._spline, name).tobytes() == want, name
+        assert "scipy.interpolate" not in sys.modules
         print("ok")
     """)
     assert out.split() == ["ok"]
