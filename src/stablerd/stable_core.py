@@ -423,10 +423,12 @@ def _log_pdf0_tail(alpha: float, u, slope: bool = False):
 # band each side; E. Anderson et al., LAPACK Users' Guide, SIAM 1999).
 # Evaluation keeps PPoly's power sums.  Coefficients, values and slopes are
 # therefore bitwise those of SciPy's spline; keep every expression as it is.
+# That equality was checked with SciPy 1.17.1 on x86_64 (scipy-openblas); a
+# build whose LAPACK or PPoly evaluator fuses multiply-adds, the default on
+# aarch64, can differ from this spline in the last bits.  The transcription
+# stands in for scipy.linalg.lapack.dgtsv because importing scipy.linalg took
+# a fresh process 6 MB of RSS and 0.08 s on a 2-vCPU VM.
 
-# A fraction of a knot spacing: the arithmetic index is checked by exact
-# comparison wherever it lands this near a knot.
-_NEAR_KNOT = 1e-9
 _SPLINE_BLOCK = 8192
 
 
@@ -507,27 +509,6 @@ class _Spline:
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
         # one row per interval: its left knot, then c[3], c[2], c[1], c[0]
         self._rows = np.ascontiguousarray(np.column_stack((x[:-1], self.c[::-1].T)))
-        # Equal spacing gives the interval arithmetically.  The fraction is
-        # monotone in t, so knots within _NEAR_KNOT of their index make the
-        # index exact wherever the fraction is farther than that from a knot.
-        self._inv_h = (n - 1) / (x[-1] - x[0])
-        frac = (x - x[0]) * self._inv_h
-        self._uniform = bool(np.all(np.abs(frac - np.arange(n)) < _NEAR_KNOT))
-
-    def _interval(self, t):
-        """The interval i of each t, x[i] <= t < x[i+1], as PPoly finds it once
-        `take` clips i to [0, n - 2]: t below x[0] takes the first interval,
-        t at or above x[-1] the last, and NaN any (it evaluates to NaN)."""
-        if not self._uniform:
-            return np.searchsorted(self.x, t, side="right") - 1
-        f = t - self.x[0]
-        f *= self._inv_h
-        i = f.astype(np.intp)
-        f -= i  # the fraction past knot i: NaN, or outside [0, 1) out of range
-        if not (f.min() >= _NEAR_KNOT and f.max() <= 1.0 - _NEAR_KNOT):
-            near = ~((f >= _NEAR_KNOT) & (f <= 1.0 - _NEAR_KNOT))
-            i[near] = np.searchsorted(self.x, t[near], side="right") - 1
-        return i
 
     def __call__(self, t, slope: bool = False) -> np.ndarray:
         """The spline at t, shape t.shape; with slope, the stack of it and its
@@ -535,30 +516,31 @@ class _Spline:
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         out = np.empty((2 if slope else 1, flat.size))
-        # invalid: the index cast of NaN and of out-of-range fractions
-        with np.errstate(invalid="ignore"):
-            for lo in range(0, flat.size, _SPLINE_BLOCK):
-                tb = flat[lo:lo + _SPLINE_BLOCK]
-                rows = self._rows.take(self._interval(tb), axis=0, mode="clip")
-                x, c3, c2, c1, c0 = rows.T
-                s = tb - x
-                s2 = s * s
-                # PPoly's sums: c3 + c2 s + c1 s^2 + c0 (s^2 s), c2 + c1 s 2 + c0 s^2 3
-                v = out[0, lo:lo + _SPLINE_BLOCK]
-                np.multiply(c2, s, out=v)
-                v += c3
-                v += c1 * s2
-                tmp = s2 * s
-                tmp *= c0
-                v += tmp
-                if slope:
-                    k = out[1, lo:lo + _SPLINE_BLOCK]
-                    np.multiply(c1, s, out=k)
-                    k *= 2
-                    k += c2
-                    np.multiply(c0, s2, out=tmp)
-                    tmp *= 3
-                    k += tmp
+        for lo in range(0, flat.size, _SPLINE_BLOCK):
+            tb = flat[lo:lo + _SPLINE_BLOCK]
+            # the interval i with x[i] <= t < x[i+1], clipped to [0, n - 2] as
+            # PPoly does: t below x[0] takes the first interval, t at or above
+            # x[-1] the last, and NaN the last (it evaluates to NaN)
+            i = np.searchsorted(self.x, tb, side="right") - 1
+            x, c3, c2, c1, c0 = self._rows.take(i, axis=0, mode="clip").T
+            s = tb - x
+            s2 = s * s
+            # PPoly's sums: c3 + c2 s + c1 s^2 + c0 (s^2 s), c2 + c1 s 2 + c0 s^2 3
+            v = out[0, lo:lo + _SPLINE_BLOCK]
+            np.multiply(c2, s, out=v)
+            v += c3
+            v += c1 * s2
+            tmp = s2 * s
+            tmp *= c0
+            v += tmp
+            if slope:
+                k = out[1, lo:lo + _SPLINE_BLOCK]
+                np.multiply(c1, s, out=k)
+                k *= 2
+                k += c2
+                np.multiply(c0, s2, out=tmp)
+                tmp *= 3
+                k += tmp
         return out.reshape((2,) + t.shape) if slope else out[0].reshape(t.shape)
 
 

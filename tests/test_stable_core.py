@@ -442,7 +442,9 @@ class TestTableBuild:
 
 class TestSpline:
     """`_Spline` against SciPy's not-a-knot `CubicSpline`: the same coefficients,
-    and PPoly's values and derivatives, bit for bit."""
+    and PPoly's values and derivatives, bit for bit (checked with SciPy 1.17.1
+    on x86_64; a SciPy build that fuses multiply-adds can differ in the last
+    bits)."""
 
     ALPHAS = FIG3_ALPHAS + (0.65, 1.35)
 
@@ -484,11 +486,10 @@ class TestSpline:
         assert spl(p).tobytes() == value.tobytes()
 
     def test_non_uniform_knots(self):
-        # the d >= 2 entropy's radii take the searched index
+        # the d >= 2 entropy's radii
         r = np.concatenate([[1e-8], np.geomspace(1e-4, 60.0, 140)])
         y = -np.log1p(r * r) + np.sin(r)
         spl, ref = stable_core._Spline(r, y), oracles.cubic_spline(r, y)
-        assert not spl._uniform
         assert spl.c.tobytes() == ref.c.tobytes()
         p = np.concatenate([self._probes(r), np.geomspace(1e-9, 100.0, 3001)])
         value, kappa = spl(p, slope=True)
