@@ -2,10 +2,10 @@
 """Print a sha256 digest of every pinned CLI output, for byte-identity checks.
 
 Runs `reproduce fig1/fig3/fig4/fig5`, a seeded Cauchy design, two stable
-strengths (alpha 1.35 and 0.3), a stable uniform sweep and two d >= 2
-reference entropies (alpha 0.8, d 2 and alpha 1.5, d 3) from the `src/`
-tree next to this script, each in its own process, into a temporary
-directory.  For each output file it
+strengths (alpha 1.35 and 0.3), a stable uniform sweep and three d >= 2
+reference entropies (alpha 0.8, d 2; alpha 1.5, d 3; alpha 1.3, d 4, whose
+table is built from the d = 3 one) from the `src/` tree next to this
+script, each in its own process, into a temporary directory.  For each output file it
 prints one `sha256  file` line.  The '#' comment lines are left out of the
 digest because they echo the output path, which differs per run.
 
@@ -40,6 +40,7 @@ COMMANDS = (
       "--deltas", "0.5,0.1,0.01"]),
     ("entropy_a0.8_d2.csv", ["entropy", "--alpha", "0.8", "--d", "2"]),
     ("entropy_a1.5_d3.csv", ["entropy", "--alpha", "1.5", "--d", "3"]),
+    ("entropy_a1.3_d4.csv", ["entropy", "--alpha", "1.3", "--d", "4"]),
 )
 
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 # scipy.integrate is imported by the functions that use it, so the symmetric
 # density, its tables included, never loads it.
-from scipy.special import gammaln, digamma, jv
+from scipy.special import gammaln, digamma
 
 from .errors import AlphaMismatch, QuadratureFailure, ZeroScale
 
@@ -305,8 +305,12 @@ def _pdf0_vec(alpha: float, u) -> np.ndarray:
     """f0 at each u > 0 below the tail, u ascending, by the batched routes.
 
     Raises QuadratureFailure, naming alpha and u, unless the 32- and 16-node
-    values agree to max(_QUAD_EPSABS, _QUAD_EPSREL f0) and are positive.
+    values agree to max(_QUAD_EPSABS, _QUAD_EPSREL f0) and are positive, and
+    ValueError at alpha = 2, where the closed forms serve every d: there the
+    Zolotarev route is wrong past u of about 12.7 and its estimate misses it.
     """
+    if alpha == 2.0:
+        raise ValueError("the batched density routes do not serve alpha = 2")
     u = np.asarray(u, dtype=float).ravel()
     plain_end = int(np.searchsorted(_n_osc(alpha, u), _PLAIN_OSC, side="right"))
     # Zolotarev's integral loses precision near alpha = 1 and has no form at 1
@@ -351,8 +355,9 @@ _LOG_TAIL_STOP = math.log(1e-18)
 
 
 @lru_cache(maxsize=64)
-def _tail_coefficients(alpha: float):
-    """The alpha-only parts of the power-tail series, computed once per alpha.
+def _tail_coefficients(alpha: float, d: int = 1):
+    """The alpha-only parts of the power-tail series of the d-dimensional
+    density, computed once per (alpha, d).
 
     Returns (lead, terms): lead is the log of the first-order coefficient and
     terms holds (coef, log_env, slope) for k = 2.._TAIL_TERMS-1, so that the
@@ -360,31 +365,40 @@ def _tail_coefficients(alpha: float):
     Keep each expression and its operation order as it is: the series sums
     must be bit-identical to evaluating every term in full.
     """
-    lead = gammaln(alpha + 1.0) + math.log(abs(math.sin(math.pi * alpha / 2.0))) \
-        - math.log(math.pi)
+    k = np.arange(_TAIL_TERMS, dtype=float)
+    if d == 1:
+        log_c, log_pi = gammaln(alpha * k + 1.0) - gammaln(k + 1.0), math.log(math.pi)
+    else:
+        # 2^(k a) Gamma(k a/2 + 1) Gamma((k a + d)/2) / k!, which at d = 1
+        # is sqrt(pi) Gamma(k a + 1) / k!
+        log_c = k * alpha * math.log(2.0) + gammaln(k * alpha / 2.0 + 1.0) \
+            + gammaln((k * alpha + d) / 2.0) - gammaln(k + 1.0)
+        log_pi = (d / 2.0 + 1.0) * math.log(math.pi)
     s1 = math.sin(math.pi * alpha / 2.0)
+    lead = log_c[1] + math.log(abs(s1)) - log_pi
     terms = tuple(
         (
-            (-1.0) ** (k - 1) * (math.sin(k * math.pi * alpha / 2.0) / s1),
-            float(gammaln(alpha * k + 1.0) - gammaln(k + 1.0) - gammaln(alpha + 1.0)),
-            alpha * (k - 1),
+            (-1.0) ** (j - 1) * (math.sin(j * math.pi * alpha / 2.0) / s1),
+            float(log_c[j] - log_c[1]),
+            alpha * (j - 1),
         )
-        for k in range(2, _TAIL_TERMS)
+        for j in range(2, _TAIL_TERMS)
     )
     return lead, terms
 
 
-def _log_pdf0_tail(alpha: float, u, slope: bool = False):
-    """log f0(u) for |u| >= TAIL_CUTOFF via the power-tail series (vectorized).
+def _log_pdf0_tail(alpha: float, u, slope: bool = False, d: int = 1):
+    """log f(u) of the standard d-dimensional density at radius |u| >=
+    TAIL_CUTOFF via the power-tail series (vectorized).
 
-    With slope, also kappa = d log f0 / d ln u = -(alpha + 1) + (d corr /
+    With slope, also kappa = d log f / d ln u = -(alpha + d) + (d corr /
     d ln u) / (1 + corr), summed over the same terms.
     """
     u = np.abs(np.asarray(u, dtype=float))
     log_u = np.log(u)
-    lead, terms = _tail_coefficients(float(alpha))
+    lead, terms = _tail_coefficients(float(alpha), d)
     # First-order term in log space, then log1p of the summed correction ratio.
-    log_t1 = lead - (alpha + 1.0) * log_u
+    log_t1 = lead - (alpha + d) * log_u
     corr = np.zeros_like(u)
     dcorr = np.zeros_like(u) if slope else None
     term = np.empty_like(u)  # coef * exp(log_env - power ln u), one buffer for every k
@@ -408,7 +422,7 @@ def _log_pdf0_tail(alpha: float, u, slope: bool = False):
         if log_env_min < _LOG_TAIL_STOP:
             break
     if slope:
-        return log_t1 + np.log1p(corr), dcorr / (1.0 + corr) - (alpha + 1.0)
+        return log_t1 + np.log1p(corr), dcorr / (1.0 + corr) - (alpha + d)
     return log_t1 + np.log1p(corr)
 
 
@@ -544,30 +558,128 @@ class _Spline:
         return out.reshape((2,) + t.shape) if slope else out[0].reshape(t.shape)
 
 
-class _StandardDensity:
-    """Standard symmetric stable density f0(.; alpha) with a cached log table.
+# ---------------------------------------------------------------------------
+# the d-dimensional density from the (d - 1)-dimensional one
+#
+# The rotationally invariant law with characteristic function exp(-|w|^alpha)
+# in d dimensions has the (d - 1)-dimensional law as its marginal (every 1-D
+# projection is f0; J. P. Nolan, Comput. Stat. 28(5), 2013), so its radial
+# density f_d follows from f_{d-1} by the inverse Abel transform (R. N.
+# Bracewell, The Fourier Transform and Its Applications, ch. 13), in
+# rho = r cosh t:
+#     f_d(r) = -(1/pi) int_0^inf f'_{d-1}(r cosh t) dt.
+# On [0, _ABEL_SPLIT] the integrand is f_{d-1} kappa_{d-1} / rho.  Beyond,
+# the integral is taken by parts and reads values only:
+#     (1/pi) [(f(r cosh t1) - f(r)) / (r sinh t1)
+#             + int_t1^inf (f(r) - f(r cosh t)) cosh t / (r sinh^2 t) dt],
+# because the spline's kappa carries its interpolation error at the knot
+# period, which Gauss-Legendre nodes spread over many knots alias: from t = 0,
+# 32 and 96 panels read 3.0e-8 and 1.2e-8 off in log f_2 at alpha 1.5,
+# r = 0.3, where the values give the spline's own 2.1e-9 from 24 panels up.
+# The panels end where rho = e^(40/(alpha+d)) TAIL_CUTOFF; the f(r) part
+# beyond is f(r)/(r sinh T).
+# Near r = 0 the density is the series
+#     f_d(r) = sum_k (-1)^k Gamma((2k+d)/a) / (a 2^(2k+d-1) pi^(d/2) k! Gamma(k+d/2)) r^(2k),
+# whose first term is f_d(0) (convergent for alpha > 1, asymptotic below).
+# It serves up to the last knot where its truncation is below 1e-17; the
+# table's Abel values start there, so that no knot sits where kappa is below
+# the rounding of log f, and its first _SERIES_OVERLAP knots take the
+# series' values, so that its end intervals lie where the series serves.
+# Past TAIL_CUTOFF the radial power-tail series takes over:
+#     f_d(r) = pi^-(d/2+1) sum_k (-1)^(k+1)/k! 2^(k a) Gamma(k a/2 + 1)
+#              Gamma((k a + d)/2) sin(k pi a/2) r^-(k a + d).
 
-    Scalar `pdf`/`log_pdf` run the Fourier or Zolotarev route on one u, or
-    the power-tail series beyond TAIL_CUTOFF.  The vectorized `log_pdf_vec`
-    interpolates a not-a-knot cubic spline (`_Spline`) of log f0 against
-    ln u, built lazily from one batched call of both routes over all its
-    nodes, and is the workhorse behind the strength and quantizer integrands.
+_ABEL_SPLIT = 0.25
+_ABEL_PANELS = 24
+_ABEL_REACH = 40.0
+_ABEL_BLOCK = 256
+_SERIES_TERMS = 24
+_SERIES_EPS = 1e-17
+_SERIES_OVERLAP = 16
+
+
+def _small_r_series(alpha: float, d: int):
+    """(ln f_d(0), p, q, ln r_end): f_d = f_d(0) (1 + p(r^2)), kappa = q(r^2) / (1 + p(r^2))
+    to _SERIES_EPS for r <= r_end, where its terms fall and the first is at most 1/4."""
+    k = np.arange(_SERIES_TERMS)
+    log_b = gammaln((2 * k + d) / alpha) - 2 * k * math.log(2.0) - gammaln(k + 1.0) - gammaln(k + d / 2.0)
+    log_rel = log_b - log_b[0]
+    end, terms = -math.inf, 1
+    for j in range(1, _SERIES_TERMS):
+        at = (math.log(_SERIES_EPS) - log_rel[j]) / (2 * j)
+        if at > end and np.all(np.diff(log_rel[:j + 1] + 2 * k[:j + 1] * at) < 0.0):
+            end, terms = at, j
+    log_f0 = gammaln(d / alpha) - math.log(alpha) - (d - 1) * math.log(2.0) \
+        - (d / 2.0) * math.log(math.pi) - gammaln(d / 2.0)
+    p = np.where(k[:terms] > 0, (-1.0) ** k[:terms] * np.exp(log_rel[:terms]), 0.0)
+    return float(log_f0), p, 2.0 * k[:terms] * p, min(end, 0.5 * (math.log(0.25) - log_rel[1]))
+
+
+def _abel_pdf(alpha: float, d: int, r: np.ndarray) -> np.ndarray:
+    """f_d at each radius r > 0 from the (d - 1)-dimensional engine."""
+    low = standard_density(alpha, d - 1)
+    xg, wg = _gauss_legendre(16)
+    rho_max = math.exp(math.log(TAIL_CUTOFF) + _ABEL_REACH / (alpha + d))
+    t1 = _ABEL_SPLIT
+    # [0, t1] in two panels, shared by every r
+    near_t = (0.25 * t1 * (np.array([[1.0], [3.0]]) + xg)).ravel()
+    near_w = np.tile(0.25 * t1 * wg, 2)
+    f = np.empty(r.size)
+    for lo in range(0, r.size, _ABEL_BLOCK):
+        rb = r[lo:lo + _ABEL_BLOCK, None]
+        lp, kappa = low.log_pdf_vec(rb * np.cosh(near_t), slope=True)
+        near = np.exp(lp) * -kappa / (rb * np.cosh(near_t)) @ near_w
+        # [t1, T] in _ABEL_PANELS equal panels per r
+        T = np.arccosh(rho_max / rb)
+        half = 0.5 * (T - t1) / _ABEL_PANELS
+        t = (t1 + half * (2.0 * np.arange(_ABEL_PANELS) + 1.0))[..., None] + half[..., None] * xg
+        t, w = t.reshape(rb.size, -1), np.tile(wg, _ABEL_PANELS) * half
+        fr, f1 = np.exp(low.log_pdf_vec(np.hstack([rb, rb * math.cosh(t1)]))).T[..., None]
+        far = np.sum(w * (fr - np.exp(low.log_pdf_vec(rb * np.cosh(t)))) * np.cosh(t) / np.sinh(t) ** 2, axis=1)
+        far += ((f1 - fr) / math.sinh(t1) + fr / np.sinh(T))[:, 0]
+        f[lo:lo + _ABEL_BLOCK] = (near + far / rb[:, 0]) / math.pi
+    bad = ~((f > 0.0) & np.isfinite(f))
+    if np.any(bad):
+        raise QuadratureFailure(f"Abel transform failed at alpha={alpha}, d={d}, r={r[bad][0]}")
+    return f
+
+
+class _StandardDensity:
+    """Standard symmetric stable density f(.; alpha) in d dimensions, of the
+    radius, with a cached log table; closed forms at alpha in {1, 2}.
+
+    At d = 1 this is f0, whose scalar `pdf`/`log_pdf` (d = 1 only) run the
+    Fourier or Zolotarev route on one u, or the power-tail series beyond
+    TAIL_CUTOFF.  The vectorized `log_pdf_vec`, the workhorse behind the
+    strength and quantizer integrands, interpolates a not-a-knot cubic
+    spline (`_Spline`) of log f against ln u, built lazily: at d = 1 from one
+    batched call of both routes, at d >= 2 by the inverse Abel transform.
     """
 
     TABLE_FLOOR = 1e-14
     TABLE_NODES = 2400
+    KNOTS = np.linspace(math.log(TABLE_FLOOR), math.log(TAIL_CUTOFF), TABLE_NODES)
+    KNOTS.flags.writeable = False
 
-    def __init__(self, alpha: float):
+    def __init__(self, alpha: float, d: int = 1):
         self.alpha = float(alpha)
+        self.d = int(d)
         self._lock = threading.Lock()
         self._spline = None
-        a = self.alpha
-        # k with f0(u) ~ k u^-(alpha+1); the first-order tail coefficient
+        a, d = self.alpha, self.d
+        # whether log_pdf_vec takes the closed forms (off, alpha 1 builds a table)
+        self._closed = a in (1.0, 2.0)
+        # k with f(u) ~ k u^-(alpha+d); the first-order tail coefficient
         self.tail_constant = 0.0 if a == 2.0 else (
-            math.exp(gammaln(a + 1.0)) * math.sin(math.pi * a / 2.0) / math.pi
-        )
+            math.exp(gammaln(a + 1.0)) * math.sin(math.pi * a / 2.0) / math.pi if d == 1
+            else math.exp(_tail_coefficients(a, d)[0]))
+        # below the table: the constant f0(0) at d = 1, the small-r series at
+        # d >= 2, whose table starts at the last knot the series covers
+        self._series = _small_r_series(a, d) if d > 1 else (None, None, None, math.log(self.TABLE_FLOOR))
+        self._first = max(0, int(np.searchsorted(self.KNOTS, self._series[3], side="right")) - 1)
+        self._floor = math.exp(self.KNOTS[self._first]) if d > 1 else self.TABLE_FLOOR
 
-    # -- accurate scalar routes -------------------------------------------
+    # -- accurate scalar routes (d = 1) -----------------------------------
 
     def pdf(self, u: float) -> float:
         a = self.alpha
@@ -594,25 +706,41 @@ class _StandardDensity:
     # -- fast vectorized route --------------------------------------------
 
     def _build_table(self):
-        t = np.linspace(
-            math.log(self.TABLE_FLOOR), math.log(TAIL_CUTOFF), self.TABLE_NODES
-        )
-        f = _pdf0_vec(self.alpha, np.exp(t))
-        vals = np.array([math.log(v) for v in f])
-        return _Spline(t, vals)
+        t = self.KNOTS
+        if self.d == 1:
+            f = _pdf0_vec(self.alpha, np.exp(t))
+            vals = np.array([math.log(v) for v in f])
+            return _Spline(t, vals)
+        if self.alpha == 2.0:
+            raise ValueError("the batched density routes do not serve alpha = 2")
+        # _SERIES_OVERLAP knots of the series below the first one served, so
+        # that the end intervals, which the not-a-knot condition bends, lie
+        # where the series serves
+        start = max(0, self._first - _SERIES_OVERLAP)
+        r = np.exp(t[start:])
+        split = self._first - start
+        vals = np.concatenate([self._below_table(r[:split])[0], np.log(_abel_pdf(self.alpha, self.d, r[split:]))])
+        return _Spline(t[start:], vals)
 
     def log_pdf_vec(self, u, slope: bool = False) -> np.ndarray:
-        """log f0(|u|), vectorized.
+        """log f(|u|), vectorized.
 
-        With slope, the stack (log f0, kappa) of shape (2,) + u.shape, where
-        kappa = d log f0 / d ln u: -u^2/2 at alpha = 2, -2u^2/(1+u^2) at
+        With slope, the stack (log f, kappa) of shape (2,) + u.shape, where
+        kappa = d log f / d ln u: -u^2/2 at alpha = 2, -(d+1)u^2/(1+u^2) at
         alpha = 1, the spline's own derivative in ln u on the table, the
-        differentiated series in the tail and 0 below TABLE_FLOOR, where
-        the table's constant value stands in for f0.
+        differentiated series in the tail and below the table: at d = 1 that
+        is 0 below TABLE_FLOOR, where the table's constant value stands in
+        for f0; at d >= 2 the small-r series.
         """
-        a = self.alpha
+        a, d = self.alpha, self.d
         u = np.abs(np.asarray(u, dtype=float))
-        if a in (1.0, 2.0):
+        if self._closed:
+            if d > 1:
+                # N(0, 2 I) and the circular Cauchy
+                u2, h = u * u, 0.5 * (d + 1.0)
+                lp, kappa = (-u2 / 4.0 - (d / 2.0) * math.log(4.0 * math.pi), -0.5 * u2) if a == 2.0 else (
+                    gammaln(h) - h * math.log(math.pi) - h * np.log1p(u2), -(d + 1.0) * u2 / (1.0 + u2))
+                return np.stack([lp, kappa]) if slope else lp
             if not slope:
                 if a == 2.0:
                     return -u * u / 4.0 - 0.5 * math.log(4.0 * math.pi)
@@ -642,18 +770,19 @@ class _StandardDensity:
         out = np.empty((2,) + u.shape if slope else u.shape)
         # views, also for a 0-d u, where out[0] would be a NumPy scalar
         lp, kappa = (out[0, ...], out[1, ...]) if slope else (out, None)
-        tiny = u < self.TABLE_FLOOR
+        tiny = u < self._floor
         tail = u >= TAIL_CUTOFF
         core = ~tiny & ~tail
         if np.any(tiny):
-            lp[tiny] = math.log(self.pdf(0.0))
             if slope:
-                kappa[tiny] = 0.0
+                lp[tiny], kappa[tiny] = self._below_table(u[tiny])
+            else:
+                lp[tiny] = self._below_table(u[tiny])[0]
         if np.any(tail):
             if slope:
-                lp[tail], kappa[tail] = _log_pdf0_tail(a, u[tail], slope=True)
+                lp[tail], kappa[tail] = _log_pdf0_tail(a, u[tail], slope=True, d=d)
             else:
-                lp[tail] = _log_pdf0_tail(a, u[tail])
+                lp[tail] = _log_pdf0_tail(a, u[tail], d=d)
         if np.any(core):
             # ln u in place of its copy, and u dropped before the spline
             # runs, so that no copy of u is held beside the spline's output
@@ -667,21 +796,30 @@ class _StandardDensity:
                 lp[core] = self._spline(t)
         return out
 
+    def _below_table(self, u):
+        """(log f, kappa) below the table, from the small-r series."""
+        log_f0, p, q, _ = self._series
+        if log_f0 is None:  # d = 1: the constant f0(0), by the scalar route on each call
+            return math.log(self.pdf(0.0)), 0.0
+        p = np.polynomial.polynomial.polyval(u * u, p)
+        return log_f0 + np.log1p(p), np.polynomial.polynomial.polyval(u * u, q) / (1.0 + p)
+
     def pdf_vec(self, u) -> np.ndarray:
         return np.exp(self.log_pdf_vec(u))
 
 
-_DENSITY_CACHE: dict[float, _StandardDensity] = {}
+_DENSITY_CACHE: dict[tuple, _StandardDensity] = {}
 _DENSITY_CACHE_LOCK = threading.Lock()
 
 
-def standard_density(alpha: float) -> _StandardDensity:
-    """Shared per-alpha standard density engine (read-only after creation)."""
-    key = float(alpha)
+def standard_density(alpha: float, d: int = 1) -> _StandardDensity:
+    """Shared per-(alpha, d) standard density engine (read-only after creation);
+    d is the dimension of a `ReferenceLaw` or of the samples."""
+    key = (float(alpha), int(d))
     eng = _DENSITY_CACHE.get(key)
     if eng is None:
         with _DENSITY_CACHE_LOCK:
-            eng = _DENSITY_CACHE.setdefault(key, _StandardDensity(key))
+            eng = _DENSITY_CACHE.setdefault(key, _StandardDensity(*key))
     return eng
 
 
@@ -742,66 +880,14 @@ def pdf(params: StableParams, x: float) -> float:
 # reference log-density and entropy
 
 
-def _log_pdf_reference_multid(ref: ReferenceLaw, r: float) -> float:
-    """log density of the d-dimensional reference at radius r, alpha not in {1,2}.
-
-    Radial Hankel inversion at reduced tolerance; accuracy beyond d = 2 is
-    not guaranteed.
-    """
-    from scipy import integrate
-
-    a, d, g = ref.alpha, ref.d, ref.scale
-    nu = d / 2.0 - 1.0
-    T = (_LOG_EPS ** (1.0 / a)) / g
-
-    if r == 0.0:
-        val = integrate.quad(
-            lambda rho: math.exp(-((g * rho) ** a)) * rho ** (d - 1),
-            0.0, T, epsabs=1e-11, epsrel=1e-9, limit=200,
-        )[0]
-        val *= (2.0 * math.pi) ** (-d / 2.0) / (2.0 ** nu * math.exp(gammaln(nu + 1.0)))
-        return math.log(val)
-
-    def integrand(rho):
-        return math.exp(-((g * rho) ** a)) * rho ** (d / 2.0) * jv(nu, rho * r)
-
-    pts = None
-    if r * T > 2 * math.pi:
-        n = min(int(r * T / math.pi), 60)
-        pts = list((np.arange(1, n + 1) * math.pi + nu * math.pi / 2) / r)
-        pts = [p for p in pts if p < T]
-    out = integrate.quad(
-        integrand, 0.0, T, points=pts or None, epsabs=1e-11, epsrel=1e-8,
-        limit=400, full_output=1,
-    )
-    value, _, ok = _quad_result(out, 1e-11)
-    if not ok or value <= 0.0:
-        raise QuadratureFailure(
-            f"d-dimensional reference density inversion failed at r={r}"
-        )
-    return math.log(value * (2.0 * math.pi) ** (-d / 2.0) * r ** (1.0 - d / 2.0))
-
-
 def log_pdf_reference(ref: ReferenceLaw, x) -> float:
     """log f of the reference law at x (scalar for d = 1, length-d vector else)."""
-    a, d = ref.alpha, ref.d
+    a, d, g = ref.alpha, ref.d, ref.scale
     x = np.asarray(x, dtype=float)
     if d == 1:
-        u = float(x.reshape(()))
-        g = ref.scale
-        eng = standard_density(a)
-        return eng.log_pdf(u / g) - math.log(g)
+        return standard_density(a).log_pdf(float(x.reshape(())) / g) - math.log(g)
     r = math.sqrt(float(np.dot(x.ravel(), x.ravel())))
-    if a == 2.0:
-        return -0.5 * r * r - (d / 2.0) * math.log(2.0 * math.pi)
-    if a == 1.0:
-        # standard circular Cauchy
-        return (
-            gammaln((d + 1.0) / 2.0)
-            - ((d + 1.0) / 2.0) * math.log(math.pi)
-            - ((d + 1.0) / 2.0) * math.log1p(r * r)
-        )
-    return _log_pdf_reference_multid(ref, r)
+    return float(standard_density(a, d).log_pdf_vec(r / g)) - d * math.log(g)
 
 
 @lru_cache(maxsize=None)
@@ -846,11 +932,12 @@ _TAIL_INDEX = np.arange(_TAIL_PANELS + 1.0)
 _TAIL_INDEX.flags.writeable = False
 
 
-def _tail_integral(alpha: float, phi, u0: float):
-    """int_{u0}^inf f0(u) phi(u) du for u0 >= TAIL_CUTOFF and a vectorized phi
-    of log growth.
+def _tail_integral(alpha: float, phi, u0: float, d: int = 1):
+    """int_{u0}^inf f(u) phi(u) u^(d-1) du for u0 >= TAIL_CUTOFF, the standard
+    d-dimensional radial density f (f0 at d = 1) and a vectorized phi of log
+    growth.
 
-    log f0 comes from the density engine (the power-tail series, or the closed
+    log f comes from the density engine (the power-tail series, or the closed
     form at alpha = 1).  y = ln u runs over [ln u0, y_max], y_max = 60/alpha +
     ln u0 + 5, in 31 equal Gauss-Legendre panels; beyond X = e^y_max the
     first-order remainder k X^-alpha / alpha * phi(X) is added, phi frozen at X.
@@ -859,7 +946,7 @@ def _tail_integral(alpha: float, phi, u0: float):
     phi runs once, on the nodes with X appended: X is the largest argument, so
     the series' term count at every node is that of the nodes alone.
     """
-    eng = standard_density(alpha)
+    eng = standard_density(alpha, d)
     log_u0 = math.log(u0)
     y_max = 60.0 / alpha + log_u0 + 5.0
     X = math.exp(y_max)
@@ -869,7 +956,7 @@ def _tail_integral(alpha: float, phi, u0: float):
         u = np.exp(y)
         vals = np.asarray(phi(np.append(u, X)))
         phi_X.append(vals[..., -1])
-        return np.exp(eng.log_pdf_vec(u)) * vals[..., :-1] * u
+        return np.exp(eng.log_pdf_vec(u)) * vals[..., :-1] * (u if d == 1 else u ** d)
 
     edges = _TAIL_INDEX * ((y_max - log_u0) / _TAIL_PANELS) + log_u0
     edges[-1] = y_max
@@ -878,56 +965,21 @@ def _tail_integral(alpha: float, phi, u0: float):
     return val + _reduced(rem)
 
 
-def _standard_entropy(alpha: float) -> float:
-    """Differential entropy of the standard symmetric stable density (gamma=1)."""
-    if alpha == 2.0:
-        # N(0, 2)
-        return 0.5 * math.log(4.0 * math.pi * math.e)
-    if alpha == 1.0:
-        return math.log(4.0 * math.pi)
-    eng = standard_density(alpha)
+def _standard_entropy(alpha: float, d: int = 1) -> float:
+    """Differential entropy -S_d int_0^inf f ln f r^(d-1) dr of the standard
+    symmetric stable law in d dimensions (gamma = 1), S_d = 2 pi^(d/2) / Gamma(d/2)."""
+    eng = standard_density(alpha, d)
 
     def neg_flogf(u):
         lp = eng.log_pdf_vec(u)
-        return -np.exp(lp) * lp
+        return -np.exp(lp) * lp * u ** (d - 1)
 
     # core: log-spaced panels resolve the peak for small alpha
-    edges = np.concatenate(
-        [[0.0], np.geomspace(1e-13, TAIL_CUTOFF, 120)]
-    )
+    edges = np.concatenate([[0.0], np.geomspace(1e-13, TAIL_CUTOFF, 120)])
     core = _panel_integral(neg_flogf, edges)
-    tail = _tail_integral(alpha, lambda u: -eng.log_pdf_vec(u), TAIL_CUTOFF)
-    return 2.0 * (core + tail)
-
-
-def _multid_entropy(ref: ReferenceLaw) -> float:
-    """Numerical entropy for d >= 2, alpha not in {1, 2}; reduced tolerance."""
-    a, d = ref.alpha, ref.d
-    surf = 2.0 * math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0))
-    radii = np.concatenate([[1e-8], np.geomspace(1e-4, 60.0, 140)])
-    logs = np.array([_log_pdf_reference_multid(ref, float(r)) for r in radii])
-    spl = _Spline(radii, logs)
-
-    def integrand(r):
-        lp = spl(r)
-        return -np.exp(lp) * lp * r ** (d - 1)
-
-    edges = np.concatenate([[0.0], np.geomspace(1e-6, 60.0, 100)])
-    core = _panel_integral(integrand, edges)
-    # power-law continuation fitted at the boundary: log f ~ c0 - (a + d) ln r
-    r1, r2 = 50.0, 60.0
-    l1, l2 = spl(r1), spl(r2)
-    slope = (l2 - l1) / (math.log(r2) - math.log(r1))
-    c0 = l2 - slope * math.log(r2)
-
-    def tail_integrand(y):
-        r = np.exp(y)
-        lp = c0 + slope * np.log(r)
-        return -np.exp(lp) * lp * r ** d
-
-    y_edges = np.linspace(math.log(60.0), math.log(60.0) + 60.0 / a, 80)
-    tail = _panel_integral(tail_integrand, y_edges)
-    return surf * (core + tail)
+    tail = _tail_integral(alpha, lambda u: -eng.log_pdf_vec(u), TAIL_CUTOFF, d)
+    surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    return surface * (core + tail)
 
 
 @lru_cache(maxsize=None)
@@ -941,10 +993,7 @@ def _reference_entropy_cached(alpha: float, d: int) -> float:
             - gammaln(half)
             + half * (math.log(4.0) + digamma(half) + np.euler_gamma)
         )
-    if d == 1:
-        scale = (1.0 / alpha) ** (1.0 / alpha)
-        return _standard_entropy(alpha) + math.log(scale)
-    return _multid_entropy(ReferenceLaw(alpha, d))
+    return _standard_entropy(alpha, d) + d * math.log((1.0 / alpha) ** (1.0 / alpha))
 
 
 def reference_entropy(ref: ReferenceLaw) -> float:

@@ -19,10 +19,10 @@ from typing import Callable, Union
 import numpy as np
 # scipy.integrate is imported by TabulatedSource.mass, the one function that
 # uses it, so `import stablerd` does not load it.
-from scipy.special import erfc, gammaln
+from scipy.special import erfc
 
 from . import stable_core
-from .errors import BracketFailure, NonFiniteLogMoment, QuadratureFailure
+from .errors import BracketFailure, NonFiniteLogMoment
 from .stable_core import ReferenceLaw, SampleBatch, StableParams, standard_density
 
 __all__ = [
@@ -398,17 +398,18 @@ class StrengthSolution:
 # the negative reference log-density
 
 
-def reference_neg_log_density(alpha: float, slope: bool = False):
-    """Vectorized psi(z) = -log f_ref(z) for the d = 1 reference at index alpha.
+def reference_neg_log_density(alpha: float, slope: bool = False, d: int = 1):
+    """Vectorized psi(z) = -log f_ref(z) for the d-dimensional reference at
+    index alpha, z a scalar (d = 1) or a radius (d >= 2).
 
     With slope, psi(z) returns the stack (psi(z), kappa(|z| / c)) of shape
-    (2,) + z.shape, c the reference scale and kappa = d ln f0 / d ln u.  The
+    (2,) + z.shape, c the reference scale and kappa = d ln f / d ln u.  The
     second row is the derivative of psi(x / s) in ln s at z = x / s, so an
     integral of f psi(x / s) carries its own slope in ln s along.
     """
     ref_scale = (1.0 / alpha) ** (1.0 / alpha)
-    eng = standard_density(alpha)
-    log_scale = math.log(ref_scale)
+    eng = standard_density(alpha, d)
+    log_scale = d * math.log(ref_scale)
 
     def psi(z):
         return log_scale - eng.log_pdf_vec(np.asarray(z, dtype=float) / ref_scale)
@@ -570,49 +571,24 @@ def _g_of_partition(points, boundaries, source, psi):
 def g_value(source: SourceSpec, alpha: float, s: float, slope: bool = False):
     """g(s) = -E[log f_ref(X / s)] in nats.
 
-    At d = 1 this is G(s) of the one-point quantizer at 0.  With slope, the
-    pair (g(s), dg/d ln s), both from the same evaluation.
+    At d = 1 this is G(s) of the one-point quantizer at 0, at d >= 2 the
+    mean over the samples' radii.  With slope, the pair (g(s), dg/d ln s),
+    both from the same evaluation.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")
     d = source.dim
+    psi = reference_neg_log_density(alpha, slope, d)
     if d == 1:
         if alpha == 2.0 and source.tail_k > 0.0:
             raise NonFiniteLogMoment(
                 "a heavy-tailed source has no finite second moment, so g "
                 "diverges at alpha = 2"
             )
-        psi = reference_neg_log_density(alpha, slope)
         g = _g_of_partition(np.zeros(1), np.empty(0), source, psi)(s)
-        return (float(g[0]), float(g[1])) if slope else float(g)
-    # d-dimensional empirical path
-    r2 = source.squared_norms / (s * s)
-    if alpha == 2.0:
-        g = float(np.mean(0.5 * r2 + (d / 2.0) * math.log(2.0 * math.pi)))
-        dg = -float(np.mean(r2))
-    elif alpha == 1.0:
-        half = (d + 1.0) / 2.0
-        g = half * math.log(math.pi) - gammaln(half) + half * float(np.mean(np.log1p(r2)))
-        dg = -2.0 * half * float(np.mean(r2 / (1.0 + r2)))
     else:
-        # No closed form: radius by radius inversion (slow; for small n).  As
-        # f_{d+2}(r) = -f_d'(r) / (2 pi r), the slope r f_d'/f_d is
-        # -2 pi r^2 f_{d+2}/f_d; NaN where only the d + 2 inversion fails.
-        radii = np.sqrt(r2)
-        ref, up = ReferenceLaw(alpha, d), ReferenceLaw(alpha, d + 2)
-        logs = [stable_core._log_pdf_reference_multid(ref, r) for r in radii]
-        g = -float(np.mean(logs))
-        if not slope:
-            return g
-        kappa = []
-        for r, log_f in zip(radii, logs):
-            try:
-                log_up = stable_core._log_pdf_reference_multid(up, r)
-            except QuadratureFailure:
-                log_up = math.nan
-            kappa.append(-2.0 * math.pi * r * r * math.exp(log_up - log_f))
-        dg = float(np.mean(kappa))
-    return (g, dg) if slope else g
+        g = np.mean(psi(np.sqrt(source.squared_norms) / s), axis=-1)
+    return (float(g[0]), float(g[1])) if slope else float(g)
 
 
 def _solve_monotone(fn, s0: float, tol: float) -> StrengthSolution:

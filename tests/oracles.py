@@ -17,9 +17,15 @@ series is summed with the working precision sized to its largest term, plus
 series gets there within _TERM_BUDGET terms, a 30-digit `mpmath.quad` of
 Zolotarev's integral, split at its peak, gives the value.
 
+The radial density of the d-dimensional law with characteristic function
+exp(-|w|^alpha), `radial_pdf`, is its power-tail series where that gets
+there, else a 40-digit Hankel integral; `radial_entropy` integrates the
+series of both kinds.
+
 Also here: QUADPACK's Fourier-weight rule (QAWF), adaptive QUADPACK split at
 the zeros of cos(t u) and its total mass of the library's density, the
-library's inversion forced where closed forms exist, `quad_g` (G(s) as one
+library's inversion and its d >= 2 tables forced where closed forms exist,
+`quad_g` (G(s) as one
 Gauss-Legendre sum on panels that hold no spline knot), a cell-by-cell G of
 the uniform quantizer, a design grid search, a Brent design search, the
 root oracle that every strength is checked against, and SciPy's not-a-knot
@@ -27,7 +33,9 @@ root oracle that every strength is checked against, and SciPy's not-a-knot
 """
 
 import math
+from contextlib import contextmanager
 from functools import lru_cache
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -45,9 +53,16 @@ _EXTRA_DIGITS = 20
 _QUAD_DIGITS = 30
 
 
-def _log_terms(alpha, u, kind):
+def _log_terms(alpha, u, kind, d=1):
     """ln |term k| of a series at u in floats (sines left out), k < _TERM_BUDGET."""
     k = np.arange(_TERM_BUDGET, dtype=float)
+    if d > 1:
+        if kind == "small":
+            return gammaln((2.0 * k + d) / alpha) - math.log(alpha) - (2.0 * k + d - 1.0) * math.log(2.0) \
+                - (d / 2.0) * math.log(math.pi) - gammaln(k + 1.0) - gammaln(k + d / 2.0) + 2.0 * k * math.log(u)
+        k = k + 1.0
+        return k * alpha * math.log(2.0) + gammaln(k * alpha / 2.0 + 1.0) + gammaln((k * alpha + d) / 2.0) \
+            - gammaln(k + 1.0) - (d / 2.0 + 1.0) * math.log(math.pi) - (k * alpha + d) * math.log(u)
     if kind == "small":
         return gammaln((2.0 * k + 1.0) / alpha) - gammaln(2.0 * k + 1.0) + 2.0 * k * math.log(u)
     k = k + 1.0
@@ -56,31 +71,49 @@ def _log_terms(alpha, u, kind):
     return gammaln(alpha * k + 1.0) - gammaln(k + 1.0) - np.log(alpha * k) - alpha * k * math.log(u)
 
 
-@lru_cache(maxsize=None)
-def _coefficients(alpha, kind, dps, terms):
-    """The u-free factors of the first `terms` terms, at dps digits."""
-    with mpmath.workdps(dps):
-        a = mpmath.mpf(alpha)
+def _coefficient(a, kind, k, d):
+    """The u-free factor of term k (from 0 for "small", from 1 else) at the
+    working precision, a an mpf."""
+    if d > 1:
+        # the radial density of the d-dimensional law: its small-r series,
+        # from the Bessel series of the Hankel integral below, and its
+        # power-tail series
+        half = mpmath.mpf(d) / 2
         if kind == "small":
-            return tuple(
-                (-1) ** k * mpmath.gamma((2 * k + 1) / a) / mpmath.factorial(2 * k) / (mpmath.pi * a)
-                for k in range(terms)
-            )
-        # the survival series is the tail series integrated term by term
-        return tuple(
-            (-1) ** (k - 1) * mpmath.gamma(a * k + 1) / mpmath.factorial(k)
-            * mpmath.sin(k * mpmath.pi * a / 2) / mpmath.pi / (1 if kind == "tail" else a * k)
-            for k in range(1, terms + 1)
-        )
+            return (-1) ** k * mpmath.gamma((2 * k + d) / a) / (
+                a * 2 ** (2 * k + d - 1) * mpmath.pi ** half * mpmath.factorial(k) * mpmath.gamma(k + half))
+        return (-1) ** (k + 1) / mpmath.factorial(k) * 2 ** (k * a) * mpmath.gamma(k * a / 2 + 1) \
+            * mpmath.gamma((k * a + d) / 2) * mpmath.sin(k * mpmath.pi * a / 2) / mpmath.pi ** (half + 1)
+    if kind == "small":
+        return (-1) ** k * mpmath.gamma((2 * k + 1) / a) / mpmath.factorial(2 * k) / (mpmath.pi * a)
+    # the survival series is the tail series integrated term by term
+    return (-1) ** (k - 1) * mpmath.gamma(a * k + 1) / mpmath.factorial(k) \
+        * mpmath.sin(k * mpmath.pi * a / 2) / mpmath.pi / (1 if kind == "tail" else a * k)
 
 
-def series(alpha, u, kind):
+_COEFFICIENTS = {}
+
+
+def _coefficients(alpha, kind, dps, terms, d=1):
+    """The u-free factors of the first `terms` terms, at dps digits, cached
+    per precision and extended as longer sums ask for them."""
+    have = _COEFFICIENTS.setdefault((alpha, kind, dps, d), [])
+    if len(have) < terms:
+        first = 0 if kind == "small" else 1
+        with mpmath.workdps(dps):
+            a = mpmath.mpf(alpha)
+            have.extend(_coefficient(a, kind, k, d) for k in range(first + len(have), first + terms))
+    return have[:terms]
+
+
+def series(alpha, u, kind, d=1):
     """f0(u) from the "small"-u or the power-"tail" series alone, or P(U > u)
     from the "survival" one, as an mpf; None where the series does not get
     there within the term budget (the small-u one, always at alpha < 1 but
-    for small u)."""
+    for small u).  With d > 1, the radial density of the d-dimensional law
+    at radius u from its "small" or "tail" series."""
     u = abs(float(u))
-    log_terms = _log_terms(alpha, u, kind)
+    log_terms = _log_terms(alpha, u, kind, d)
     top = np.maximum.accumulate(log_terms)
     dps = _EXTRA_DIGITS
     for _ in range(8):
@@ -89,16 +122,16 @@ def series(alpha, u, kind):
         if past.size == 0:
             return None
         terms = int(past[0]) + 1
-        # coefficients are cached per precision and length, rounded up
-        dps_key, terms_key = 10 * math.ceil(dps / 10), 100 * math.ceil(terms / 100)
-        coef = _coefficients(alpha, kind, dps_key, terms_key)[:terms]
+        # coefficients are cached per precision, rounded up
+        dps_key = 10 * math.ceil(dps / 10)
+        coef = _coefficients(alpha, kind, dps_key, terms, d)
         with mpmath.workdps(dps_key):
             x = mpmath.mpf(u)
             if kind == "small":
                 step, power = x * x, mpmath.mpf(1)
             else:
                 step = x ** -alpha
-                power = 1 / x ** (alpha + 1) if kind == "tail" else step
+                power = 1 / x ** (alpha + d) if kind == "tail" else step
             total = mpmath.mpf(0)
             for c in coef:
                 total += c * power
@@ -179,6 +212,78 @@ def tail_entropy(alpha):
         return float(mpmath.quad(integrand, [y0 + 4 * j / mpmath.mpf(alpha) for j in range(26)]))
 
 
+def radial_hankel(alpha, d, r):
+    """The radial density of the d-dimensional law at r > 0 as an mpf, by the
+    Hankel integral (2 pi)^(-d/2) r^(1-d/2) int_0^T exp(-rho^alpha)
+    rho^(d/2) J_(d/2-1)(rho r) drho in a 40-digit `mpmath.quad`, split at
+    rho = j pi / r and graded towards 0, T where exp(-T^alpha) < 1e-45."""
+    with mpmath.workdps(_QUAD_DIGITS + 10):
+        a, x, half = mpmath.mpf(alpha), mpmath.mpf(r), mpmath.mpf(d) / 2
+        T = (45 * mpmath.log(10)) ** (1 / a)
+
+        def integrand(rho):
+            return mpmath.exp(-rho ** a) * rho ** half * mpmath.besselj(half - 1, rho * x)
+
+        zeros = [j * mpmath.pi / x for j in range(1, int(T * x / mpmath.pi) + 1)]
+        points = [mpmath.mpf(0)] + [T * mpmath.mpf(4) ** -j for j in range(12, 0, -1)] + zeros + [T]
+        value = mpmath.quad(integrand, sorted(p for p in set(points) if p <= T))
+        return value * (2 * mpmath.pi) ** -half * x ** (1 - half)
+
+
+def radial_pdf(alpha, d, r):
+    """The radial density of the d-dimensional law with characteristic
+    function exp(-|w|^alpha) at r > 0, as an mpf: the power-tail series where
+    it gets there within the term budget, else the Hankel integral."""
+    value = series(alpha, r, "tail", d)
+    return radial_hankel(alpha, d, r) if value is None else value
+
+
+def log_radial_pdf(alpha, d, r):
+    """ln of `radial_pdf` as a float."""
+    with mpmath.workdps(_QUAD_DIGITS):
+        return float(mpmath.log(radial_pdf(alpha, d, r)))
+
+
+def _fast_log_radial_pdf(alpha, d, r):
+    """ln f_d(r) as a float from the convergent series, then the other one,
+    then the Hankel integral."""
+    first = "tail" if alpha < 1.0 else "small"
+    for kind in (first, "small" if first == "tail" else "tail"):
+        value = series(alpha, r, kind, d)
+        if value is not None:
+            with mpmath.workdps(_QUAD_DIGITS):
+                return float(mpmath.log(value))
+    return float(mpmath.log(radial_hankel(alpha, d, r)))
+
+
+@lru_cache(maxsize=None)
+def radial_entropy(alpha, d):
+    """The entropy of `ReferenceLaw(alpha, d)`: -S_d int f ln f r^(d-1) dr of
+    the standard law, S_d = 2 pi^(d/2)/Gamma(d/2), plus d ln of the scale.
+
+    A 16-node Gauss-Legendre sum in y = ln r of the mpmath series values:
+    panels 1 wide from r = 1e-6 to 30 e^2 and 5 wide to e^(80/alpha) 30,
+    f(0) below 1e-6, and the first-order tail term integrated in closed form
+    beyond."""
+    y0, y1 = math.log(1e-6), math.log(TAIL_CUTOFF) + 2.0
+    y2 = math.log(TAIL_CUTOFF) + 80.0 / alpha
+    edges = np.concatenate([np.linspace(y0, y1, int(y1 - y0) + 1),
+                            np.linspace(y1, y2, int((y2 - y1) / 5.0) + 1)[1:]])
+    xg, wg = np.polynomial.legendre.leggauss(16)
+    y = (0.5 * (edges[1:] + edges[:-1])[:, None] + 0.5 * np.diff(edges)[:, None] * xg).ravel()
+    w = (0.5 * np.diff(edges)[:, None] * wg).ravel()
+    lf = np.array([_fast_log_radial_pdf(alpha, d, math.exp(v)) for v in y])
+    h = float(np.sum(w * -np.exp(lf) * lf * np.exp(d * y)))
+    # below 1e-6 f is f(0); beyond R = e^y2 it is k R^-(alpha+d)
+    with mpmath.workdps(_QUAD_DIGITS):
+        lf0 = float(mpmath.log(series(alpha, 1e-300, "small", d)))
+        log_k = float(mpmath.log(_coefficients(alpha, "tail", 30, 1, d)[0]))
+    h += -math.exp(lf0) * lf0 * math.exp(d * y0) / d
+    h += math.exp(log_k - alpha * y2) / alpha * ((alpha + d) * (y2 + 1.0 / alpha) - log_k)
+    surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    return surface * h + d * math.log(ReferenceLaw(alpha, d).scale)
+
+
 def pdf0_qawf(alpha, u):
     """f0(u) by QUADPACK's Fourier-weight rule (QAWF): cycle splitting and
     extrapolation over the zeros of cos.  Raises if QUADPACK reports failure."""
@@ -211,10 +316,27 @@ def pdf_by_inversion(params, x):
     u = (float(x) - params.delta) / params.gamma
     if abs(u) >= TAIL_CUTOFF:
         return float(np.exp(stable_core._log_pdf0_tail(params.alpha, u))) / params.gamma
-    # at alpha = 2 the Zolotarev route meets 0/0 at th = pi/2, which the
-    # library's own alpha = 2 path (the closed form) never reaches
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return stable_core._pdf0_quadrature(params.alpha, u) / params.gamma
+    # the batched routes refuse alpha = 2, whose closed form the library
+    # takes; the Fourier route alone is the inversion there
+    if params.alpha == 2.0:
+        return float(stable_core._fourier_block(2.0, np.array([abs(u)]))[0][0]) / params.gamma
+    return stable_core._pdf0_quadrature(params.alpha, u) / params.gamma
+
+
+@contextmanager
+def tabulated_engines(alpha, dims):
+    """Within the block, `standard_density(alpha, d)` for each d in dims is a
+    fresh engine that serves alpha from its table, even at alpha = 1: the
+    library's d >= 2 build forced where closed forms exist.  Yields the
+    engines by d; each d >= 2 build reads the engine of d - 1, forced or not.
+    """
+    engines = {}
+    for d in dims:
+        eng = stable_core._StandardDensity(alpha, d)
+        eng._closed = False
+        engines[d] = eng
+    with mock.patch.dict(stable_core._DENSITY_CACHE, {(float(alpha), d): e for d, e in engines.items()}):
+        yield engines
 
 
 def quadpack_mass(alpha):

@@ -53,3 +53,38 @@ def test_quad_g_four_nodes_agree_with_thirty_two(points, boundaries, source, s):
     want = oracles.quad_g(points, boundaries, source, 1.5, s)
     got = oracles.quad_g(points, boundaries, source, 1.5, s, nodes=4)
     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("r", [0.3, 3.0, 40.0])
+def test_radial_cauchy(d, r):
+    # the Hankel integral at r = 0.3, the power-tail series beyond
+    with mpmath.workdps(40):
+        h = mpmath.mpf(d + 1) / 2
+        want = mpmath.gamma(h) / mpmath.pi ** h * (1 + mpmath.mpf(r) ** 2) ** -h
+        assert abs(oracles.radial_pdf(1.0, d, r) / want - 1) < 1e-20
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_radial_gaussian(d):
+    # alpha = 2 is N(0, 2 I); every power-tail term vanishes, so the Hankel
+    # integral gives it
+    with mpmath.workdps(40):
+        want = (4 * mpmath.pi) ** (-mpmath.mpf(d) / 2) * mpmath.exp(-mpmath.mpf(0.5) ** 2 / 4)
+        assert abs(oracles.radial_pdf(2.0, d, 0.5) / want - 1) < 1e-20
+
+
+@pytest.mark.parametrize("alpha, d, r", [(0.7, 2, 0.05), (1.5, 3, 2.0)])
+def test_radial_small_series_against_hankel(alpha, d, r):
+    # the small-r series that `radial_entropy` also reads, where the power-
+    # tail series does not get there
+    with mpmath.workdps(40):
+        assert abs(oracles.series(alpha, r, "small", d) / oracles.radial_hankel(alpha, d, r) - 1) < 1e-20
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_radial_entropy_cauchy(d):
+    half = (d + 1.0) / 2.0
+    want = half * math.log(math.pi) - math.lgamma(half) \
+        + half * (math.log(4.0) + float(mpmath.digamma(half)) + float(mpmath.euler))
+    assert oracles.radial_entropy(1.0, d) == pytest.approx(want, rel=0.0, abs=1e-13)

@@ -385,6 +385,15 @@ class TestTableBuild:
         for i in sorted(pick):
             assert abs(y[i] - oracles.log_pdf0(alpha, u[i])) <= 1e-12, (alpha, u[i])
 
+    def test_alpha_two_is_refused(self):
+        # the closed forms serve alpha = 2 at every d; past u of about 12.7 the
+        # batched routes were up to 62 nats off there, unseen by their estimate
+        with pytest.raises(ValueError, match="alpha = 2"):
+            stable_core._pdf0_vec(2.0, np.array([1.0, 20.0]))
+        for d in (1, 2):
+            with pytest.raises(ValueError, match="alpha = 2"):
+                _StandardDensity(2.0, d)._build_table()
+
     def test_no_quadpack_call(self):
         # the symmetric density, table and scalar entries, runs no QUADPACK
         with mock.patch("scipy.integrate.quad", side_effect=AssertionError):
@@ -486,7 +495,7 @@ class TestSpline:
         assert spl(p).tobytes() == value.tobytes()
 
     def test_non_uniform_knots(self):
-        # the d >= 2 entropy's radii
+        # 1e-8, then geometric from 1e-4 to 60
         r = np.concatenate([[1e-8], np.geomspace(1e-4, 60.0, 140)])
         y = -np.log1p(r * r) + np.sin(r)
         spl, ref = stable_core._Spline(r, y), oracles.cubic_spline(r, y)
@@ -519,15 +528,6 @@ class TestSpline:
         eng = _StandardDensity(1.35)
         assert np.isnan(eng.log_pdf_vec(np.nan))
         assert np.all(np.isnan(eng.log_pdf_vec(np.array([np.nan]), slope=True)))
-
-    @pytest.mark.parametrize("alpha, d, want", [
-        (0.8, 2, 5.915648839002295),
-        (1.5, 3, 5.212098079744328),
-        (1.3, 2, 3.917931818382343),
-    ])
-    def test_multid_entropy_pins(self, alpha, d, want):
-        # `_multid_entropy`, the spline's other caller, reads as with SciPy's
-        assert stable_core._multid_entropy(ReferenceLaw(alpha, d)) == want
 
 
 class TestZolotarevFallback:
@@ -588,15 +588,60 @@ class TestReferenceLogPdf:
         assert log_pdf_reference(ref, x) == pytest.approx(expected, rel=1e-12)
 
     def test_multid_inversion_matches_cauchy(self):
-        # the Hankel route at alpha=1 (normally closed-form) validates the
-        # d >= 2 inversion machinery
-        from stablerd.stable_core import _log_pdf_reference_multid
-
+        # the inverse Abel build at alpha = 1 (normally closed-form) validates
+        # the d >= 2 machinery
         ref = ReferenceLaw(1.0, d=2)
         for r in (0.5, 2.0):
             closed = log_pdf_reference(ref, np.array([r, 0.0]))
-            hankel = _log_pdf_reference_multid(ref, r)
-            assert hankel == pytest.approx(closed, rel=1e-6)
+            with oracles.tabulated_engines(1.0, [2]):
+                abel = log_pdf_reference(ref, np.array([r, 0.0]))
+            assert abel == pytest.approx(closed, rel=1e-6)
+
+
+class TestRadialDensity:
+    """The d >= 2 engine: the small-r series below its table, the inverse
+    Abel build from the (d - 1)-dimensional engine and the radial tail series
+    beyond TAIL_CUTOFF."""
+
+    @pytest.mark.parametrize("alpha", [0.7, 0.8, 1.5])
+    @pytest.mark.parametrize("d, tol", [(2, 1e-8), (3, 1e-7)])
+    def test_against_radial_oracle(self, alpha, d, tol):
+        eng = stable_core.standard_density(alpha, d)
+        for r in (0.01, 0.3, 2.0, 10.0, 50.0, 100.0):
+            assert abs(float(eng.log_pdf_vec(r)) - oracles.log_radial_pdf(alpha, d, r)) <= tol, r
+
+    @pytest.mark.parametrize("d, tol", [(2, 1e-11), (3, 1e-8)])
+    def test_forced_cauchy_table(self, d, tol):
+        # alpha = 1 through the build: d = 2 from the closed form at d = 1,
+        # d = 3 from that d = 2 table; at the knots, and off them within the
+        # d = 3 bound (the d = 2 spline's own error is 3.8e-10 between knots)
+        half = (d + 1.0) / 2.0
+
+        def cauchy(r):
+            return gammaln(half) - half * math.log(math.pi) - half * np.log1p(r * r)
+
+        with oracles.tabulated_engines(1.0, [2, 3]) as engines:
+            eng = engines[d]
+            r = np.geomspace(1e-3, 1e3, 2001)
+            assert np.max(np.abs(eng.log_pdf_vec(r) - cauchy(r))) <= 1e-8
+            t = eng._spline.x
+            assert np.max(np.abs(eng._spline(t) - cauchy(np.exp(t)))) <= tol
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.5, 1.95])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_slope_is_negative_at_every_knot(self, alpha, d):
+        # the table starts where the small-r series ends, above the radii at
+        # which kappa is below the rounding of log f
+        eng = stable_core.standard_density(alpha, d)
+        eng.log_pdf_vec(1.0)
+        kappa = eng._spline(eng._spline.x, slope=True)[1]
+        assert np.all(np.isfinite(kappa)) and np.all(kappa <= 0.0)
+
+    def test_reference_density_is_the_scaled_engine(self):
+        ref = ReferenceLaw(0.7, 3)
+        x = np.array([0.3, -1.2, 2.0])
+        want = float(stable_core.standard_density(0.7, 3).log_pdf_vec(np.linalg.norm(x) / ref.scale))
+        assert log_pdf_reference(ref, x) == pytest.approx(want - 3.0 * math.log(ref.scale), rel=1e-15)
 
 
 class TestReferenceEntropy:
@@ -623,14 +668,30 @@ class TestReferenceEntropy:
         assert reference_entropy(ref) == pytest.approx(mc, abs=4e-3)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "the d >= 2 entropy fits one power law through its spline at r = 50 and "
-        "60 and drops the next tail terms: +2.43e-4 nats at d = 2, +5.49e-4 at d = 3"
+        "the d >= 2 tables' interpolation error between knots (3.8e-10 in log f_2, "
+        "2.7e-9 in log f_3 at alpha 1) puts the entropy -2.6e-11 nats off at d = 2 "
+        "and +3.9e-10 at d = 3 (the fitted power-law tail before them: +2.45e-4, +5.59e-4)"
     ))
     @pytest.mark.parametrize("d", [2, 3])
     def test_multid_entropy_generic_path_matches_cauchy_closed_form(self, d):
-        # alpha = 1 forced through the route that serves alpha not in {1, 2}
-        got = stable_core._multid_entropy(ReferenceLaw(1.0, d))
+        # alpha = 1 forced through the route that serves alpha not in {1, 2}:
+        # the d >= 2 tables and the entropy's panels and tail integral
+        with oracles.tabulated_engines(1.0, [2, 3]):
+            got = stable_core._standard_entropy(1.0, d)
         assert got == pytest.approx(_reference_entropy_cached(1.0, d), rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha, d, want", [
+        (0.8, 2, 5.896283942476465),
+        (1.5, 3, 5.212280192615365),
+        (1.3, 2, 3.9182231326854957),
+    ])
+    def test_multid_entropy_pins(self, alpha, d, want):
+        assert reference_entropy(ReferenceLaw(alpha, d)) == want
+
+    def test_multid_entropy_against_radial_oracle(self):
+        # the radial series integrated in mpmath
+        got = reference_entropy(ReferenceLaw(0.8, 2))
+        assert got == pytest.approx(oracles.radial_entropy(0.8, 2), rel=0.0, abs=1e-7)
 
     def test_cached(self):
         first = reference_entropy(ReferenceLaw(1.5))

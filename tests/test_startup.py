@@ -92,11 +92,30 @@ def test_generic_alpha_strength_loads_no_heavy_submodule():
     """) == set()
 
 
+def test_d2_entropy_and_d3_strength_load_no_quadpack():
+    # the d >= 2 tables are built from the 1-D table, with no Hankel
+    # quadrature
+    loaded = _loaded_after("""
+        from stablerd import strength
+        from stablerd.stable_core import ReferenceLaw, StableParams, reference_entropy, sample
+        assert abs(reference_entropy(ReferenceLaw(0.8, 2)) - 5.8962839) < 1e-7
+        batch = sample(StableParams(1.5, 0.0, 1.0, 0.0), 50, seed=0, d=3)
+        assert strength.solve_strength(strength.EmpiricalSource(batch), 1.5).value > 0.0
+    """)
+    assert loaded == set()
+
+
 def test_concurrent_first_table_use():
     # two threads make the process's first table call at once, so the first
     # table build runs under the engine lock: one build, and answers bitwise
-    # equal to each other and to a serial build
-    out = _run_fresh("""
+    # equal to each other and to a serial build.  At d = 2 the build of the
+    # d = 2 table runs the d = 1 one inside it, once.
+    for d, want in ((1, [(0.77, 1)]), (2, [(0.77, 2), (0.77, 1)])):
+        out = _run_fresh(_CONCURRENT % (d, want, d))
+        assert out.split() == ["ok"]
+
+
+_CONCURRENT = """
         import threading
         import numpy as np
         from stablerd.stable_core import _StandardDensity, standard_density
@@ -106,11 +125,11 @@ def test_concurrent_first_table_use():
         real = _StandardDensity._build_table
 
         def counted(self):
-            builds.append(self.alpha)
+            builds.append((self.alpha, self.d))
             return real(self)
 
         _StandardDensity._build_table = counted
-        eng = standard_density(0.77)
+        eng = standard_density(0.77, %d)
         u = np.geomspace(1e-16, 1e3, 400)
         barrier = threading.Barrier(2, timeout=60)
         results = [None] * 2
@@ -131,16 +150,15 @@ def test_concurrent_first_table_use():
             sys.setswitchinterval(interval)
             _StandardDensity._build_table = real
         assert not any(t.is_alive() for t in threads)
-        assert builds == [0.77], builds
+        assert builds == %r, builds
         assert results[0] is not None and results[1] is not None
         assert results[0].tobytes() == results[1].tobytes()
 
-        serial = _StandardDensity(0.77)
+        serial = _StandardDensity(0.77, %d)
         assert serial.log_pdf_vec(u).tobytes() == results[0].tobytes()
         for name in ("x", "c", "_rows"):
             want = getattr(serial._spline, name).tobytes()
             assert getattr(eng._spline, name).tobytes() == want, name
         assert "scipy.interpolate" not in sys.modules
         print("ok")
-    """)
-    assert out.split() == ["ok"]
+"""
