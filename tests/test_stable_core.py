@@ -637,6 +637,20 @@ class TestRadialDensity:
         kappa = eng._spline(eng._spline.x, slope=True)[1]
         assert np.all(np.isfinite(kappa)) and np.all(kappa <= 0.0)
 
+    def test_small_alpha_high_d_entropy(self):
+        # u^d of the tail integral overflows at y_max = 60/alpha + ln 30 + 5
+        # for d >= 2 at small alpha; the oracle value, radial_entropy(0.3, 4),
+        # takes about 90 s
+        h = reference_entropy(ReferenceLaw(0.3, 4))
+        assert h == pytest.approx(31.96678995054937, rel=0.0, abs=1e-7)
+
+    def test_a_rising_table_is_refused(self):
+        # the chain amplifies the table error of d - 1 as 1/r at small r; at
+        # alpha 0.15 it makes the d = 3 values rise near the table's start
+        eng = _StandardDensity(0.15, 3)
+        with pytest.raises(QuadratureFailure, match="alpha=0.15, d=3"):
+            eng.log_pdf_vec(1.0)
+
     def test_reference_density_is_the_scaled_engine(self):
         ref = ReferenceLaw(0.7, 3)
         x = np.array([0.3, -1.2, 2.0])
