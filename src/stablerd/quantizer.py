@@ -15,26 +15,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.optimize is imported by the functions that use it, so
-# `import stablerd` does not load it.
-from scipy import special
 
+# scipy.optimize is imported by the functions that use it, so `import
+# stablerd` does not load it.
 from . import stable_core, strength
-from .errors import (
-    DegenerateDesignWarning,
-    NonSymmetricSource,
-    NotSorted,
-    OutOfRange,
-)
+from .errors import DegenerateDesignWarning, NotSorted, OutOfRange
 from .stable_core import ReferenceLaw, reference_entropy
 from .strength import (
     DEFAULT_TOL,
     EmpiricalSource,
     SourceSpec,
     StrengthSolution,
-    SymmetricStableSource,
-    _g_of_partition,
-    _outer_region_integral,
+    _outer_regions,
+    _solve_g,
     _solve_monotone,
     reference_neg_log_density,
     solve_strength,
@@ -136,14 +129,8 @@ class DesignReport:
 
 @dataclass(frozen=True)
 class UniformSpec:
-    """Uniform quantizer with region width delta.
-
-    The direct route sums the source density over the regions |k| <= k_core
-    term by term and absorbs the regions beyond through a tail-mass grouping
-    whose contribution to the defining equation is controlled below 1e-10
-    nats.  Symmetric stable sources take the aliasing series instead whenever
-    it is no longer than the 2 k_core + 1 terms of the direct sum.
-    """
+    """Uniform quantizer with region width delta; the source's
+    `lattice_nodes` give its error's node set."""
 
     delta: float
 
@@ -172,10 +159,6 @@ def quantize(q: Quantizer, x: float):
     return idx, float(q.points[idx])
 
 
-def _quantize_vec(q: Quantizer, x: np.ndarray) -> np.ndarray:
-    return np.searchsorted(q.boundaries, x, side="left")
-
-
 # ---------------------------------------------------------------------------
 # error strength of a quantizer
 
@@ -189,7 +172,6 @@ def _error_strength_raw(
     s_hint: float | None = None,
 ) -> StrengthSolution:
     psi = reference_neg_log_density(alpha, slope=True)
-    G = _g_of_partition(points, boundaries, source, psi)
     h = reference_entropy(ReferenceLaw(alpha, 1))
     if s_hint is not None and s_hint > 0.0:
         s0 = s_hint
@@ -199,7 +181,7 @@ def _error_strength_raw(
             s0 = max(float(np.median(np.diff(pts))) * 0.3, 1e-12)
         else:
             s0 = max(source.scale, 1e-12)
-    return _solve_monotone(lambda s: G(s) - (h, 0.0), s0, tol)
+    return _solve_g(source.error_nodes(points, boundaries, alpha), psi, h, s0, tol)
 
 
 def error_strength(
@@ -220,24 +202,7 @@ def error_strength(
 
 def output_entropy(q: Quantizer, source: SourceSpec) -> float:
     """Entropy H(V) of the quantizer output, in nats."""
-    if isinstance(source, EmpiricalSource):
-        idx = _quantize_vec(q, source.sorted_values)
-        counts = np.bincount(idx, minlength=q.levels).astype(float)
-        p = counts / counts.sum()
-    else:
-        edges = np.concatenate([[-np.inf], q.boundaries, [np.inf]])
-        p = np.empty(q.levels)
-        for j in range(q.levels):
-            a, b = edges[j], edges[j + 1]
-            if a == -np.inf and b == np.inf:
-                p[j] = 1.0
-            elif a == -np.inf:
-                p[j] = source.reflected.tail_mass(-b)
-            elif b == np.inf:
-                p[j] = source.tail_mass(a)
-            else:
-                p[j] = source.mass(a, b)
-    p = np.clip(p, 0.0, 1.0)
+    p = np.clip(source.region_masses(q.boundaries), 0.0, 1.0)
     p = p[p > 0.0]
     return float(-np.sum(p * np.log(p)))
 
@@ -251,23 +216,6 @@ def _mirror(free_positive: np.ndarray, M: int) -> np.ndarray:
     if M % 2 == 0:
         return np.concatenate([-pos[::-1], pos])
     return np.concatenate([-pos[::-1], [0.0], pos])
-
-
-def _check_symmetric_unimodal(source: SourceSpec) -> None:
-    if isinstance(source, EmpiricalSource):  # samples: compare medians
-        scale = source.scale
-        if scale > 0.0 and abs(float(np.median(source.batch.values))) > 0.1 * scale:
-            raise NonSymmetricSource("sample median is far from 0")
-        return
-    xs = source.scale * np.linspace(0.05, 4.0, 10)
-    fp = source.pdf_vec(xs)
-    fm = source.pdf_vec(-xs)
-    ref = source.pdf_vec(np.array([0.0]))[0]
-    if np.any(np.abs(fp - fm) > 1e-6 * (ref + fp)):
-        raise NonSymmetricSource("density is not symmetric about 0")
-    seq = np.concatenate([[ref], fp])
-    if np.any(np.diff(seq) > 1e-9 * ref):
-        raise NonSymmetricSource("density is not unimodal about 0")
 
 
 def design_optimal(
@@ -288,7 +236,7 @@ def design_optimal(
 
     if M < 1:
         raise ValueError("M must be >= 1")
-    _check_symmetric_unimodal(source)
+    source.check_symmetric_unimodal()
 
     if M == 1:
         sol = solve_strength(source, alpha)
@@ -393,90 +341,10 @@ def design_optimal(
 # uniform quantizers
 
 
-def _direct_radius(spec: UniformSpec, source: SourceSpec) -> int:
-    """Regions k_core on each side of zero that the direct route sums term by term."""
-    delta = spec.delta
-    # beyond this radius the density sits in its power tail and the
-    # flat-grouping (midpoint) error, bounded through |f''|, stays below
-    # 1e-10 nats
-    x_req = 3.0 * source.core_extent
-    k_x = source.tail_k
-    if k_x > 0.0:
-        a_s = source.params.alpha
-        bound = (delta ** 2 / 24.0) * k_x * (a_s + 1.0) * (a_s + 2.0) * 6.0
-        x_req = max(x_req, (bound / 1e-10) ** (1.0 / (a_s + 2.0)))
-    k_core = int(math.ceil(x_req / delta)) + 2
-    return min(k_core, 200_000)
-
-
-def _direct_weights(delta: float, source: SourceSpec, k_core: int):
-    """(u, W) from the lattice density summed term by term over |k| <= k_core,
-    with all remaining regions grouped through their exact tail mass."""
-    xg, wg = stable_core._gauss_legendre(_LATTICE_NODES)
-    u = 0.5 * delta * xg  # offsets within a region
-    ks = np.arange(-k_core, k_core + 1)
-    nodes = ks[:, None] * delta + u[None, :]
-    fsum = source.pdf_vec(nodes.ravel()).reshape(nodes.shape).sum(axis=0)
-    # grouped mass of all remaining regions on each side: the left side's is
-    # the right side's of -X
-    edge = k_core * delta + 0.5 * delta
-    fsum = fsum + (source.tail_mass(edge) + source.reflected.tail_mass(edge)) / delta
-    return u, 0.5 * delta * wg * fsum
-
-
-_ALIAS_TOL = 1e-16  # bound on the dropped aliasing terms; the m = 0 term is 1
-_LATTICE_NODES = 48  # Gauss-Legendre nodes across one region of width delta
-
-
-def _aliasing_terms(delta: float, source: SymmetricStableSource):
-    """Length m_max of the aliasing series for a symmetric stable source.
-
-    With c = 2 pi gamma / delta, the dropped terms 2 sum_{m > m_max}
-    exp(-(c m)^alpha) are bounded by the integral test,
-    2 int_{m_max}^inf exp(-(c x)^alpha) dx
-    = (2 / (c alpha)) Gamma(1/alpha) Q(1/alpha, (c m_max)^alpha),
-    and m_max is the smallest integer taking that bound below _ALIAS_TOL.
-    Returns math.inf when the count would not fit in a float.
-    """
-    a = source.params.alpha
-    c = 2.0 * math.pi * source.scale / delta
-    log_q = math.log(_ALIAS_TOL * c * a / 2.0) - special.gammaln(1.0 / a)
-    if log_q >= 0.0:
-        return 0  # the bound holds with no term at all
-    y = float(special.gammainccinv(1.0 / a, math.exp(log_q)))
-    log_m = math.log(y) / a - math.log(c)
-    return math.ceil(math.exp(log_m)) if log_m < 700.0 else math.inf
-
-
-def _aliasing_weights(delta: float, source: SymmetricStableSource, m_max: int):
-    """(u, W) from the lattice density of a symmetric stable source by Poisson
-    summation: with u = (delta/2) x and phi(t) = exp(-(gamma |t|)^alpha),
-
-        delta * sum_k f(k delta + u) = 1 + 2 sum_{m >= 1} phi(2 pi m / delta) cos(pi m x),
-
-    truncated after m_max terms."""
-    xg, wg = stable_core._gauss_legendre(_LATTICE_NODES)
-    c = 2.0 * math.pi * source.scale / delta
-    m = np.arange(1, m_max + 1)
-    amp = np.exp(-((c * m) ** source.params.alpha))
-    alias = 1.0 + 2.0 * (amp @ np.cos(np.pi * np.outer(m, xg)))
-    return 0.5 * delta * xg, 0.5 * wg * alias
-
-
 def _uniform_weights(spec: UniformSpec, source: SourceSpec):
-    """Offset nodes u_i and weights W_i = (delta/2) w_i sum_k f(k delta + u_i)
-    with G(s) = sum_i W_i psi(u_i / s) for the untruncated uniform quantizer.
-
-    A symmetric stable source takes the aliasing series whenever it needs no
-    more terms than the 2 k_core + 1 regions of the direct sum; every other
-    case sums the lattice directly.
-    """
-    k_core = _direct_radius(spec, source)
-    if isinstance(source, SymmetricStableSource):
-        m_max = _aliasing_terms(spec.delta, source)
-        if m_max <= 2 * k_core + 1:
-            return _aliasing_weights(spec.delta, source, m_max)
-    return _direct_weights(spec.delta, source, k_core)
+    """The source's `lattice_nodes`: offsets u_i and weights W_i, with
+    G(s) = sum_i W_i psi(u_i / s) for the untruncated uniform quantizer."""
+    return source.lattice_nodes(spec.delta)
 
 
 def uniform_error_strength(
@@ -492,24 +360,13 @@ def uniform_error_strength(
     delta * sum_k f(k delta + u) = sum_m phi(2 pi m / delta) exp(2 pi i m u / delta),
     whose terms phi(t) = exp(-(gamma |t|)^alpha) die so fast that at high rate
     the error is uniform to machine precision (Sripad & Snyder); see
-    `UniformSpec` for when the lattice is summed directly instead.
+    `SymmetricStableSource.lattice_nodes` for when the lattice is summed
+    directly instead.
     """
     psi = reference_neg_log_density(alpha, slope=True)
     h = reference_entropy(ReferenceLaw(alpha, 1))
-    if isinstance(source, EmpiricalSource):
-        vals = source.sorted_values
-        offs = np.sort(vals - np.round(vals / spec.delta) * spec.delta)  # see sorted_values
-        return _solve_monotone(
-            lambda s: np.mean(psi(offs / s), axis=-1) - (h, 0.0),
-            0.2 * spec.delta,
-            tol,
-        )
     u, W = _uniform_weights(spec, source)
-
-    def fn(s):
-        return np.sum(W * psi(u / s), axis=-1) - (h, 0.0)
-
-    return _solve_monotone(fn, 0.2 * spec.delta, tol)
+    return _solve_g(lambda s: (u, W), psi, h, 0.2 * spec.delta, tol)
 
 
 def high_rate_prediction(alpha: float, delta: float) -> float:
@@ -540,8 +397,9 @@ def _uniform_points(delta: float, M: int) -> np.ndarray:
 
 
 def _truncated_uniform_g(delta, M, source, alpha):
-    """(G, dG/d ln s) callable and region masses of the M-level uniform quantizer."""
-    psi = reference_neg_log_density(alpha, slope=True)
+    """The node set s -> (e, W) of G and the region masses of the M-level
+    uniform quantizer: the inner regions' lattice density at 32 fixed
+    offsets, and both outer regions placed from s."""
     pts = _uniform_points(delta, M)
     top = pts[-1]
     edge = top - 0.5 * delta  # the top region is (top - delta/2, infinity)
@@ -549,7 +407,7 @@ def _truncated_uniform_g(delta, M, source, alpha):
     xg, wg = stable_core._gauss_legendre(32)
     u = 0.5 * delta * xg
     # The left outer region (-inf, -edge] is the right one of the reflected
-    # source; a source that is its own reflection reuses the right value.
+    # source; a source that is its own reflection reuses the right one.
     reflected = source.reflected
     mirrored = reflected is source
     if n_inner > 0:
@@ -562,24 +420,19 @@ def _truncated_uniform_g(delta, M, source, alpha):
         fvals = source.pdf_vec(nodes.ravel()).reshape(nodes.shape)
         if mirrored:
             fvals = np.concatenate([fvals[::-1, ::-1][: n_inner // 2], fvals])
-        fsum = fvals.sum(axis=0)
-        W = 0.5 * delta * wg * fsum
+        W = 0.5 * delta * wg * fvals.sum(axis=0)
         p_inner = (0.5 * delta * wg[None, :] * fvals).sum(axis=1)
     else:
-        W = np.zeros_like(u)
-        p_inner = np.empty(0)
+        u = W = p_inner = np.empty(0)
 
-    def G(s):
-        total = np.sum(W * psi(u / s), axis=-1) if n_inner > 0 else 0.0
-        right = _outer_region_integral(source, psi, top, edge, s)
-        left = right if mirrored else _outer_region_integral(reflected, psi, top, edge, s)
-        total += right + left
-        return total
+    def nodes_at(s):
+        x, e, w = _outer_regions(source, alpha, (top, edge), (top, edge), s)
+        return np.concatenate([u, e]), np.concatenate([W, w * source.pdf_vec(x)])
 
     p_right = source.tail_mass(edge)
     p_left = p_right if mirrored else reflected.tail_mass(edge)
     probs = np.concatenate([[p_left], p_inner, [p_right]])
-    return G, probs
+    return nodes_at, probs
 
 
 def _require_density(source: SourceSpec) -> None:
@@ -604,9 +457,9 @@ def uniform_levels_strength(
 def _uniform_levels_from(delta, M, source, alpha, s0, tol=DEFAULT_TOL):
     """(strength solution, output entropy) of `uniform_levels_strength`, with
     its root solve started at s0."""
-    G, probs = _truncated_uniform_g(delta, M, source, alpha)
-    h = reference_entropy(ReferenceLaw(alpha, 1))
-    sol = _solve_monotone(lambda s: G(s) - (h, 0.0), s0, tol)
+    nodes, probs = _truncated_uniform_g(delta, M, source, alpha)
+    psi = reference_neg_log_density(alpha, slope=True)
+    sol = _solve_g(nodes, psi, reference_entropy(ReferenceLaw(alpha, 1)), s0, tol)
     p = probs[probs > 0.0]
     p = p / p.sum()
     entropy = float(-np.sum(p * np.log(p)))

@@ -904,6 +904,15 @@ def _gauss_legendre(n: int = 16):
     return xg, wg
 
 
+def _gl_nodes(edges: np.ndarray, n: int = 16):
+    """Nodes x and weights w of an n-node Gauss-Legendre rule on each panel
+    of edges, flattened: sum_i w_i g(x_i) integrates g over the panels."""
+    xg, wg = _gauss_legendre(n)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * xg[None, :]).ravel(), (half * wg[None, :]).ravel()
+
+
 def _panel_integral(fn, edges: np.ndarray):
     """Sum of 16-node Gauss-Legendre panel integrals of a vectorized fn over edges.
 
@@ -911,11 +920,8 @@ def _panel_integral(fn, edges: np.ndarray):
     shape (k, N); the integral is a float, or an array of shape (k,).
     """
     xg, wg = _gauss_legendre(16)
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    nodes = mid + half * xg[None, :]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * xg[None, :]
     vals = fn(nodes.ravel())
     vals = vals.reshape(vals.shape[:-1] + nodes.shape)
     return _reduced(np.sum(vals * wg[None, :] * half, axis=(-2, -1)))
@@ -929,32 +935,51 @@ def _reduced(total):
     return float(total) if np.ndim(total) == 0 else total
 
 
-# The tail integral's panel edges in y = ln u: np.linspace(ln u0, y_max, 32)
-# is arange(32) * step + ln u0 with the last edge set to y_max, computed here
-# without linspace's per-call overhead (bitwise the same values).
+# The tail's panel edges in y = ln u: np.linspace(ln u0, y_max, 32) is
+# arange(32) * step + ln u0 with the last edge set to y_max, computed without
+# linspace's per-call overhead (bitwise the same values).
 _TAIL_PANELS = 31
 _TAIL_INDEX = np.arange(_TAIL_PANELS + 1.0)
 _TAIL_INDEX.flags.writeable = False
 
 
+def _tail_edges(alpha: float, u0: float):
+    """(edges, X): the tail's 31 equal panels in y = ln u over [ln u0, y_max],
+    y_max = 60/alpha + ln u0 + 5, and X = e^y_max."""
+    log_u0 = math.log(u0)
+    y_max = 60.0 / alpha + log_u0 + 5.0
+    edges = _TAIL_INDEX * ((y_max - log_u0) / _TAIL_PANELS) + log_u0
+    edges[-1] = y_max
+    return edges, math.exp(y_max)
+
+
+def _tail_nodes(alpha: float, u0: float):
+    """Nodes u and weights w with int_{u0}^inf f(u) phi(u) du = sum_i w_i
+    f(u_i) phi(u_i) for u0 >= TAIL_CUTOFF, f with the power tail
+    k u^-(alpha+1) and phi of log growth: 16-node rules on `_tail_edges`
+    (weights u dy), and last X, weighted X / alpha.  Beyond X, f(u) =
+    f(X) (X/u)^(alpha+1) to first order, which adds f(X) X / alpha =
+    k X^-alpha / alpha times phi frozen at X."""
+    edges, X = _tail_edges(alpha, u0)
+    y, w = _gl_nodes(edges)
+    u = np.exp(y)
+    return np.append(u, X), np.append(w * u, X / alpha)
+
+
 def _tail_integral(alpha: float, phi, u0: float, d: int = 1):
     """int_{u0}^inf f(u) phi(u) u^(d-1) du for u0 >= TAIL_CUTOFF, the standard
     d-dimensional radial density f (f0 at d = 1) and a vectorized phi of log
-    growth.
+    growth: the reference entropy's tail.
 
     log f comes from the density engine (the power-tail series, or the closed
-    form at alpha = 1).  y = ln u runs over [ln u0, y_max], y_max = 60/alpha +
-    ln u0 + 5, in 31 equal Gauss-Legendre panels; beyond X = e^y_max the
-    first-order remainder k X^-alpha / alpha * phi(X) is added, phi frozen at X.
-    A stacked phi, shape (k, N), gives k integrals from the same nodes.
-
-    phi runs once, on the nodes with X appended: X is the largest argument, so
-    the series' term count at every node is that of the nodes alone.
+    form at alpha = 1), integrated on `_tail_edges` by `_panel_integral`, and
+    beyond X the first-order remainder k X^-alpha / alpha * phi(X) is added.
+    A stacked phi, shape (k, N), gives k integrals.  phi runs once, on the
+    nodes with X, the largest argument, appended.  (The sum over
+    `_tail_nodes` moves the alpha-0.7 entropy by an ulp.)
     """
     eng = standard_density(alpha, d)
-    log_u0 = math.log(u0)
-    y_max = 60.0 / alpha + log_u0 + 5.0
-    X = math.exp(y_max)
+    edges, X = _tail_edges(alpha, u0)
     phi_X = []
 
     def fn(y):
@@ -965,8 +990,6 @@ def _tail_integral(alpha: float, phi, u0: float, d: int = 1):
             return np.exp(eng.log_pdf_vec(u)) * vals[..., :-1] * u
         return np.exp(eng.log_pdf_vec(u) + d * y) * vals[..., :-1]  # u^d overflows at small alpha
 
-    edges = _TAIL_INDEX * ((y_max - log_u0) / _TAIL_PANELS) + log_u0
-    edges[-1] = y_max
     val = _panel_integral(fn, edges)
     rem = eng.tail_constant * X ** (-alpha) / alpha * phi_X[0]
     return val + _reduced(rem)

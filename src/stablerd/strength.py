@@ -19,10 +19,10 @@ from typing import Callable, Union
 import numpy as np
 # scipy.integrate is imported by TabulatedSource.mass, the one function that
 # uses it, so `import stablerd` does not load it.
-from scipy.special import erfc
+from scipy.special import erfc, gammainccinv, gammaln
 
 from . import stable_core
-from .errors import BracketFailure, NonFiniteLogMoment
+from .errors import BracketFailure, NonFiniteLogMoment, NonSymmetricSource
 from .stable_core import ReferenceLaw, SampleBatch, StableParams, standard_density
 
 __all__ = [
@@ -54,19 +54,22 @@ _ROOT_STEP = 4e-15
 class _Source:
     """The protocol every source kind implements, with the shared defaults.
 
-    Every kind has `dim`, `is_zero`, `scale` (for panel placement), `start_scale`
-    (where strength root solves start), `tail_k` and `abs_quantile(p)`.
-    Density-backed kinds also have `support`, `core_extent` (beyond it a
-    kind's own tail handling takes over), `breakpoints`, `pdf_vec(x)`,
-    `mass(a, b)`, `tail_mass(x)`, `tail_integral(phi, x0)` (the whole
-    integral of f phi over (x0, infinity) for x0 >= core_extent and a phi of
-    log growth, remainder included; a stable kind's tail mass and every
-    G take their tails from it) and `reflected` (the source of -X; a
-    symmetric kind returns itself).  A new kind implements these on its own
-    class.  Six entry points still check a source's class (ROADMAP item 6):
-    `_g_of_partition`, `output_entropy`, `_check_symmetric_unimodal`,
-    `uniform_error_strength` and `_require_density` for `EmpiricalSource`,
-    and `_uniform_weights` for `SymmetricStableSource`'s aliasing route.
+    Every kind has `dim`, `is_zero`, `scale` (for panel placement),
+    `start_scale` (where strength root solves start), `tail_k`,
+    `abs_quantile(p)`, `region_masses(boundaries)`,
+    `check_symmetric_unimodal()` and three node sets, offsets e_i and
+    weights W_i with G(s) = sum_i W_i psi(e_i / s) (see `_g`):
+    `strength_nodes(alpha)` of X and `error_nodes(points, boundaries, alpha)`
+    of a partition's error, both functions of s, and `lattice_nodes(delta)`
+    of the uniform quantizer's error.  Density-backed kinds also have
+    `support`, `core_extent`, `breakpoints`, `pdf_vec(x)`, `mass(a, b)`,
+    `tail_mass(x)`, `tail_nodes(x0, moment)` (nodes x and weights w with
+    sum_i w_i f(x_i) phi(x_i) the integral of f phi over (x0, infinity),
+    x0 >= core_extent, for a phi of log growth or of growth x^moment) and
+    `reflected` (the source of -X; a symmetric kind returns itself).  The
+    defaults serve every density-backed kind; `EmpiricalSource` answers from
+    its samples, and `SymmetricStableSource` sums its lattice by the
+    aliasing series where that is shorter.
     """
 
     dim = 1
@@ -87,10 +90,44 @@ class _Source:
         """P(X > x0)."""
         return self.mass(x0, self.support[1])
 
-    def tail_integral(self, phi_vec, x0: float) -> float:
-        """Integral of f(x) phi(x) over (x0, infinity), x0 >= core_extent: 0
-        for a kind with no mass beyond its core."""
-        return 0.0
+    def tail_nodes(self, x0: float, moment: float = 0.0):
+        """No nodes: a kind with no mass beyond its core extent."""
+        return _NO_NODES
+
+    def strength_nodes(self, alpha: float):
+        """s -> (e, W) of g(s) = -E[log f_ref(X / s)]: the error of the
+        one-point quantizer at 0."""
+        return self.error_nodes(_ZERO, _NONE, alpha)
+
+    def error_nodes(self, points, boundaries, alpha: float):
+        """s -> (e, W) of the partition's error X - Q(X) (`_partition_nodes`)."""
+        return _partition_nodes(self, points, boundaries, alpha)
+
+    def lattice_nodes(self, delta: float):
+        """(u, W) of the error of x -> round(x / delta) delta: the lattice
+        density summed directly (`_direct_weights`)."""
+        return _direct_weights(delta, self, _direct_radius(delta, self))
+
+    def region_masses(self, boundaries) -> np.ndarray:
+        """P(X in R_j) for the regions (r_{j-1}, r_j] between the boundaries;
+        the lowest one is the upper tail of the reflected source."""
+        b = np.asarray(boundaries, dtype=float)
+        if b.size == 0:
+            return np.ones(1)
+        inner = [self.mass(lo, hi) for lo, hi in zip(b[:-1], b[1:])]
+        return np.array([self.reflected.tail_mass(-b[0]), *inner, self.tail_mass(b[-1])])
+
+    def check_symmetric_unimodal(self) -> None:
+        """Raise NonSymmetricSource unless the density is even and falls away from 0."""
+        xs = self.scale * np.linspace(0.05, 4.0, 10)
+        fp = self.pdf_vec(xs)
+        fm = self.pdf_vec(-xs)
+        ref = self.pdf_vec(np.array([0.0]))[0]
+        if np.any(np.abs(fp - fm) > 1e-6 * (ref + fp)):
+            raise NonSymmetricSource("density is not symmetric about 0")
+        seq = np.concatenate([[ref], fp])
+        if np.any(np.diff(seq) > 1e-9 * ref):
+            raise NonSymmetricSource("density is not unimodal about 0")
 
     def abs_quantile(self, p: float) -> float:
         """The p-quantile of |X|: the root of p - mass(-x, x), found by the
@@ -165,18 +202,27 @@ class SymmetricStableSource(_Source):
             return 0.5 * erfc(x0 / (2.0 * g))
         if x0 / g < stable_core.TAIL_CUTOFF:
             # (30 g) / g can round below 30, so the core extent is passed on
-            # to tail_integral directly, not back through this test
+            # to the tail integral directly, not back through this test
             cut = self.core_extent
-            return self.mass(x0, cut) + self.tail_integral(np.ones_like, cut)
-        return self.tail_integral(np.ones_like, x0)
+            return self.mass(x0, cut) + stable_core._tail_integral(a_s, np.ones_like, cut / g)
+        return stable_core._tail_integral(a_s, np.ones_like, x0 / g)
 
-    def tail_integral(self, phi_vec, x0: float) -> float:
-        """Integral of f(x) phi(x) over (x0, infinity), x0 >= core_extent, for a
-        phi of log growth: `stable_core._tail_integral` in u = x / gamma."""
+    def tail_nodes(self, x0: float, moment: float = 0.0):
+        """`stable_core._tail_nodes` in u = x / gamma (a power tail is refused
+        at index 2 before its nodes are built, so moment is not read)."""
         if self.tail_k == 0.0:
-            return 0.0  # no power tail: no mass beyond the core (Gaussian: below 1e-98)
+            return _NO_NODES  # no power tail: no mass beyond the core (Gaussian: below 1e-98)
         g = self.params.gamma
-        return stable_core._tail_integral(self.params.alpha, lambda u: phi_vec(g * u), x0 / g)
+        u, w = stable_core._tail_nodes(self.params.alpha, x0 / g)
+        return g * u, g * w
+
+    def lattice_nodes(self, delta: float):
+        """(u, W) of the lattice error: the aliasing series whenever it needs no
+        more terms than the 2 k_core + 1 regions of the direct sum."""
+        k_core, m_max = _direct_radius(delta, self), _aliasing_terms(delta, self)
+        if m_max <= 2 * k_core + 1:
+            return _aliasing_weights(delta, self, m_max)
+        return _direct_weights(delta, self, k_core)
 
 
 @dataclass(frozen=True)
@@ -217,13 +263,10 @@ class EmpiricalSource(_Source):
 
     @cached_property
     def sorted_values(self) -> np.ndarray:
-        """The 1-d samples (or one column of them) in ascending order: a
-        read-only copy, sorted once.
-
+        """The 1-d samples in ascending order: a read-only copy, sorted once.
         The density table's spline finds its intervals fastest on ordered
         input, so every sample mean runs over this copy; a mean depends only
-        on the multiset of samples, and `batch.values` keeps its order.
-        """
+        on the multiset of samples, and `batch.values` keeps its order."""
         if self.dim != 1:
             raise ValueError("scalar expectation requires 1-d samples")
         out = np.sort(self.batch.values.ravel())
@@ -232,6 +275,34 @@ class EmpiricalSource(_Source):
 
     def abs_quantile(self, p: float) -> float:
         return float(np.quantile(np.abs(self.batch.values), p))
+
+    # Every node set is the samples' own offsets, each of weight 1/n.
+
+    def strength_nodes(self, alpha: float):
+        """s -> (X, 1/n): the samples, or their radii at d >= 2."""
+        r = np.sqrt(self.squared_norms) if self.dim > 1 else self.sorted_values
+        return lambda s: (r, 1.0 / r.size)
+
+    def error_nodes(self, points, boundaries, alpha: float):
+        vals = self.sorted_values
+        offs = vals - np.asarray(points)[np.searchsorted(boundaries, vals, side="left")]
+        return lambda s: (offs, 1.0 / vals.size)
+
+    def lattice_nodes(self, delta: float):
+        vals = self.sorted_values
+        return np.sort(vals - np.round(vals / delta) * delta), 1.0 / vals.size  # see sorted_values
+
+    def region_masses(self, boundaries) -> np.ndarray:
+        vals = self.sorted_values
+        counts = np.bincount(np.searchsorted(boundaries, vals, side="left"),
+                             minlength=np.size(boundaries) + 1).astype(float)
+        return counts / counts.sum()
+
+    def check_symmetric_unimodal(self) -> None:
+        """Samples: compare their median with their scale."""
+        scale = self.scale
+        if scale > 0.0 and abs(float(np.median(self.batch.values))) > 0.1 * scale:
+            raise NonSymmetricSource("sample median is far from 0")
 
 
 @dataclass(frozen=True)
@@ -292,40 +363,37 @@ class TabulatedSource(_Source):
         lo, hi = self.support
         return TabulatedSource(lambda x: f(-x), (-hi, -lo))
 
-    def tail_integral(self, phi_vec, x0: float) -> float:
-        """Integral of f(x) phi(x) over (x0, hi) for x0 > 0 past every kink.
-
-        A 16-node Gauss-Legendre rule runs over the doubling segments
-        [x0 2^k, x0 2^(k+1)], the last one cut at a finite hi.  The sum stops
-        once a segment adds less than 1e-13 of it (or 1e-13 absolute); if the
-        segments fail to decay the log-moment proxy is declared divergent.
-        For a stacked phi the first row, the value, decides; the rows after
-        it (slopes) are summed over the same segments.
+    def tail_nodes(self, x0: float, moment: float = 0.0):
+        """Tail nodes over (x0, hi), x0 > 0 past every kink: a 16-node
+        Gauss-Legendre rule on each doubling segment [x0 2^k, x0 2^(k+1)], the
+        last one cut at a finite hi.  They stop once a segment adds less than
+        1e-15 of the sum so far (or 1e-15 absolute) to the integral of
+        f (x / x0)^moment: the mass for a phi of log growth, the second moment
+        for one that grows as x^2.  Segments that fail to decay declare the
+        log-moment proxy divergent.
         """
         hi = self.support[1]
-
-        def fn(x):
-            return self.pdf_vec(x) * phi_vec(x)
-
-        total = 0.0
-        prev = math.inf
-        a = x0
+        xs, ws = [_NO_NODES[0]], [_NO_NODES[1]]
+        total, prev, a = 0.0, math.inf, x0
         for k in range(_BRACKET_BUDGET):
             if a >= hi:
-                return total
-            b = min(2.0 * a, hi)
-            piece = stable_core._panel_integral(fn, np.array([a, b]))
-            total += piece
-            lead = abs(np.ravel(piece)[0])
-            if lead < 1e-13 * max(abs(np.ravel(total)[0]), 1.0):
-                return total
+                break
+            x, w = stable_core._gl_nodes(np.array([a, min(2.0 * a, hi)]))
+            xs.append(x)
+            ws.append(w)
+            lead = float(np.sum(w * self.pdf_vec(x) * (x / x0) ** moment))
+            total += lead
+            if lead < 1e-15 * max(total, 1.0):
+                break
             if k > 6 and lead > prev:
                 raise NonFiniteLogMoment(
                     "tail integral fails to decay; log-moment proxy diverges"
                 )
             prev = lead
-            a = b
-        raise NonFiniteLogMoment("tail integral did not converge within the doubling budget")
+            a *= 2.0
+        else:
+            raise NonFiniteLogMoment("tail integral did not converge within the doubling budget")
+        return np.concatenate(xs), np.concatenate(ws)
 
 
 @dataclass(frozen=True)
@@ -423,8 +491,11 @@ def reference_neg_log_density(alpha: float, slope: bool = False, d: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# G(s) of a partition: the integral behind every scalar strength
+# node sets: G(s) = sum_i W_i psi(e_i / s) behind every strength equation
 
+
+_NO_NODES = (np.empty(0), np.empty(0))
+_ZERO, _NONE = np.zeros(1), np.empty(0)  # the one-point quantizer at 0
 
 _LADDER = (-60.0, -25.0, -10.0, -4.0, -1.5, -0.5, 0.0, 0.5, 1.5, 4.0, 10.0, 25.0, 60.0)
 _PEAK = (-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0)
@@ -433,6 +504,21 @@ _PEAK = (-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0)
 # its end: they resolve the density's peak and psi's core at any s.
 _GRADE_START = 1e-13
 _GRADE = 1.1
+
+
+def _g(nodes, psi, s: float):
+    """G(s) = sum_i W_i psi(e_i / s) for (e, W) = nodes(s), from one psi call.
+
+    With the stacked psi of `reference_neg_log_density(alpha, slope=True)`,
+    G(s) is the pair (G, dG/d ln s) from the same nodes.
+    """
+    e, W = nodes(s)
+    return np.sum(W * psi(e / s), axis=-1)
+
+
+def _solve_g(nodes, psi, h: float, s0: float, tol: float) -> StrengthSolution:
+    """The root of G(s) = h for the node set nodes(s) and a stacked psi."""
+    return _solve_monotone(lambda s: _g(nodes, psi, s) - (h, 0.0), s0, tol)
 
 
 def _region_edges(a: float, b: float, rep: float, s_scale: float, source) -> np.ndarray:
@@ -473,95 +559,142 @@ def _region_edges(a: float, b: float, rep: float, s_scale: float, source) -> np.
     return np.array(out)
 
 
-def _outer_region_integral(source, psi, rep: float, r0: float, s: float):
-    """Integral of f(x) psi((x - rep)/s) over (r0, infinity): panels up to C,
-    at most the support end, and the source's own tail integral beyond.  A
-    stacked psi gives the stacked integrals."""
+def _outer_nodes(source, alpha: float, rep: float, r0: float, s: float):
+    """Nodes x and weights w (W = w f(x)) over (r0, infinity) for the point
+    rep: 16-node panels up to C, at most the support end, and the source's
+    tail nodes beyond.  psi grows as x^2 at index 2, so a power tail raises
+    NonFiniteLogMoment there."""
+    if alpha == 2.0 and source.tail_k > 0.0:
+        raise NonFiniteLogMoment(
+            "a heavy-tailed source has no finite second moment, so G diverges "
+            "at alpha = 2"
+        )
     s_scale = s * 3.0
     C = max(r0 + 80.0 * s_scale, 2.0 * abs(r0) + 4.0 * source.scale, source.core_extent)
     C = min(C, source.support[1])
     if C <= r0:
-        return 0.0
-
-    def fn(x):
-        return source.pdf_vec(x) * psi((x - rep) / s)
-
+        return _NO_NODES
     edges = _region_edges(r0, C, min(max(rep, r0), C), s_scale, source)
     if rep == r0:
         step = _GRADE_START * source.scale
         graded = r0 + step * _GRADE ** np.arange(math.log((C - r0) / step) / math.log(_GRADE))
         edges = np.union1d(edges, graded[graded < C])
-    val = stable_core._panel_integral(fn, edges)
-    return val + source.tail_integral(lambda x: psi((x - rep) / s), C)
+    x, w = stable_core._gl_nodes(edges)
+    tx, tw = source.tail_nodes(C, 2.0 if alpha == 2.0 else 0.0)
+    return np.concatenate([x, tx]), np.concatenate([w, tw])
 
 
-def _g_of_partition(points, boundaries, source, psi):
-    """Return G(s) = sum_j int_{R_j} f(x) psi((x - x_j)/s) dx as a callable.
+def _outer_regions(source, alpha: float, right, left, s: float):
+    """Nodes x, offsets e and weights w (W = w f(x)) of both outer regions:
+    right = (x_M, r) is (r, inf) for the point x_M, and left = (-x_1, -r_1)
+    is (-inf, r_1], the reflected source's right region mirrored back into
+    x.  For a mirrored partition (every design candidate) of a source that
+    is its own reflection the two are the same integral: the right one is
+    built once and its weights are doubled."""
+    x, w = _outer_nodes(source, alpha, *right, s)
+    if source.reflected is source and right == left:
+        return x, x - right[0], w + w
+    xl, wl = _outer_nodes(source.reflected, alpha, *left, s)
+    return (np.concatenate([x, -xl]), np.concatenate([x - right[0], left[0] - xl]),
+            np.concatenate([w, wl]))
 
-    With the stacked psi of `reference_neg_log_density(alpha, slope=True)`,
-    G(s) is the pair (G, dG/d ln s) from the same nodes.
+
+def _partition_nodes(source, points, boundaries, alpha: float):
+    """s -> (e, W), e = x - x_j on region R_j, so that G(s) = sum_j
+    int_{R_j} f(x) psi((x - x_j)/s) dx for a density source.  Interior
+    regions take 14-node Gauss-Legendre rules on `_region_edges` panels, the
+    outer ones `_outer_regions`, all placed from s, and the density runs once
+    on every node.  A single region covering the line is split at its point.
     """
     points = np.asarray(points, dtype=float)
     boundaries = np.asarray(boundaries, dtype=float)
+    ends = boundaries if points.size > 1 else points
+    right, left = (points[-1], ends[-1]), (-points[0], -ends[0])
 
-    if isinstance(source, EmpiricalSource):
-        vals = source.sorted_values
-        # the one point at 0 of a strength needs no offset copy of the samples
-        offs = vals - points[np.searchsorted(boundaries, vals, side="left")] if points.any() else vals
+    def nodes(s):
+        parts = []
+        for j in range(1, points.size - 1):
+            edges = _region_edges(boundaries[j - 1], boundaries[j], points[j], 3.0 * s, source)
+            x, w = stable_core._gl_nodes(edges, 14)
+            parts.append((x, x - points[j], w))
+        parts.append(_outer_regions(source, alpha, right, left, s))
+        x, e, w = (np.concatenate(z) for z in zip(*parts))
+        return e, w * source.pdf_vec(x)
 
-        def G(s):
-            return np.mean(psi(offs / s), axis=-1)
+    return nodes
 
-        return G
 
-    # The left outer region, (-inf, r], is the right outer region (-r, inf) of
-    # the reflected source, with the point negated (psi is even).  A single
-    # region covering the line is split at its point.
-    if points.size > 1:
-        right, left = (points[-1], boundaries[-1]), (-points[0], -boundaries[0])
-    else:
-        right, left = (points[0], points[0]), (-points[0], -points[0])
-    reflected = source.reflected
-    # Both outer regions of a mirrored partition (every design candidate) of a
-    # source that is its own reflection are the same integral: the right one
-    # is added twice.  Two additions, not 2 * right, round as the explicit sum
-    # does.
-    mirrored = reflected is source and right == left
+# The error of the uniform quantizer x -> round(x / delta) delta has the
+# lattice density sum_k f(k delta + u) on (-delta/2, delta/2), which these
+# routes sum at _LATTICE_NODES Gauss-Legendre offsets u.
 
-    def G(s):
-        s_scale = 3.0 * s
-        total = 0.0
-        # interior regions, all nodes in one vectorized evaluation
-        if points.size > 1:
-            all_nodes = []
-            all_weights = []
-            all_reps = []
-            xg, wg = stable_core._gauss_legendre(14)
-            for j in range(1, points.size - 1):
-                a, b = boundaries[j - 1], boundaries[j]
-                edges = _region_edges(a, b, points[j], s_scale, source)
-                mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-                half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-                nodes = mid + half * xg[None, :]
-                all_nodes.append(nodes.ravel())
-                all_weights.append((half * wg[None, :]).ravel())
-                all_reps.append(np.full(nodes.size, points[j]))
-            if all_nodes:
-                nodes = np.concatenate(all_nodes)
-                weights = np.concatenate(all_weights)
-                reps = np.concatenate(all_reps)
-                total += np.sum(
-                    weights * source.pdf_vec(nodes) * psi((nodes - reps) / s), axis=-1
-                )
-        right_val = _outer_region_integral(source, psi, *right, s)
-        total += right_val
-        if mirrored:
-            total += right_val
-        else:
-            total += _outer_region_integral(reflected, psi, *left, s)
-        return total
+_ALIAS_TOL = 1e-16  # bound on the dropped aliasing terms; the m = 0 term is 1
+_LATTICE_NODES = 48  # Gauss-Legendre nodes across one region of width delta
 
-    return G
+
+def _direct_radius(delta: float, source) -> int:
+    """Regions k_core on each side of zero that the direct route sums term by term."""
+    # beyond this radius the density sits in its power tail and the
+    # flat-grouping (midpoint) error, bounded through |f''|, stays below
+    # 1e-10 nats
+    x_req = 3.0 * source.core_extent
+    k_x = source.tail_k
+    if k_x > 0.0:
+        a_s = source.params.alpha
+        bound = (delta ** 2 / 24.0) * k_x * (a_s + 1.0) * (a_s + 2.0) * 6.0
+        x_req = max(x_req, (bound / 1e-10) ** (1.0 / (a_s + 2.0)))
+    k_core = int(math.ceil(x_req / delta)) + 2
+    return min(k_core, 200_000)
+
+
+def _direct_weights(delta: float, source, k_core: int):
+    """(u, W) from the lattice density summed term by term over |k| <= k_core,
+    with all remaining regions grouped through their exact tail mass."""
+    xg, wg = stable_core._gauss_legendre(_LATTICE_NODES)
+    u = 0.5 * delta * xg  # offsets within a region
+    ks = np.arange(-k_core, k_core + 1)
+    nodes = ks[:, None] * delta + u[None, :]
+    fsum = source.pdf_vec(nodes.ravel()).reshape(nodes.shape).sum(axis=0)
+    # grouped mass of all remaining regions on each side: the left side's is
+    # the right side's of -X
+    edge = k_core * delta + 0.5 * delta
+    fsum = fsum + (source.tail_mass(edge) + source.reflected.tail_mass(edge)) / delta
+    return u, 0.5 * delta * wg * fsum
+
+
+def _aliasing_terms(delta: float, source: SymmetricStableSource):
+    """Length m_max of the aliasing series for a symmetric stable source.
+
+    With c = 2 pi gamma / delta, the dropped terms 2 sum_{m > m_max}
+    exp(-(c m)^alpha) are bounded by the integral test,
+    2 int_{m_max}^inf exp(-(c x)^alpha) dx
+    = (2 / (c alpha)) Gamma(1/alpha) Q(1/alpha, (c m_max)^alpha),
+    and m_max is the smallest integer taking that bound below _ALIAS_TOL.
+    Returns math.inf when the count would not fit in a float.
+    """
+    a = source.params.alpha
+    c = 2.0 * math.pi * source.scale / delta
+    log_q = math.log(_ALIAS_TOL * c * a / 2.0) - gammaln(1.0 / a)
+    if log_q >= 0.0:
+        return 0  # the bound holds with no term at all
+    y = float(gammainccinv(1.0 / a, math.exp(log_q)))
+    log_m = math.log(y) / a - math.log(c)
+    return math.ceil(math.exp(log_m)) if log_m < 700.0 else math.inf
+
+
+def _aliasing_weights(delta: float, source: SymmetricStableSource, m_max: int):
+    """(u, W) from the lattice density of a symmetric stable source by Poisson
+    summation: with u = (delta/2) x and phi(t) = exp(-(gamma |t|)^alpha),
+
+        delta * sum_k f(k delta + u) = 1 + 2 sum_{m >= 1} phi(2 pi m / delta) cos(pi m x),
+
+    truncated after m_max terms."""
+    xg, wg = stable_core._gauss_legendre(_LATTICE_NODES)
+    c = 2.0 * math.pi * source.scale / delta
+    m = np.arange(1, m_max + 1)
+    amp = np.exp(-((c * m) ** source.params.alpha))
+    alias = 1.0 + 2.0 * (amp @ np.cos(np.pi * np.outer(m, xg)))
+    return 0.5 * delta * xg, 0.5 * wg * alias
 
 
 # ---------------------------------------------------------------------------
@@ -571,23 +704,14 @@ def _g_of_partition(points, boundaries, source, psi):
 def g_value(source: SourceSpec, alpha: float, s: float, slope: bool = False):
     """g(s) = -E[log f_ref(X / s)] in nats.
 
-    At d = 1 this is G(s) of the one-point quantizer at 0, at d >= 2 the
-    mean over the samples' radii.  With slope, the pair (g(s), dg/d ln s),
-    both from the same evaluation.
+    G(s) of the source's `strength_nodes`: at d = 1 the one-point quantizer
+    at 0, at d >= 2 the mean over the samples' radii.  With slope, the pair
+    (g(s), dg/d ln s), both from the same evaluation.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")
-    d = source.dim
-    psi = reference_neg_log_density(alpha, slope, d)
-    if d == 1:
-        if alpha == 2.0 and source.tail_k > 0.0:
-            raise NonFiniteLogMoment(
-                "a heavy-tailed source has no finite second moment, so g "
-                "diverges at alpha = 2"
-            )
-        g = _g_of_partition(np.zeros(1), np.empty(0), source, psi)(s)
-    else:
-        g = np.mean(psi(np.sqrt(source.squared_norms) / s), axis=-1)
+    psi = reference_neg_log_density(alpha, slope, source.dim)
+    g = _g(source.strength_nodes(alpha), psi, s)
     return (float(g[0]), float(g[1])) if slope else float(g)
 
 
@@ -685,12 +809,8 @@ def solve_strength(source: SourceSpec, alpha: float, tol: float = DEFAULT_TOL) -
     s0 = source.start_scale
     if not s0 > 0.0:
         s0 = 1.0
-
-    def fn(s):
-        g, dg = g_value(source, alpha, s, slope=True)
-        return g - h, dg
-
-    return _solve_monotone(fn, s0, tol)
+    psi = reference_neg_log_density(alpha, True, source.dim)
+    return _solve_g(source.strength_nodes(alpha), psi, h, s0, tol)
 
 
 def strength_closed_form(alpha: float, gamma: float) -> float:
@@ -725,15 +845,10 @@ def cb_strength(source: SourceSpec, d: int = 1, tol: float = DEFAULT_TOL) -> flo
         q = z ** 2
         return np.stack([np.log1p(q), -2.0 * q / (1.0 + q)])
 
-    G = _g_of_partition(np.zeros(1), np.empty(0), source, psi)
-
-    def fn(s):
-        return G(s) - (math.log(4.0), 0.0)
-
     s0 = source.start_scale
     if not s0 > 0.0:
         s0 = 1.0
-    return _solve_monotone(fn, s0, tol).value
+    return _solve_g(source.strength_nodes(1.0), psi, math.log(4.0), s0, tol).value
 
 
 def strength_of_uniform(alpha: float, tol: float = DEFAULT_TOL) -> float:

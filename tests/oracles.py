@@ -379,7 +379,7 @@ def quad_g(points, boundaries, source, alpha, s, nodes=32):
     table's knots; a stable source's own spline puts cuts at +-scale e^t_k.
     Both ladders go on at the same ratio past TAIL_CUTOFF, and 0, the point
     and the source's breakpoints are cuts too.  The panels reach |x| = 1e6;
-    the source's own `tail_integral` gives the rest, the lower one on the
+    the source's own `tail_nodes` give the rest, the lower one on the
     reflection.
     """
     psi = reference_neg_log_density(alpha)
@@ -399,13 +399,19 @@ def quad_g(points, boundaries, source, alpha, s, nodes=32):
             return psi((np.asarray(x) - rep) / s)
 
         if cuts[j + 1] == math.inf:
-            tails += source.tail_integral(phi, _G_REACH)
+            tails += _tail_sum(source, phi, _G_REACH)
         if cuts[j] == -math.inf:
-            tails += source.reflected.tail_integral(lambda x, phi=phi: phi(-np.asarray(x)), _G_REACH)
+            tails += _tail_sum(source.reflected, lambda x, phi=phi: phi(-np.asarray(x)), _G_REACH)
     lo, hi, rep = np.concatenate(panels, axis=1)[:, :, None]
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xg
     return float(np.sum(source.pdf_vec(x) * psi((x - rep) / s) * (0.5 * (hi - lo) * wg))) + tails
+
+
+def _tail_sum(source, phi, x0):
+    """The integral of f phi over (x0, infinity) on the source's tail nodes."""
+    x, w = source.tail_nodes(x0)
+    return float(np.sum(w * source.pdf_vec(x) * phi(x)))
 
 
 def quad_residual(points, boundaries, source, alpha):

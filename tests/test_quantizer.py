@@ -10,6 +10,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc
 
 from stablerd import (
+    NonFiniteLogMoment,
     NotSorted,
     OutOfRange,
     Quantizer,
@@ -38,18 +39,22 @@ from stablerd import (
 )
 from stablerd import quantizer, strength
 from stablerd.quantizer import (
-    _aliasing_terms,
-    _aliasing_weights,
-    _direct_radius,
-    _direct_weights,
     _error_strength_raw,
     _mirror,
     _uniform_weights,
     truncated_uniform,
     uniform_levels_strength,
 )
-from stablerd.stable_core import _gauss_legendre
-from stablerd.strength import _g_of_partition, _region_edges, reference_neg_log_density
+from stablerd.stable_core import _StandardDensity, _gauss_legendre
+from stablerd.strength import (
+    _aliasing_terms,
+    _aliasing_weights,
+    _direct_radius,
+    _direct_weights,
+    _g,
+    _region_edges,
+    reference_neg_log_density,
+)
 
 import oracles
 
@@ -235,7 +240,7 @@ class TestUniformAliasing:
     def test_direct_and_aliasing_agree(self, alpha, rtol, delta):
         adapter = _stable_adapter(alpha)
         spec = UniformSpec(delta)
-        u1, W1 = _direct_weights(delta, adapter, _direct_radius(spec, adapter))
+        u1, W1 = _direct_weights(delta, adapter, _direct_radius(delta, adapter))
         u2, W2 = _aliasing_weights(delta, adapter, _aliasing_terms(delta, adapter))
         np.testing.assert_array_equal(u1, u2)
         np.testing.assert_allclose(W2, W1, rtol=rtol, atol=0.0)
@@ -250,7 +255,7 @@ class TestUniformAliasing:
         if series:
             expected = _aliasing_weights(delta, adapter, _aliasing_terms(delta, adapter))
         else:
-            expected = _direct_weights(delta, adapter, _direct_radius(spec, adapter))
+            expected = _direct_weights(delta, adapter, _direct_radius(delta, adapter))
         for got, want in zip(_uniform_weights(spec, adapter), expected):
             np.testing.assert_array_equal(got, want)
 
@@ -308,7 +313,7 @@ class TestDesign:
         # over (0.1, 3) (oracles.design_optimum) is 0.7172356202174561 at
         # a = 0.7895263438059998
         report = design_optimal(cauchy_source(1.0), 1.0, 2, seed=7)
-        assert report.error_strength == 0.7172356202174569
+        assert report.error_strength == 0.7172356202174567
         assert report.quantizer.points.tolist() == [-0.7895263207108231, 0.7895263207108231]
 
     def test_stop_reason_tol(self):
@@ -596,10 +601,11 @@ class TestRegionEdges:
         ).tobytes()
 
 
-def _g_against_explicit_sum(points, boundaries, source, alpha, s, monkeypatch):
-    """(G(s), interior + right + left summed as G sums them, outer-region calls)."""
-    psi = reference_neg_log_density(alpha)
-    outer = strength._outer_region_integral
+def _nodes_against_regions(points, boundaries, source, alpha, s, monkeypatch):
+    """(e, W) of the partition, the (x, w) of its right and left outer regions
+    as `_outer_nodes` builds them alone, and how many outer regions the
+    partition built."""
+    outer = strength._outer_nodes
     calls = []
 
     def counted(*args):
@@ -607,18 +613,19 @@ def _g_against_explicit_sum(points, boundaries, source, alpha, s, monkeypatch):
         return outer(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(strength, "_outer_region_integral", lambda *args: 0.0)
-        interior = _g_of_partition(points, boundaries, source, psi)(s)
-        m.setattr(strength, "_outer_region_integral", counted)
-        g = _g_of_partition(points, boundaries, source, psi)(s)
-    total = 0.0
-    total += interior
-    total += outer(source, psi, points[-1], boundaries[-1], s)
-    total += outer(source.reflected, psi, -points[0], -boundaries[0], s)
-    return g, total, len(calls)
+        m.setattr(strength, "_outer_nodes", counted)
+        e, W = source.error_nodes(points, boundaries, alpha)(s)
+    ends = boundaries if points.size > 1 else points  # one region is split at its point
+    right = outer(source, alpha, points[-1], ends[-1], s)
+    left = outer(source.reflected, alpha, -points[0], -ends[0], s)
+    return e, W, right, left, len(calls)
 
 
 class TestMirroredOuterRegions:
+    """A partition's node set ends with its outer regions' nodes.  A mirrored
+    partition of a source that is its own reflection builds the right region
+    once and doubles its weights."""
+
     @pytest.mark.parametrize("M", [2, 3, 4, 7])
     @pytest.mark.parametrize("frozen", [False, True])
     def test_mirrored_partition_equals_explicit_sum(self, M, frozen, monkeypatch):
@@ -631,21 +638,29 @@ class TestMirroredOuterRegions:
             shifted = _mirror(pos * rng.uniform(0.8, 1.2, pos.size), M)
             bnd = midpoint_boundaries(shifted if frozen else points)
             for s in (0.05, 0.4, 3.0):
-                g, total, calls = _g_against_explicit_sum(
+                e, W, (x, w), _, calls = _nodes_against_regions(
                     points, bnd, source, alpha, s, monkeypatch
                 )
                 assert calls == 1
-                assert g == total
+                n = x.size
+                assert e[-n:].tobytes() == (x - points[-1]).tobytes()
+                assert W[-n:].tobytes() == ((w + w) * source.pdf_vec(x)).tobytes()
 
     def test_asymmetric_partition_integrates_left_region(self, monkeypatch):
         points = np.array([-1.0, 0.2, 2.0])
         bnd = midpoint_boundaries(points)
+        source = cauchy_source(1.0)
         for s in (0.1, 1.0):
-            g, total, calls = _g_against_explicit_sum(
-                points, bnd, cauchy_source(1.0), 1.0, s, monkeypatch
+            e, W, (x, w), (xl, wl), calls = _nodes_against_regions(
+                points, bnd, source, 1.0, s, monkeypatch
             )
             assert calls == 2
-            assert g == total
+            n, nl = x.size, xl.size
+            assert e[-n - nl:-nl].tobytes() == (x - points[-1]).tobytes()
+            assert W[-n - nl:-nl].tobytes() == (w * source.pdf_vec(x)).tobytes()
+            # the left region, (-inf, -1.5], is the reflection's (1.5, inf) at the point 1
+            assert np.abs(e[-nl:]).tobytes() == np.abs(xl - 1.0).tobytes()
+            assert W[-nl:].tobytes() == (wl * source.reflected.pdf_vec(xl)).tobytes()
 
     @pytest.mark.parametrize("source", [
         cauchy_source(1.0),
@@ -653,24 +668,15 @@ class TestMirroredOuterRegions:
         UniformSource(1.0),
     ], ids=["cauchy", "stable0.7", "uniform"])
     def test_single_point_at_zero_integrates_once(self, source, monkeypatch):
+        # G of the one-point quantizer equals the explicit two-region sum bit for bit
         psi = reference_neg_log_density(1.5)
-        outer = strength._outer_region_integral
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return outer(*args)
-
-        monkeypatch.setattr(strength, "_outer_region_integral", counted)
-        G = _g_of_partition(np.array([0.0]), np.empty(0), source, psi)
         for s in (0.05, 0.7, 3.0):
-            calls.clear()
-            g = G(s)
-            assert len(calls) == 1
-            total = 0.0
-            total += outer(source, psi, 0.0, 0.0, s)
-            total += outer(source, psi, -0.0, -0.0, s)
-            assert g == total
+            _, _, (x, w), _, calls = _nodes_against_regions(
+                np.array([0.0]), np.empty(0), source, 1.5, s, monkeypatch
+            )
+            assert calls == 1
+            region = np.sum(w * source.pdf_vec(x) * psi(x / s))
+            assert _g(source.strength_nodes(1.5), psi, s) == region + region
 
 
 def _cauchy_pdf(x):
@@ -722,10 +728,11 @@ class TestTabulatedG:
         else:
             boundaries = midpoint_boundaries(points) if points.size > 1 else np.empty(0)
         root = _error_strength_raw(points, boundaries, source, 1.5).value
-        G = _g_of_partition(points, boundaries, source, reference_neg_log_density(1.5))
+        nodes = source.error_nodes(points, boundaries, 1.5)
         for s in (0.5 * root, root, 1.25 * root):
             want = oracles.quad_g(points, boundaries, source, 1.5, s)
-            assert G(s) == pytest.approx(want, rel=1e-9, abs=0.0), s
+            got = _g(nodes, reference_neg_log_density(1.5), s)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0), s
 
     def test_cauchy_callback_matches_stable_route(self):
         q = Quantizer.from_points([-0.6, 0.0, 0.6])
@@ -748,7 +755,7 @@ class TestOnePointG:
     ], ids=["cauchy-4.76", "cauchy-9.52", "cauchy-callback-4.76", "cauchy-callback-9.52",
             "laplace0.05-3", "gaussian0.05-3"])
     def test_against_quad_oracle(self, source, s):
-        got = _g_of_partition(np.zeros(1), np.empty(0), source, reference_neg_log_density(1.5))(s)
+        got = _g(source.strength_nodes(1.5), reference_neg_log_density(1.5), s)
         want = oracles.quad_g([0.0], [], source, 1.5, s)
         assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
@@ -798,7 +805,7 @@ class TestOneSidedLattice:
 
     @pytest.mark.parametrize("delta", [0.5, 0.1])
     def test_weights_sum_to_one(self, delta):
-        _, W = _direct_weights(delta, self.source, _direct_radius(UniformSpec(delta), self.source))
+        _, W = _direct_weights(delta, self.source, _direct_radius(delta, self.source))
         assert W.sum() == pytest.approx(1.0, rel=0.0, abs=1e-14)
 
     def test_high_rate_law(self):
@@ -837,8 +844,9 @@ def _count_pdf_points(monkeypatch, cls):
 
 class TestMirroredLattice:
     """A source that is its own reflection has its truncated-uniform lattice
-    evaluated at x >= 0 only; G and the region masses stay bitwise those of
-    the full evaluation."""
+    evaluated at x >= 0 only, and its left outer region folded onto the
+    right one: the region masses and the inner nodes stay bitwise those of
+    the full evaluation, and the outer weights are the two regions' sum."""
 
     @pytest.mark.parametrize("M", [2, 3, 8, 9])
     @pytest.mark.parametrize("source", [
@@ -851,14 +859,25 @@ class TestMirroredLattice:
     def test_bitwise_equal_to_full_nodes(self, source, M):
         delta = 0.4
         sol, _, _ = uniform_levels_strength(delta, M, source, 1.5)
-        G, probs = quantizer._truncated_uniform_g(delta, M, source, 1.5)
-        G_full, probs_full = quantizer._truncated_uniform_g(
+        nodes, probs = quantizer._truncated_uniform_g(delta, M, source, 1.5)
+        nodes_full, probs_full = quantizer._truncated_uniform_g(
             delta, M, _FullLattice(source), 1.5
         )
         assert probs.tobytes() == probs_full.tobytes()
+        inner = 32 if M > 2 else 0
         for f in (0.8, 1.0, 1.25):
-            s = f * sol.value
-            assert np.asarray(G(s)).tobytes() == np.asarray(G_full(s)).tobytes()
+            e, W = nodes(f * sol.value)
+            e_full, W_full = nodes_full(f * sol.value)
+            n = e.size
+            assert e_full[:n].tobytes() == e.tobytes()
+            assert e_full[n:].tobytes() == (-e[inner:]).tobytes()
+            assert W_full[:inner].tobytes() == W[:inner].tobytes()
+            # doubling w before the product with f is exact but for subnormal
+            # products (the Gaussian's far nodes), which no sum can see
+            both = W_full[inner:n] + W_full[n:]
+            normal = np.abs(both) >= np.finfo(float).tiny
+            assert both[normal].tobytes() == W[inner:][normal].tobytes()
+            assert np.all(np.abs(W[inner:][~normal]) < np.finfo(float).tiny)
 
     @pytest.mark.parametrize("M", [8, 9])
     def test_density_sees_half_the_inner_nodes(self, M, monkeypatch):
@@ -877,6 +896,82 @@ class TestMirroredLattice:
         sizes = _count_pdf_points(monkeypatch, TabulatedSource)
         quantizer._truncated_uniform_g(0.3, 6, source, 1.5)
         assert sum(sizes) == 4 * 32
+
+
+class TestIndexTwoPowerTail:
+    """psi grows as x^2 at index 2, so a power-tailed source has no G there:
+    every entry point that integrates an unbounded outer region raises
+    NonFiniteLogMoment, while the lattice error, which is bounded, keeps a
+    finite strength."""
+
+    SOURCES = [SymmetricStableSource(StableParams(1.5, 0.0, 1.0, 0.0)), cauchy_source(1.0)]
+    IDS = ["stable1.5", "cauchy"]
+
+    @pytest.mark.parametrize("source", SOURCES, ids=IDS)
+    def test_error_strength(self, source):
+        with pytest.raises(NonFiniteLogMoment):
+            error_strength(Quantizer.from_points([0.0]), source, 2.0)
+
+    @pytest.mark.parametrize("source", SOURCES, ids=IDS)
+    def test_uniform_levels_strength(self, source):
+        with pytest.raises(NonFiniteLogMoment):
+            uniform_levels_strength(0.3, 4, source, 2.0)
+
+    @pytest.mark.parametrize("source", SOURCES, ids=IDS)
+    def test_best_uniform_design(self, source):
+        with pytest.raises(NonFiniteLogMoment):
+            quantizer.best_uniform_design(source, 2.0, 4)
+
+    @pytest.mark.parametrize("source", SOURCES, ids=IDS)
+    def test_design_optimal(self, source):
+        with pytest.raises(NonFiniteLogMoment):
+            design_optimal(source, 2.0, 2)
+
+    @pytest.mark.parametrize("source", SOURCES, ids=IDS)
+    def test_lattice_error_stays_finite(self, source):
+        # at a lattice this fine the error is uniform: s = delta / sqrt(12)
+        sol = uniform_error_strength(UniformSpec(0.3), source, 2.0)
+        assert sol.value == pytest.approx(0.3 / math.sqrt(12.0), rel=1e-9, abs=0.0)
+
+
+class TestOnePsiCall:
+    """One G evaluation runs the density engine at most twice: psi once on
+    every offset, and the source density once on every node."""
+
+    SOURCE = SymmetricStableSource(StableParams(1.5, 0.0, 1.0, 0.0))
+
+    @staticmethod
+    def _calls(nodes, monkeypatch):
+        psi = reference_neg_log_density(1.5, slope=True)
+        _g(nodes, psi, 0.7)  # the tables are built
+        log_pdf_vec = _StandardDensity.log_pdf_vec
+        calls = []
+
+        def counted(self, u, slope=False):
+            calls.append(np.size(u))
+            return log_pdf_vec(self, u, slope)
+
+        monkeypatch.setattr(_StandardDensity, "log_pdf_vec", counted)
+        _g(nodes, psi, 0.7)
+        return len(calls)
+
+    @pytest.mark.parametrize("points", [[0.0], [-0.6, 0.0, 0.6]], ids=["M1", "M3"])
+    def test_partition(self, points, monkeypatch):
+        points = np.array(points)
+        bnd = midpoint_boundaries(points) if points.size > 1 else np.empty(0)
+        assert self._calls(self.SOURCE.error_nodes(points, bnd, 1.5), monkeypatch) <= 2
+
+    def test_truncated_uniform(self, monkeypatch):
+        nodes, _ = quantizer._truncated_uniform_g(0.1, 32, self.SOURCE, 1.5)
+        assert self._calls(nodes, monkeypatch) <= 2
+
+    def test_lattice(self, monkeypatch):
+        u, W = _uniform_weights(UniformSpec(0.25), self.SOURCE)
+        assert self._calls(lambda s: (u, W), monkeypatch) <= 1
+
+    def test_samples(self, monkeypatch):
+        source = EmpiricalSource(sample(StableParams(1.5, 0.0, 1.0, 0.0), 1000, seed=1))
+        assert self._calls(source.strength_nodes(1.5), monkeypatch) <= 1
 
 
 class TestBestUniform:
@@ -929,16 +1024,16 @@ class TestBestUniform:
     def test_warm_starts_save_evaluations(self, monkeypatch):
         def evaluations(source, alpha, M):
             total = []
-            solve = quantizer._solve_monotone
+            solve = strength._solve_monotone
 
             def counted(*args):
                 sol = solve(*args)
                 total.append(sol.evaluations)
                 return sol
 
-            monkeypatch.setattr(quantizer, "_solve_monotone", counted)
+            monkeypatch.setattr(strength, "_solve_monotone", counted)
             d = quantizer.best_uniform_design(source, alpha, M)[0]
-            monkeypatch.setattr(quantizer, "_solve_monotone", solve)
+            monkeypatch.setattr(strength, "_solve_monotone", solve)
             return sum(total), d
 
         source = cauchy_source(1.0)

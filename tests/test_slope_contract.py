@@ -46,12 +46,8 @@ from stablerd import (
     strength_of_uniform,
     uniform_error_strength,
 )
-from stablerd.quantizer import (
-    _aliasing_terms,
-    _direct_radius,
-    truncated_uniform,
-    uniform_levels_strength,
-)
+from stablerd.quantizer import truncated_uniform, uniform_levels_strength
+from stablerd.strength import _aliasing_terms, _direct_radius
 
 import oracles
 
@@ -66,7 +62,7 @@ Q3 = Quantizer.from_points([-0.6, 0.0, 0.6])
 
 def _route(delta, source):
     """The lattice route `uniform_error_strength` takes."""
-    aliasing = _aliasing_terms(delta, source) <= 2 * _direct_radius(UniformSpec(delta), source) + 1
+    aliasing = _aliasing_terms(delta, source) <= 2 * _direct_radius(delta, source) + 1
     return "aliasing" if aliasing else "direct"
 
 

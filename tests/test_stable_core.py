@@ -787,6 +787,33 @@ class TestTailIntegralTrims:
         assert got[0] == stable_core._tail_integral(1.5, np.ones_like, 40.0)
         assert got[1] == stable_core._tail_integral(1.5, lambda u: -eng.log_pdf_vec(u), 40.0)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.7, 1.0, 1.99])
+    def test_nodes_are_the_panel_nodes_and_the_remainder(self, alpha):
+        # `_tail_nodes`, which every G's tail reads, sits on the same panels;
+        # its last node is X, weighted X / alpha
+        xg, wg = np.polynomial.legendre.leggauss(16)
+        for u0 in (30.0, 47.3, 1e9):
+            y_max = 60.0 / alpha + math.log(u0) + 5.0
+            e = np.linspace(math.log(u0), y_max, 32)
+            y = (0.5 * (e[:-1] + e[1:])[:, None] + 0.5 * (e[1:] - e[:-1])[:, None] * xg).ravel()
+            u, w = stable_core._tail_nodes(alpha, u0)
+            assert u[:-1].tobytes() == np.exp(y).tobytes()
+            assert (u[-1], w[-1]) == (math.exp(y_max), math.exp(y_max) / alpha)
+            assert w[:-1] == pytest.approx(u[:-1] * np.tile(wg, 31) * np.repeat(0.5 * np.diff(e), 16),
+                                           rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.37, 0.7, 1.0, 1.3, 1.55, 1.99])
+    def test_node_sum_matches_the_panel_sum(self, alpha):
+        # the two differ in the order of their products and sums: 2.1e-16
+        # relative at most, measured
+        eng = stable_core.standard_density(alpha)
+        for u0 in (30.0, 47.3, 1e3, 1e9):
+            u, w = stable_core._tail_nodes(alpha, u0)
+            for phi in (np.ones_like, lambda u: -eng.log_pdf_vec(u)):
+                got = float(np.sum(w * np.exp(eng.log_pdf_vec(u)) * phi(u)))
+                want = stable_core._tail_integral(alpha, phi, u0)
+                assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5])
     def test_phi_runs_once(self, alpha):
         # the remainder's phi(X) comes from the same call as the nodes

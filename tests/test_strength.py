@@ -220,18 +220,30 @@ class TestTabulatedValidation:
 
 
 class TestTabulatedTail:
+    @staticmethod
+    def _integral(src, phi, x0):
+        x, w = src.tail_nodes(x0)
+        return float(np.sum(w * src.pdf_vec(x) * phi(x)))
+
     def test_cauchy_tail_mass_matches_arctan(self):
         src = TabulatedSource(lambda x: 1.0 / (math.pi * (1.0 + x * x)))
-        # the sum stops once a segment adds below 1e-13; the segments beyond
-        # halve, so at most about 1e-13 more is left out
+        # the segments stop once one adds below 1e-15 of the mass; the
+        # segments beyond halve, so at most about 1e-15 more is left out
         for x0 in (64.0, 1000.0):
-            got = src.tail_integral(lambda x: np.ones_like(x), x0)
+            got = self._integral(src, np.ones_like, x0)
             assert got == pytest.approx(0.5 - math.atan(x0) / math.pi, rel=0.0, abs=2e-13)
 
     def test_last_segment_cut_at_finite_end(self):
         src = TabulatedSource(lambda x: 0.2, (-2.0, 3.0))
-        assert src.tail_integral(lambda x: x, 1.0) == pytest.approx(0.8, rel=1e-14)
-        assert src.tail_integral(lambda x: x, 3.0) == 0.0
+        assert self._integral(src, lambda x: x, 1.0) == pytest.approx(0.8, rel=1e-14)
+        assert self._integral(src, lambda x: x, 3.0) == 0.0
+
+    def test_second_moment_of_a_heavy_tail_diverges(self):
+        # at index 2 the segments must bound the second moment, not the mass
+        src = TabulatedSource(lambda x: 1.0 / (math.pi * (1.0 + x * x)))
+        src.tail_nodes(64.0)
+        with pytest.raises(NonFiniteLogMoment):
+            src.tail_nodes(64.0, moment=2.0)
 
     def test_reflection(self):
         src = TabulatedSource(lambda x: 0.2, (-2.0, 3.0))
@@ -301,10 +313,10 @@ class TestSolverEdges:
         assert sol.bracket[0] <= sol.value <= sol.bracket[1]
 
     def test_warm_design_solve_takes_at_most_four_evaluations(self, monkeypatch):
-        from stablerd import quantizer
+        from stablerd import strength
         from stablerd.quantizer import _error_strength_raw, _mirror, midpoint_boundaries
 
-        solve = quantizer._solve_monotone
+        solve = strength._solve_monotone
         calls = []
 
         def counted(fn, s0, tol):
@@ -314,7 +326,7 @@ class TestSolverEdges:
 
             return solve(f, s0, tol)
 
-        monkeypatch.setattr(quantizer, "_solve_monotone", counted)
+        monkeypatch.setattr(strength, "_solve_monotone", counted)
         source = cauchy_source(1.0)
         hint = _error_strength_raw(np.array([-0.79, 0.79]), np.array([0.0]), source, 1.0).value
         # moves of the design loop's objective: the points shift with the
