@@ -426,8 +426,8 @@ def _truncated_uniform_g(delta, M, source, alpha):
         u = W = p_inner = np.empty(0)
 
     def nodes_at(s):
-        x, e, w = _outer_regions(source, alpha, (top, edge), (top, edge), s)
-        return np.concatenate([u, e]), np.concatenate([W, w * source.pdf_vec(x)])
+        x, e, w, f = _outer_regions(source, alpha, (top, edge), (top, edge), s)
+        return np.concatenate([u, e]), np.concatenate([W, w * (source.pdf_vec(x) if f is None else f)])
 
     p_right = source.tail_mass(edge)
     p_left = p_right if mirrored else reflected.tail_mass(edge)

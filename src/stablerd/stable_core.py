@@ -25,8 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 # scipy.integrate is imported by the functions that use it, so the symmetric
-# density, its tables included, never loads it.
-from scipy.special import gammaln, digamma
+# density, its tables included, never loads it; log-gamma is math.lgamma.
 
 from .errors import AlphaMismatch, QuadratureFailure, ZeroScale
 
@@ -345,8 +344,13 @@ def _pdf0_quadrature(alpha: float, u: float) -> float:
     """Standard symmetric density at u below the tail, by the batched routes."""
     u = abs(float(u))
     if u == 0.0:
-        return math.exp(gammaln(1.0 + 1.0 / alpha)) / math.pi
+        return math.exp(math.lgamma(1.0 + 1.0 / alpha)) / math.pi
     return float(_pdf0_vec(alpha, np.array([u]))[0])
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """ln Gamma at each element of x, by math.lgamma."""
+    return np.array([math.lgamma(v) for v in x.tolist()])
 
 
 # The series stops at this index, or once a term's envelope ratio is below 1e-18.
@@ -367,12 +371,12 @@ def _tail_coefficients(alpha: float, d: int = 1):
     """
     k = np.arange(_TAIL_TERMS, dtype=float)
     if d == 1:
-        log_c, log_pi = gammaln(alpha * k + 1.0) - gammaln(k + 1.0), math.log(math.pi)
+        log_c, log_pi = _lgamma(alpha * k + 1.0) - _lgamma(k + 1.0), math.log(math.pi)
     else:
         # 2^(k a) Gamma(k a/2 + 1) Gamma((k a + d)/2) / k!, which at d = 1
         # is sqrt(pi) Gamma(k a + 1) / k!
-        log_c = k * alpha * math.log(2.0) + gammaln(k * alpha / 2.0 + 1.0) \
-            + gammaln((k * alpha + d) / 2.0) - gammaln(k + 1.0)
+        log_c = k * alpha * math.log(2.0) + _lgamma(k * alpha / 2.0 + 1.0) \
+            + _lgamma((k * alpha + d) / 2.0) - _lgamma(k + 1.0)
         log_pi = (d / 2.0 + 1.0) * math.log(math.pi)
     s1 = math.sin(math.pi * alpha / 2.0)
     lead = log_c[1] + math.log(abs(s1)) - log_pi
@@ -602,15 +606,15 @@ def _small_r_series(alpha: float, d: int):
     """(ln f_d(0), p, q, ln r_end): f_d = f_d(0) (1 + p(r^2)), kappa = q(r^2) / (1 + p(r^2))
     to _SERIES_EPS for r <= r_end, where its terms fall and the first is at most 1/4."""
     k = np.arange(_SERIES_TERMS)
-    log_b = gammaln((2 * k + d) / alpha) - 2 * k * math.log(2.0) - gammaln(k + 1.0) - gammaln(k + d / 2.0)
+    log_b = _lgamma((2 * k + d) / alpha) - 2 * k * math.log(2.0) - _lgamma(k + 1.0) - _lgamma(k + d / 2.0)
     log_rel = log_b - log_b[0]
     end, terms = -math.inf, 1
     for j in range(1, _SERIES_TERMS):
         at = (math.log(_SERIES_EPS) - log_rel[j]) / (2 * j)
         if at > end and np.all(np.diff(log_rel[:j + 1] + 2 * k[:j + 1] * at) < 0.0):
             end, terms = at, j
-    log_f0 = gammaln(d / alpha) - math.log(alpha) - (d - 1) * math.log(2.0) \
-        - (d / 2.0) * math.log(math.pi) - gammaln(d / 2.0)
+    log_f0 = math.lgamma(d / alpha) - math.log(alpha) - (d - 1) * math.log(2.0) \
+        - (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0)
     p = np.where(k[:terms] > 0, (-1.0) ** k[:terms] * np.exp(log_rel[:terms]), 0.0)
     return float(log_f0), p, 2.0 * k[:terms] * p, min(end, 0.5 * (math.log(0.25) - log_rel[1]))
 
@@ -674,7 +678,7 @@ class _StandardDensity:
         self._closed = a in (1.0, 2.0)
         # k with f(u) ~ k u^-(alpha+d); the first-order tail coefficient
         self.tail_constant = 0.0 if a == 2.0 else (
-            math.exp(gammaln(a + 1.0)) * math.sin(math.pi * a / 2.0) / math.pi if d == 1
+            math.exp(math.lgamma(a + 1.0)) * math.sin(math.pi * a / 2.0) / math.pi if d == 1
             else math.exp(_tail_coefficients(a, d)[0]))
         # below the table: the constant f0(0) at d = 1, the small-r series at
         # d >= 2, whose table starts at the last knot the series covers
@@ -742,7 +746,7 @@ class _StandardDensity:
                 # N(0, 2 I) and the circular Cauchy
                 u2, h = u * u, 0.5 * (d + 1.0)
                 lp, kappa = (-u2 / 4.0 - (d / 2.0) * math.log(4.0 * math.pi), -0.5 * u2) if a == 2.0 else (
-                    gammaln(h) - h * math.log(math.pi) - h * np.log1p(u2), -(d + 1.0) * u2 / (1.0 + u2))
+                    math.lgamma(h) - h * math.log(math.pi) - h * np.log1p(u2), -(d + 1.0) * u2 / (1.0 + u2))
                 return np.stack([lp, kappa]) if slope else lp
             if not slope:
                 if a == 2.0:
@@ -1012,6 +1016,18 @@ def _standard_entropy(alpha: float, d: int = 1) -> float:
     return surface * (core + tail)
 
 
+def _digamma_half(m: int) -> float:
+    """The digamma function at m / 2 for an integer m >= 1, in closed form:
+    psi(n) = H_(n-1) - euler_gamma and
+    psi(n + 1/2) = -euler_gamma - 2 ln 2 + sum_(k=1..n) 2 / (2k - 1)."""
+    n, odd = divmod(m, 2)
+    if odd:
+        terms = [2.0 / (2 * k - 1) for k in range(1, n + 1)] + [-2.0 * math.log(2.0)]
+    else:
+        terms = [1.0 / k for k in range(1, n)]
+    return math.fsum(terms + [-np.euler_gamma])
+
+
 @lru_cache(maxsize=None)
 def _reference_entropy_cached(alpha: float, d: int) -> float:
     if alpha == 2.0:
@@ -1020,8 +1036,8 @@ def _reference_entropy_cached(alpha: float, d: int) -> float:
         half = (d + 1.0) / 2.0
         return (
             half * math.log(math.pi)
-            - gammaln(half)
-            + half * (math.log(4.0) + digamma(half) + np.euler_gamma)
+            - math.lgamma(half)
+            + half * (math.log(4.0) + _digamma_half(d + 1) + np.euler_gamma)
         )
     return _standard_entropy(alpha, d) + d * math.log((1.0 / alpha) ** (1.0 / alpha))
 

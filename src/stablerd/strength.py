@@ -18,8 +18,7 @@ from typing import Callable, Union
 
 import numpy as np
 # scipy.integrate is imported by TabulatedSource.mass, the one function that
-# uses it, so `import stablerd` does not load it.
-from scipy.special import erfc, gammainccinv, gammaln
+# uses it, so `import stablerd` loads no SciPy module.
 
 from . import stable_core
 from .errors import BracketFailure, NonFiniteLogMoment, NonSymmetricSource
@@ -65,7 +64,8 @@ class _Source:
     `support`, `core_extent`, `breakpoints`, `pdf_vec(x)`, `mass(a, b)`,
     `tail_mass(x)`, `tail_nodes(x0, moment)` (nodes x and weights w with
     sum_i w_i f(x_i) phi(x_i) the integral of f phi over (x0, infinity),
-    x0 >= core_extent, for a phi of log growth or of growth x^moment) and
+    x0 >= core_extent, for a phi of log growth or of growth x^moment, and
+    f(x) where placing the nodes read it, else None) and
     `reflected` (the source of -X; a symmetric kind returns itself).  The
     defaults serve every density-backed kind; `EmpiricalSource` answers from
     its samples, and `SymmetricStableSource` sums its lattice by the
@@ -92,7 +92,7 @@ class _Source:
 
     def tail_nodes(self, x0: float, moment: float = 0.0):
         """No nodes: a kind with no mass beyond its core extent."""
-        return _NO_NODES
+        return _NO_TAIL
 
     def strength_nodes(self, alpha: float):
         """s -> (e, W) of g(s) = -E[log f_ref(X / s)]: the error of the
@@ -199,7 +199,7 @@ class SymmetricStableSource(_Source):
         """P(X > x0)."""
         a_s, g = self.params.alpha, self.params.gamma
         if a_s == 2.0:
-            return 0.5 * erfc(x0 / (2.0 * g))
+            return 0.5 * math.erfc(x0 / (2.0 * g))
         if x0 / g < stable_core.TAIL_CUTOFF:
             # (30 g) / g can round below 30, so the core extent is passed on
             # to the tail integral directly, not back through this test
@@ -211,10 +211,10 @@ class SymmetricStableSource(_Source):
         """`stable_core._tail_nodes` in u = x / gamma (a power tail is refused
         at index 2 before its nodes are built, so moment is not read)."""
         if self.tail_k == 0.0:
-            return _NO_NODES  # no power tail: no mass beyond the core (Gaussian: below 1e-98)
+            return _NO_TAIL  # no power tail: no mass beyond the core (Gaussian: below 1e-98)
         g = self.params.gamma
         u, w = stable_core._tail_nodes(self.params.alpha, x0 / g)
-        return g * u, g * w
+        return g * u, g * w, None
 
     def lattice_nodes(self, delta: float):
         """(u, W) of the lattice error: the aliasing series whenever it needs no
@@ -370,18 +370,21 @@ class TabulatedSource(_Source):
         1e-15 of the sum so far (or 1e-15 absolute) to the integral of
         f (x / x0)^moment: the mass for a phi of log growth, the second moment
         for one that grows as x^2.  Segments that fail to decay declare the
-        log-moment proxy divergent.
+        log-moment proxy divergent.  The density read for that test is
+        returned with the nodes, so a G reads each node once.
         """
         hi = self.support[1]
-        xs, ws = [_NO_NODES[0]], [_NO_NODES[1]]
+        xs, ws, fs = [np.empty(0)], [np.empty(0)], [np.empty(0)]
         total, prev, a = 0.0, math.inf, x0
         for k in range(_BRACKET_BUDGET):
             if a >= hi:
                 break
             x, w = stable_core._gl_nodes(np.array([a, min(2.0 * a, hi)]))
+            f = self.pdf_vec(x)
             xs.append(x)
             ws.append(w)
-            lead = float(np.sum(w * self.pdf_vec(x) * (x / x0) ** moment))
+            fs.append(f)
+            lead = float(np.sum(w * f * (x / x0) ** moment))
             total += lead
             if lead < 1e-15 * max(total, 1.0):
                 break
@@ -393,7 +396,7 @@ class TabulatedSource(_Source):
             a *= 2.0
         else:
             raise NonFiniteLogMoment("tail integral did not converge within the doubling budget")
-        return np.concatenate(xs), np.concatenate(ws)
+        return np.concatenate(xs), np.concatenate(ws), np.concatenate(fs)
 
 
 @dataclass(frozen=True)
@@ -494,7 +497,7 @@ def reference_neg_log_density(alpha: float, slope: bool = False, d: int = 1):
 # node sets: G(s) = sum_i W_i psi(e_i / s) behind every strength equation
 
 
-_NO_NODES = (np.empty(0), np.empty(0))
+_NO_TAIL = (np.empty(0), np.empty(0), None)
 _ZERO, _NONE = np.zeros(1), np.empty(0)  # the one-point quantizer at 0
 
 _LADDER = (-60.0, -25.0, -10.0, -4.0, -1.5, -0.5, 0.0, 0.5, 1.5, 4.0, 10.0, 25.0, 60.0)
@@ -560,9 +563,10 @@ def _region_edges(a: float, b: float, rep: float, s_scale: float, source) -> np.
 
 
 def _outer_nodes(source, alpha: float, rep: float, r0: float, s: float):
-    """Nodes x and weights w (W = w f(x)) over (r0, infinity) for the point
+    """Nodes x, weights w (W = w f(x)) and f over (r0, infinity) for the point
     rep: 16-node panels up to C, at most the support end, and the source's
-    tail nodes beyond.  psi grows as x^2 at index 2, so a power tail raises
+    tail nodes beyond.  f is the density at x when the tail read it at its
+    nodes, else None.  psi grows as x^2 at index 2, so a power tail raises
     NonFiniteLogMoment there."""
     if alpha == 2.0 and source.tail_k > 0.0:
         raise NonFiniteLogMoment(
@@ -573,38 +577,41 @@ def _outer_nodes(source, alpha: float, rep: float, r0: float, s: float):
     C = max(r0 + 80.0 * s_scale, 2.0 * abs(r0) + 4.0 * source.scale, source.core_extent)
     C = min(C, source.support[1])
     if C <= r0:
-        return _NO_NODES
+        return np.empty(0), np.empty(0), np.empty(0)  # no node, nothing to read
     edges = _region_edges(r0, C, min(max(rep, r0), C), s_scale, source)
     if rep == r0:
         step = _GRADE_START * source.scale
         graded = r0 + step * _GRADE ** np.arange(math.log((C - r0) / step) / math.log(_GRADE))
         edges = np.union1d(edges, graded[graded < C])
     x, w = stable_core._gl_nodes(edges)
-    tx, tw = source.tail_nodes(C, 2.0 if alpha == 2.0 else 0.0)
-    return np.concatenate([x, tx]), np.concatenate([w, tw])
+    tx, tw, tf = source.tail_nodes(C, 2.0 if alpha == 2.0 else 0.0)
+    f = None if tf is None else np.concatenate([source.pdf_vec(x), tf])
+    return np.concatenate([x, tx]), np.concatenate([w, tw]), f
 
 
 def _outer_regions(source, alpha: float, right, left, s: float):
-    """Nodes x, offsets e and weights w (W = w f(x)) of both outer regions:
-    right = (x_M, r) is (r, inf) for the point x_M, and left = (-x_1, -r_1)
-    is (-inf, r_1], the reflected source's right region mirrored back into
-    x.  For a mirrored partition (every design candidate) of a source that
-    is its own reflection the two are the same integral: the right one is
-    built once and its weights are doubled."""
-    x, w = _outer_nodes(source, alpha, *right, s)
+    """Nodes x, offsets e, weights w (W = w f(x)) and f (or None, see
+    `_outer_nodes`) of both outer regions: right = (x_M, r) is (r, inf) for
+    the point x_M, and left = (-x_1, -r_1) is (-inf, r_1], the reflected
+    source's right region mirrored back into x.  For a mirrored partition
+    (every design candidate) of a source that is its own reflection the two
+    are the same integral: the right one is built once and its weights are
+    doubled."""
+    x, w, f = _outer_nodes(source, alpha, *right, s)
     if source.reflected is source and right == left:
-        return x, x - right[0], w + w
-    xl, wl = _outer_nodes(source.reflected, alpha, *left, s)
+        return x, x - right[0], w + w, f
+    xl, wl, fl = _outer_nodes(source.reflected, alpha, *left, s)
     return (np.concatenate([x, -xl]), np.concatenate([x - right[0], left[0] - xl]),
-            np.concatenate([w, wl]))
+            np.concatenate([w, wl]), None if f is None or fl is None else np.concatenate([f, fl]))
 
 
 def _partition_nodes(source, points, boundaries, alpha: float):
     """s -> (e, W), e = x - x_j on region R_j, so that G(s) = sum_j
     int_{R_j} f(x) psi((x - x_j)/s) dx for a density source.  Interior
     regions take 14-node Gauss-Legendre rules on `_region_edges` panels, the
-    outer ones `_outer_regions`, all placed from s, and the density runs once
-    on every node.  A single region covering the line is split at its point.
+    outer ones `_outer_regions`, all placed from s, and the density is read
+    once on every node: in one call, unless the outer regions' tails read it.
+    A single region covering the line is split at its point.
     """
     points = np.asarray(points, dtype=float)
     boundaries = np.asarray(boundaries, dtype=float)
@@ -617,9 +624,12 @@ def _partition_nodes(source, points, boundaries, alpha: float):
             edges = _region_edges(boundaries[j - 1], boundaries[j], points[j], 3.0 * s, source)
             x, w = stable_core._gl_nodes(edges, 14)
             parts.append((x, x - points[j], w))
-        parts.append(_outer_regions(source, alpha, right, left, s))
+        *outer, f = _outer_regions(source, alpha, right, left, s)
+        parts.append(outer)
         x, e, w = (np.concatenate(z) for z in zip(*parts))
-        return e, w * source.pdf_vec(x)
+        if f is None:
+            return e, w * source.pdf_vec(x)
+        return e, w * np.concatenate([source.pdf_vec(x[:x.size - f.size]), f])
 
     return nodes
 
@@ -629,6 +639,9 @@ def _partition_nodes(source, points, boundaries, alpha: float):
 # routes sum at _LATTICE_NODES Gauss-Legendre offsets u.
 
 _ALIAS_TOL = 1e-16  # bound on the dropped aliasing terms; the m = 0 term is 1
+_LOG_Q_TOL = 1e-12  # residual in ln Q at which the aliasing count's root may stop
+_GAMMA_EPS = 2.0 ** -52  # relative size of the last term or factor taken in Q
+_GAMMA_TINY = 1e-300  # Lentz's guard against a zero denominator
 _LATTICE_NODES = 48  # Gauss-Legendre nodes across one region of width delta
 
 
@@ -674,12 +687,53 @@ def _aliasing_terms(delta: float, source: SymmetricStableSource):
     """
     a = source.params.alpha
     c = 2.0 * math.pi * source.scale / delta
-    log_q = math.log(_ALIAS_TOL * c * a / 2.0) - gammaln(1.0 / a)
+    log_q = math.log(_ALIAS_TOL * c * a / 2.0) - math.lgamma(1.0 / a)
     if log_q >= 0.0:
         return 0  # the bound holds with no term at all
-    y = float(gammainccinv(1.0 / a, math.exp(log_q)))
+
+    def fn(y):
+        value, slope = _log_gamma_q(1.0 / a, y)
+        return value - log_q, slope
+
+    # (c m_max)^alpha = y, the root of ln Q(1/alpha, y) = log_q
+    y = _solve_monotone(fn, 1.0 / a - log_q, _LOG_Q_TOL).value
     log_m = math.log(y) / a - math.log(c)
     return math.ceil(math.exp(log_m)) if log_m < 700.0 else math.inf
+
+
+def _log_gamma_q(a: float, y: float):
+    """(ln Q(a, y), d ln Q / d ln y) for the regularized upper incomplete gamma
+    Q(a, y) = Gamma(a, y) / Gamma(a), a, y > 0 (Numerical Recipes 6.2): below
+    y = a + 1 from the series of P = 1 - Q, above it from the continued
+    fraction by Lentz's method.  The slope is -y^a e^-y / (Gamma(a) Q)."""
+    log_pre = a * math.log(y) - y - math.lgamma(a)  # ln(y^a e^-y / Gamma(a))
+    if y < a + 1.0:
+        # P = y^a e^-y / Gamma(a) sum_n y^n / (a (a + 1) ... (a + n))
+        term = total = 1.0 / a
+        n = a
+        while abs(term) > abs(total) * _GAMMA_EPS:
+            n += 1.0
+            term *= y / n
+            total += term
+        log_q = math.log1p(-total * math.exp(log_pre))
+    else:
+        # Q = y^a e^-y / Gamma(a) * 1/(y + 1 - a - 1 (1 - a)/(y + 3 - a - ...))
+        b = y + 1.0 - a
+        c, d = 1.0 / _GAMMA_TINY, 1.0 / b
+        h = d
+        i, delta = 0, 0.0
+        while abs(delta - 1.0) > _GAMMA_EPS:
+            i += 1
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) > _GAMMA_TINY else _GAMMA_TINY)
+            c = b + an / c
+            c = c if abs(c) > _GAMMA_TINY else _GAMMA_TINY
+            delta = d * c
+            h *= delta
+        log_q = log_pre + math.log(h)
+    return log_q, -math.exp(log_pre - log_q)
 
 
 def _aliasing_weights(delta: float, source: SymmetricStableSource, m_max: int):

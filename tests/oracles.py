@@ -410,7 +410,7 @@ def quad_g(points, boundaries, source, alpha, s, nodes=32):
 
 def _tail_sum(source, phi, x0):
     """The integral of f phi over (x0, infinity) on the source's tail nodes."""
-    x, w = source.tail_nodes(x0)
+    x, w, _ = source.tail_nodes(x0)
     return float(np.sum(w * source.pdf_vec(x) * phi(x)))
 
 

@@ -86,13 +86,13 @@ PINNED = {
         "cb_strength": 0.48250711187256606,
     },
     "stable": {
-        "error_strength": 7.615950155850758,
+        "error_strength": 7.615950155850761,
         "output_entropy": 1.033879717524604,
         "uniform_error_strength": 0.056509361775282,
-        "levels_strength": 7.614849188376558,
+        "levels_strength": 7.614849188376568,
         "levels_entropy": 1.345135938730626,
-        "solve_strength": 7.987558824791285,
-        "cb_strength": 2.41238981911111,
+        "solve_strength": 7.9875588247912885,
+        "cb_strength": 2.412389819111111,
     },
 }
 
@@ -130,7 +130,7 @@ class TestPinnedSourceOutputs:
 @pytest.mark.parametrize("kind, strength, point", [
     ("uniform", 0.22603912194328563, 0.5000000142248026),
     ("laplace", 0.6075328411050204, 0.7341141526000362),
-    ("stable", 7.027664214765492, 2.6536630037302564),
+    ("stable", 7.027664214765498, 2.6536630037302564),
 ], ids=["uniform", "laplace", "stable"])
 def test_pinned_two_point_design(kind, strength, point):
     report = design_optimal(SOURCES[kind], ALPHA, 2, seed=1)

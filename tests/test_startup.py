@@ -1,15 +1,19 @@
-"""Start-up: which SciPy submodules a fresh process loads, and when.
+"""Start-up: which SciPy modules a fresh process loads, and when.
 
-`scipy.optimize` and `scipy.integrate` are imported by the functions that use
-them, and `scipy.interpolate` by none (the density tables are splines of the
-library's own), so each check runs in a new interpreter, where `sys.modules`
-shows exactly what the calls before it loaded.
+`import stablerd` loads no SciPy module: special functions come from `math`
+and closed forms.  `scipy.optimize` and `scipy.integrate` are imported by
+the functions that use them, and `scipy.interpolate` by none (the density
+tables are splines of the library's own), so each check runs in a new
+interpreter, where `sys.modules` shows exactly what the calls before it
+loaded.
 """
 
 import os
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 import stablerd
 
@@ -34,8 +38,46 @@ def _loaded_after(body):
     return set(out.split())
 
 
+def _scipy_after(body):
+    """Every module named scipy or scipy.* loaded once `body` has run in a
+    fresh process."""
+    tail = ("\nprint(' '.join(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))\n")
+    return set(_run_fresh(textwrap.dedent(body) + tail).split())
+
+
 def test_import_loads_none_of_the_heavy_submodules():
     assert _loaded_after("import stablerd, stablerd.cli") == set()
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_after("import stablerd, stablerd.cli") == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "fig1", "--outdir", "{out}"],
+    ["strength", "--source", "stable", "--alpha", "0.65", "--output", "{out}/s.csv"],
+    ["strength", "--uniform", "--alpha", "0.6", "--output", "{out}/u.csv"],
+], ids=["fig1", "stable-strength", "uniform-strength"])
+def test_tables_cold_commands_load_no_scipy(argv, tmp_path):
+    # the commands of the tables-cold benchmark workload, each on a cold process
+    argv = [a.format(out=tmp_path) for a in argv]
+    assert _scipy_after("""
+        from stablerd import cli
+        assert cli.main(%r) == 0
+    """ % (argv,)) == set()
+
+
+def test_aliasing_path_loads_no_scipy():
+    # the aliasing count inverts ln Q(1/alpha, y) on the strength solver
+    assert _scipy_after("""
+        from stablerd import strength
+        from stablerd.quantizer import UniformSpec, uniform_error_strength
+        from stablerd.stable_core import StableParams
+        source = strength.SymmetricStableSource(StableParams(1.5, 0.0, 1.0, 0.0))
+        assert strength._aliasing_terms(0.01, source) > 0
+        assert uniform_error_strength(UniformSpec(0.01), source, 1.5).value > 0.0
+    """) == set()
 
 
 def test_closed_form_alphas_load_no_table_or_quadrature():

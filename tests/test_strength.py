@@ -26,7 +26,7 @@ from stablerd import (
     strength_closed_form,
     strength_of_uniform,
 )
-from stablerd.strength import reference_neg_log_density
+from stablerd.strength import _g, reference_neg_log_density
 
 import oracles
 
@@ -222,7 +222,7 @@ class TestTabulatedValidation:
 class TestTabulatedTail:
     @staticmethod
     def _integral(src, phi, x0):
-        x, w = src.tail_nodes(x0)
+        x, w, _ = src.tail_nodes(x0)
         return float(np.sum(w * src.pdf_vec(x) * phi(x)))
 
     def test_cauchy_tail_mass_matches_arctan(self):
@@ -252,6 +252,41 @@ class TestTabulatedTail:
         assert ref is src.reflected  # built once
         x = np.linspace(-4.0, 4.0, 33)
         np.testing.assert_array_equal(ref.pdf_vec(x), src.pdf_vec(-x))
+
+    # (s, G(s), dG/d ln s) of the Cauchy callback's strength G at index 0.5,
+    # at 0.8, 1 and 1.25 times its root, as float.hex, recorded when the
+    # tail's density was still read a second time by the partition
+    G_AT_INDEX_HALF = [
+        ("0x1.58a03a7b57664p-4", "0x1.52582ad5803c6p+2", "-0x1.2ef99e3056b4bp+0"),
+        ("0x1.aec8491a2d3fdp-4", "0x1.41ad91a5704ecp+2", "-0x1.266b61ad1493dp+0"),
+        ("0x1.0d3d2db05c47ep-3", "0x1.31824a0b4f22fp+2", "-0x1.1d242f54a0fbap+0"),
+    ]
+
+    def test_g_reads_each_tail_node_once(self):
+        # the tail's stop test reads the density at its nodes, and G reuses
+        # those values: at these s (below 64 / 240) the one-point partition's
+        # outer regions end at x0 = 64, and per G evaluation the callback is
+        # read once per node, 1,376 times past 64 where it used to be read
+        # 2,752 times; G and its slope are bitwise what they were
+        reads = []
+
+        def cauchy(x):
+            reads.append(x)
+            return 1.0 / (math.pi * (1.0 + x * x))
+
+        src = TabulatedSource(cauchy)
+        nodes = src.strength_nodes(0.5)
+        psi = reference_neg_log_density(0.5, True)
+        n_tail = src.tail_nodes(64.0)[0].size + src.reflected.tail_nodes(64.0)[0].size
+        assert n_tail == 1376
+        for s, g, slope in self.G_AT_INDEX_HALF:
+            s = float.fromhex(s)
+            e, _ = nodes(s)
+            reads.clear()
+            got = _g(nodes, psi, s)
+            assert len(reads) == e.size
+            assert sum(abs(x) > 64.0 for x in reads) == n_tail
+            assert (float(got[0]).hex(), float(got[1]).hex()) == (g, slope)
 
 
 LAPLACE = TabulatedSource(lambda x: 0.5 * math.exp(-abs(x)))
