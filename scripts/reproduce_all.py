@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate every figure table into ./out (or $STABLERD_OUTPUT_DIR).
 
-fig2 designs 30 quantizers and takes the longest (about 2.5 minutes on a
-2-vCPU VM); the rest finish in about 10 seconds combined, most of it fig3,
-which builds a density table for each of its 18 alphas off {1, 2}.  Pass
-figure names to restrict, e.g. `python scripts/reproduce_all.py fig1 fig4`.
+fig2 designs 30 quantizers and takes the longest (about 15 seconds on a
+2-vCPU VM); the rest finish in about 2 seconds combined, most of it fig3
+(about 1.5 seconds), which builds a density table for each of its 18 alphas
+off {1, 2}.  Pass figure names to restrict, e.g.
+`python scripts/reproduce_all.py fig1 fig4`.
 """
 
 import os

@@ -18,7 +18,9 @@ All logarithms are natural; entropies are in nats.
 from __future__ import annotations
 
 import cmath
+import contextvars
 import math
+import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -205,23 +207,26 @@ def _n_osc(alpha: float, u):
     return _LOG_EPS ** (1.0 / alpha) * u / math.pi
 
 
-def _gl_block(edges: np.ndarray, weighted_sum):
+def _gl_rules():
+    """The (32-node, 16-node) Gauss-Legendre rules of the batched routes."""
+    return _gauss_legendre(32), _gauss_legendre(16)
+
+
+def _gl_block(edges: np.ndarray, weighted_sum, rules):
     """The 32-node Gauss-Legendre integrals over the panels between edges (one
     row shared, or one per integral), and the 16-node ones as their estimate;
-    weighted_sum(t, w) sums them from nodes t and weights w flattened per row.
+    weighted_sum(t, w) sums them from nodes t and weights w flattened per row,
+    and rules holds the two rules' (nodes, weights), as `_gl_rules` gives them.
     """
     mid = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None]
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
     shape = edges.shape[:-1] + (-1,)
-    out = []
-    for n in (32, 16):
-        xg, wg = _gauss_legendre(n)
-        out.append(weighted_sum((mid + half * xg).reshape(shape), (half * wg).reshape(shape)))
-    return out
+    return [weighted_sum((mid + half * xg).reshape(shape), (half * wg).reshape(shape)) for xg, wg in rules]
 
 
-def _fourier_block(alpha: float, u: np.ndarray):
-    """The (32-node, 16-node) values of f0 at a block of u, Fourier route."""
+def _fourier_block(alpha: float, u: np.ndarray, rules):
+    """The (32-node, 16-node) values of f0 at a block of u, Fourier route,
+    with the Gauss-Legendre rules `_gl_rules()`."""
     T = _LOG_EPS ** (1.0 / alpha)
     edges = np.concatenate([[0.0], np.geomspace(T * 1e-18, T, _PLAIN_PANELS)])
     osc = _n_osc(alpha, float(u.max()))
@@ -229,9 +234,11 @@ def _fourier_block(alpha: float, u: np.ndarray):
         edges = np.union1d(edges, np.linspace(0.0, T, math.ceil(_HALF_PERIOD_PANELS * osc) + 1))
 
     def weighted_sum(t, w):
-        return np.cos(u[:, None] * t) @ (w * np.exp(-(t ** alpha))) / math.pi
+        # cos(u t) in place of its argument, one (u, t) array per block
+        ut = np.multiply.outer(u, t)
+        return np.cos(ut, out=ut) @ (w * np.exp(-(t ** alpha))) / math.pi
 
-    return _gl_block(edges, weighted_sum)
+    return _gl_block(edges, weighted_sum, rules)
 
 
 def _zolotarev_log_g(alpha: float, th, phi, log_uc):
@@ -269,9 +276,10 @@ def _graded(ratio: float, depth0: float, depth1: float) -> np.ndarray:
     return np.concatenate([[0.0], to0[::-1], 1.0 - to1, [1.0]])
 
 
-def _zolotarev_block(alpha: float, u: np.ndarray, peak: np.ndarray):
+def _zolotarev_block(alpha: float, u: np.ndarray, peak: np.ndarray, rules):
     """The (32-node, 16-node) values of f0 at a block of u, Zolotarev route,
-    given the peaks th* of the block, all on one side of pi/4.
+    given the peaks th* of the block, all on one side of pi/4, with the
+    Gauss-Legendre rules `_gl_rules()`.
 
     The nodes lie in s = th, or in phi = pi/2 - th where the peaks are nearer
     pi/2.  [0, s*] and [s*, pi/2] are graded geometrically towards their
@@ -297,7 +305,46 @@ def _zolotarev_block(alpha: float, u: np.ndarray, peak: np.ndarray):
         return np.sum(np.exp(lg - np.exp(lg)) * w, axis=1)
 
     scale = alpha / (math.pi * abs(alpha - 1.0) * u)
-    return [v * scale for v in _gl_block(edges, weighted_sum)]
+    return [v * scale for v in _gl_block(edges, weighted_sum, rules)]
+
+
+# Most threads that one batched build runs on.
+_MAX_WORKERS = 4
+
+
+def _map_blocks(fn, blocks):
+    """[fn(b) for b in blocks], in block order, on min(_MAX_WORKERS, usable
+    CPUs, len(blocks)) threads: inline when that is 1, else on the caller
+    and a pool made for this call, whose threads end before it returns.
+    Each block runs in its own copy of the caller's context, so np.errstate
+    holds there.  An exception in a block propagates once the running blocks
+    end; the queued ones are cancelled."""
+    blocks = list(blocks)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(_MAX_WORKERS, cpus, len(blocks))
+    if workers <= 1:
+        return list(map(fn, blocks))
+    from concurrent.futures import ThreadPoolExecutor
+
+    contexts = [contextvars.copy_context() for _ in blocks]
+    pool = ThreadPoolExecutor(workers - 1)
+    try:
+        futures = [pool.submit(ctx.run, fn, b) for ctx, b in zip(contexts, blocks)]
+        out = [None] * len(blocks)
+        # the caller works too: it takes the blocks from the back, each one
+        # the pool, which takes them from the front, has not started yet, so
+        # that the pool needs one thread fewer
+        k = len(blocks)
+        while k and futures[k - 1].cancel():
+            k -= 1
+            out[k] = contexts[k].run(fn, blocks[k])
+        out[:k] = [f.result() for f in futures[:k]]
+        return out
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _pdf0_vec(alpha: float, u) -> np.ndarray:
@@ -319,24 +366,35 @@ def _pdf0_vec(alpha: float, u) -> np.ndarray:
         peak = _zolotarev_peak(alpha, u[fourier_end:])
         # th* grows with u; past pi/4 the nodes are placed in pi/2 - th
         bounds.append(fourier_end + int(np.searchsorted(peak, 0.25 * math.pi, side="right")))
-    f = np.empty(u.size)
+    blocks = []
     i = 0
     while i < u.size:
         # a block never crosses n_osc = 8, the route switch or th* = pi/4
         end = min(b for b in bounds if b > i)
         if i < fourier_end:
             j = min(end, i + (_PLAIN_BLOCK if i < plain_end else _FOURIER_BLOCK))
-            f32, f16 = _fourier_block(alpha, u[i:j])
         else:
             j = min(end, i + _ZOLOTAREV_BLOCK)
-            f32, f16 = _zolotarev_block(alpha, u[i:j], peak[i - fourier_end:j - fourier_end])
+        blocks.append((i, j))
+        i = j
+    # fetched here, so that no pool thread calls _gauss_legendre
+    rules = _gl_rules()
+
+    def block(ij):
+        i, j = ij
+        if i < fourier_end:
+            return _fourier_block(alpha, u[i:j], rules)
+        return _zolotarev_block(alpha, u[i:j], peak[i - fourier_end:j - fourier_end], rules)
+
+    f = np.empty(u.size)
+    # checked in block order, so that a failure names the first failing u
+    for (i, j), (f32, f16) in zip(blocks, _map_blocks(block, blocks)):
         ok = (np.abs(f32 - f16) <= np.maximum(_QUAD_EPSABS, _QUAD_EPSREL * np.abs(f32))) & (f32 > 0.0)
         if not np.all(ok):
             raise QuadratureFailure(
                 f"stable density inversion failed at alpha={alpha}, u={u[i:j][~ok][0]}"
             )
         f[i:j] = f32
-        i = j
     return f
 
 
@@ -622,14 +680,17 @@ def _small_r_series(alpha: float, d: int):
 def _abel_pdf(alpha: float, d: int, r: np.ndarray) -> np.ndarray:
     """f_d at each radius r > 0 from the (d - 1)-dimensional engine."""
     low = standard_density(alpha, d - 1)
+    # built here, so that no block waits on the build of a table
+    if not low._closed:
+        low._table()
     xg, wg = _gauss_legendre(16)
     rho_max = math.exp(math.log(TAIL_CUTOFF) + _ABEL_REACH / (alpha + d))
     t1 = _ABEL_SPLIT
     # [0, t1] in two panels, shared by every r
     near_t = (0.25 * t1 * (np.array([[1.0], [3.0]]) + xg)).ravel()
     near_w = np.tile(0.25 * t1 * wg, 2)
-    f = np.empty(r.size)
-    for lo in range(0, r.size, _ABEL_BLOCK):
+
+    def block(lo):
         rb = r[lo:lo + _ABEL_BLOCK, None]
         lp, kappa = low.log_pdf_vec(rb * np.cosh(near_t), slope=True)
         near = np.exp(lp) * -kappa / (rb * np.cosh(near_t)) @ near_w
@@ -641,7 +702,9 @@ def _abel_pdf(alpha: float, d: int, r: np.ndarray) -> np.ndarray:
         fr, f1 = np.exp(low.log_pdf_vec(np.hstack([rb, rb * math.cosh(t1)]))).T[..., None]
         far = np.sum(w * (fr - np.exp(low.log_pdf_vec(rb * np.cosh(t)))) * np.cosh(t) / np.sinh(t) ** 2, axis=1)
         far += ((f1 - fr) / math.sinh(t1) + fr / np.sinh(T))[:, 0]
-        f[lo:lo + _ABEL_BLOCK] = (near + far / rb[:, 0]) / math.pi
+        return (near + far / rb[:, 0]) / math.pi
+
+    f = np.concatenate(_map_blocks(block, range(0, r.size, _ABEL_BLOCK)))
     # a radial stable density falls with r; the chain's error grows as 1/r at
     # small r and breaks that at alpha 0.12-0.18 from d = 3, 0.2-0.25 from
     # d = 4, 0.3-0.4 from d = 5 and 0.5 at d = 6 (alpha 0.7 and up hold to 6)
@@ -729,6 +792,14 @@ class _StandardDensity:
         vals = np.concatenate([self._below_table(r[:split])[0], np.log(_abel_pdf(self.alpha, self.d, r[split:]))])
         return _Spline(t[start:], vals)
 
+    def _table(self) -> _Spline:
+        """The log table, built on first use under the engine's lock."""
+        if self._spline is None:
+            with self._lock:
+                if self._spline is None:
+                    self._spline = self._build_table()
+        return self._spline
+
     def log_pdf_vec(self, u, slope: bool = False) -> np.ndarray:
         """log f(|u|), vectorized.
 
@@ -770,10 +841,7 @@ class _StandardDensity:
                 kappa += 1.0
                 np.divide(num, kappa, out=kappa)
             return out
-        if self._spline is None:
-            with self._lock:
-                if self._spline is None:
-                    self._spline = self._build_table()
+        spline = self._table()
         out = np.empty((2,) + u.shape if slope else u.shape)
         # views, also for a 0-d u, where out[0] would be a NumPy scalar
         lp, kappa = (out[0, ...], out[1, ...]) if slope else (out, None)
@@ -798,9 +866,9 @@ class _StandardDensity:
             del u
             # (row by row: a boolean index after an Ellipsis is 4-5x slower)
             if slope:
-                lp[core], kappa[core] = self._spline(t, slope=True)
+                lp[core], kappa[core] = spline(t, slope=True)
             else:
-                lp[core] = self._spline(t)
+                lp[core] = spline(t)
         return out
 
     def _below_table(self, u):

@@ -320,7 +320,7 @@ def pdf_by_inversion(params, x):
     # the batched routes refuse alpha = 2, whose closed form the library
     # takes; the Fourier route alone is the inversion there
     if params.alpha == 2.0:
-        return float(stable_core._fourier_block(2.0, np.array([abs(u)]))[0][0]) / params.gamma
+        return float(stable_core._fourier_block(2.0, np.array([abs(u)]), stable_core._gl_rules())[0][0]) / params.gamma
     return stable_core._pdf0_quadrature(params.alpha, u) / params.gamma
 
 

@@ -1,7 +1,10 @@
+import contextlib
+import contextvars
 import math
 import re
 import sys
 import threading
+import time
 from functools import lru_cache
 from unittest import mock
 
@@ -339,7 +342,7 @@ class TestTableBuild:
         u, y, _ = _table_nodes(alpha)
         first = np.flatnonzero(_n_osc(alpha, u) > 8.0)[:5]
         with mock.patch.object(stable_core, "_PLAIN_OSC", math.inf):
-            plain = np.log(stable_core._fourier_block(alpha, u[first])[0])
+            plain = np.log(stable_core._fourier_block(alpha, u[first], stable_core._gl_rules())[0])
         np.testing.assert_allclose(plain, y[first], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("alpha, at", [(0.65, 100), (0.65, 2300), (1.05, 2300), (0.1, 7)])
@@ -450,6 +453,120 @@ class TestTableBuild:
         assert results[0].tobytes() == results[1].tobytes()
 
 
+@contextlib.contextmanager
+def _threads(n):
+    """Table builds on n threads (n CPUs, whatever the machine has)."""
+    with mock.patch.object(stable_core, "_MAX_WORKERS", n), \
+            mock.patch.object(stable_core.os, "sched_getaffinity", lambda pid: set(range(n)), create=True):
+        yield
+
+
+def _cold_build(alpha, d, workers):
+    """(knot values, spline) of every table a cold build of the (alpha, d)
+    table makes on `workers` threads, (d - 1)-dimensional ones first."""
+    made = []
+    real = stable_core._Spline
+
+    def spline(t, y):
+        made.append((np.array(y), real(t, y)))
+        return made[-1][1]
+
+    with mock.patch.object(stable_core, "_DENSITY_CACHE", {}), \
+            mock.patch.object(stable_core, "_Spline", spline), _threads(workers):
+        _StandardDensity(alpha, d)._build_table()
+    return made
+
+
+_KNOTS_U = np.exp(_StandardDensity.KNOTS)
+
+
+class TestPooledBuild:
+    """A table build spreads its blocks over threads (`_map_blocks`).  Each
+    block computes what it computes alone, so the tables are bitwise those of
+    a one-thread build, and a failure names the same u."""
+
+    @pytest.mark.parametrize("alpha, d", [
+        *((a, 1) for a in FIG3_ALPHAS if a not in (1.0, 2.0)),
+        (0.65, 1), (1.35, 1), (0.97, 1), (1.999, 1), (0.8, 2), (1.5, 3),
+    ])
+    def test_bitwise_one_thread_build(self, alpha, d):
+        pooled, serial = _cold_build(alpha, d, 2), _cold_build(alpha, d, 1)
+        assert len(pooled) == len(serial) == d
+        for (y, spl), (y1, spl1) in zip(pooled, serial):
+            assert y.tobytes() == y1.tobytes()
+            for name in ("x", "c", "_rows"):
+                assert getattr(spl, name).tobytes() == getattr(spl1, name).tobytes(), name
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_names_first_failing_u(self, workers):
+        # two later blocks, one plain Fourier and one Zolotarev, fail their
+        # check; the pool's caller computes the later one first
+        bad = _KNOTS_U[[1500, 2300]]
+
+        def forced(block):
+            def run(a, u, *rest):
+                v32, v16 = block(a, u, *rest)
+                return [v32, np.where(np.isin(u, bad), v16 * (1.0 + 1e-9), v16)]
+            return run
+
+        before = threading.active_count()
+        with mock.patch.object(stable_core, "_fourier_block", forced(stable_core._fourier_block)), \
+                mock.patch.object(stable_core, "_zolotarev_block", forced(stable_core._zolotarev_block)), \
+                _threads(workers):
+            with pytest.raises(QuadratureFailure, match=re.escape(f"alpha=0.65, u={bad[0]}")):
+                stable_core._pdf0_vec(0.65, _KNOTS_U)
+        assert threading.active_count() == before
+
+    def test_blocks_run_in_the_callers_context(self):
+        # a ContextVar and np.errstate set by the caller hold in every block,
+        # on the caller's thread and on the pool's
+        var = contextvars.ContextVar("var", default="unset")
+        seen = []
+
+        def recorded(block):
+            def run(*args):
+                seen.append((var.get(), np.geterr()["divide"], threading.get_ident()))
+                return block(*args)
+            return run
+
+        token = var.set("caller")
+        try:
+            with mock.patch.object(stable_core, "_fourier_block", recorded(stable_core._fourier_block)), \
+                    mock.patch.object(stable_core, "_zolotarev_block", recorded(stable_core._zolotarev_block)), \
+                    _threads(2), np.errstate(divide="ignore"):
+                f = stable_core._pdf0_vec(0.65, _KNOTS_U)
+        finally:
+            var.reset(token)
+        assert f.tobytes() == stable_core._pdf0_vec(0.65, _KNOTS_U).tobytes()
+        assert {s[:2] for s in seen} == {("caller", "ignore")}
+        assert len({s[2] for s in seen}) == 2
+
+    def test_exception_cancels_queued_blocks(self):
+        # the caller's first block, the last one, raises: the blocks the pool
+        # has not started are cancelled, and the pool's thread has ended
+        ran = []
+
+        def fn(b):
+            if b == 49:
+                raise ValueError("block 49")
+            time.sleep(0.002)
+            ran.append(b)
+            return b
+
+        before = threading.active_count()
+        with _threads(2):
+            assert stable_core._map_blocks(lambda b: 2 * b, range(50)) == [2 * b for b in range(50)]
+            with pytest.raises(ValueError, match="block 49"):
+                stable_core._map_blocks(fn, range(50))
+        assert threading.active_count() == before
+        assert len(ran) < 49
+
+    def test_one_block_makes_no_pool(self):
+        with _threads(2), mock.patch("concurrent.futures.ThreadPoolExecutor", side_effect=AssertionError):
+            assert _pdf0_quadrature(0.65, 0.7) > 0.0
+            assert stable_core._map_blocks(abs, [-3]) == [3]
+
+
 class TestSpline:
     """`_Spline` against SciPy's not-a-knot `CubicSpline`: the same coefficients,
     and PPoly's values and derivatives, bit for bit (checked with SciPy 1.17.1
@@ -542,19 +659,19 @@ class TestZolotarevFallback:
     ])
     def test_missed_peak_raises(self, alpha, u):
         x = np.array([u])
-        z32, z16 = stable_core._zolotarev_block(alpha, x, stable_core._zolotarev_peak(alpha, x))
+        z32, z16 = stable_core._zolotarev_block(alpha, x, stable_core._zolotarev_peak(alpha, x), stable_core._gl_rules())
         assert math.log(z32[0]) == pytest.approx(oracles.log_pdf0(alpha, u), rel=0.0, abs=1e-12)
         real = stable_core._zolotarev_block
         with mock.patch.object(stable_core, "_PLAIN_OSC", 0.0), \
                 mock.patch.object(stable_core, "_zolotarev_block",
-                                  lambda a, v, p: [w * (1.0 + 1e-9 * k) for k, w in enumerate(real(a, v, p))]):
+                                  lambda a, v, p, rules: [w * (1.0 + 1e-9 * k) for k, w in enumerate(real(a, v, p, rules))]):
             with pytest.raises(QuadratureFailure, match=re.escape(f"alpha={alpha}, u={u}")):
                 _pdf0_quadrature(alpha, u)
 
     @pytest.mark.parametrize("alpha, u", [(0.65, 5.0), (1.35, 2.0), (0.3, 10.0)])
     def test_matches_quadrature_where_accurate(self, alpha, u):
         x = np.array([u])
-        z32, _ = stable_core._zolotarev_block(alpha, x, stable_core._zolotarev_peak(alpha, x))
+        z32, _ = stable_core._zolotarev_block(alpha, x, stable_core._zolotarev_peak(alpha, x), stable_core._gl_rules())
         assert z32[0] == pytest.approx(float(oracles.pdf0(alpha, u)), rel=1e-12, abs=0.0)
         assert z32[0] == pytest.approx(oracles.pdf0_qawf(alpha, u), rel=1e-9, abs=0.0)
 

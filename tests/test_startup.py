@@ -1,11 +1,14 @@
-"""Start-up: which SciPy modules a fresh process loads, and when.
+"""Start-up: which SciPy modules a fresh process loads, and when; and the
+threads of a table build.
 
 `import stablerd` loads no SciPy module: special functions come from `math`
 and closed forms.  `scipy.optimize` and `scipy.integrate` are imported by
 the functions that use them, and `scipy.interpolate` by none (the density
 tables are splines of the library's own), so each check runs in a new
 interpreter, where `sys.modules` shows exactly what the calls before it
-loaded.
+loaded.  A table build spreads its blocks over a thread pool of its own;
+the checks of those threads run in a new interpreter too, under a timeout,
+so that a deadlock fails instead of hanging.
 """
 
 import os
@@ -21,12 +24,12 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(stablerd.__file__)))
 HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
 
 
-def _run_fresh(body):
+def _run_fresh(body, timeout=240):
     """Run `body` in a new interpreter that imports stablerd from SRC and
     return its standard output; a failing assertion fails the test."""
     script = "import sys\nsys.path.insert(0, %r)\n" % SRC + textwrap.dedent(body)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=240)
+                          text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr[-3000:]
     return proc.stdout
 
@@ -145,6 +148,97 @@ def test_d2_entropy_and_d3_strength_load_no_quadpack():
         assert strength.solve_strength(strength.EmpiricalSource(batch), 1.5).value > 0.0
     """)
     assert loaded == set()
+
+
+def test_import_starts_no_thread_and_loads_no_pool():
+    out = _run_fresh("""
+        import threading
+        import stablerd, stablerd.cli
+        print(threading.active_count())
+        print(sorted(m for m in sys.modules if m == "concurrent" or m.startswith("concurrent.")))
+    """, timeout=60)
+    assert out.split("\n")[:2] == ["1", "[]"]
+
+
+def test_build_threads_end_with_the_build():
+    out = _run_fresh("""
+        import threading
+        import numpy as np
+        from stablerd.stable_core import standard_density
+        assert np.all(np.isfinite(standard_density(0.65).log_pdf_vec(np.array([0.5, 5.0]))))
+        print(threading.active_count())
+    """, timeout=60)
+    assert out.split() == ["1"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_builds_a_table():
+    # the parent's build has run its pool before the fork; the child, which
+    # holds no pool of it, makes its own (and dies in 60 s if it hangs)
+    out = _run_fresh("""
+        import os, signal, threading
+        import numpy as np
+        from stablerd.stable_core import standard_density
+        standard_density(0.65).log_pdf_vec(np.array([0.5]))
+        assert threading.active_count() == 1
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(60)
+            ok = np.all(np.isfinite(standard_density(1.35).log_pdf_vec(np.array([0.5, 5.0]))))
+            os._exit(0 if ok else 1)
+        print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    """, timeout=120)
+    assert out.split() == ["0"]
+
+
+def test_concurrent_builds_match_serial_builds():
+    # two user threads build two tables at once, each on its own pool
+    out = _run_fresh("""
+        import threading
+        import numpy as np
+        from stablerd import stable_core
+        from stablerd.stable_core import _StandardDensity, standard_density
+
+        alphas = (0.65, 1.35)
+        u = np.geomspace(1e-16, 1e3, 400)
+        barrier = threading.Barrier(2, timeout=60)
+        results = {}
+
+        def work(a):
+            barrier.wait()
+            results[a] = standard_density(a).log_pdf_vec(u)
+
+        threads = [threading.Thread(target=work, args=(a,)) for a in alphas]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=90)
+        assert not any(t.is_alive() for t in threads)
+        assert threading.active_count() == 1
+        stable_core._MAX_WORKERS = 1
+        for a in alphas:
+            serial = _StandardDensity(a)
+            assert serial.log_pdf_vec(u).tobytes() == results[a].tobytes(), a
+            for name in ("x", "c", "_rows"):
+                want = getattr(serial._spline, name).tobytes()
+                assert getattr(standard_density(a)._spline, name).tobytes() == want, (a, name)
+        print("ok")
+    """, timeout=180)
+    assert out.split() == ["ok"]
+
+
+def test_cold_d3_build_finishes():
+    # the d = 3 build runs the d = 2 build inside it, which runs the d = 1
+    # build: each table is built before the blocks that read it fan out
+    out = _run_fresh("""
+        import threading
+        import numpy as np
+        from stablerd.stable_core import standard_density
+        lp = standard_density(1.5, 3).log_pdf_vec(np.geomspace(1e-3, 1e2, 50))
+        assert np.all(np.isfinite(lp)) and np.all(np.diff(lp) < 0.0)
+        print(threading.active_count())
+    """, timeout=120)
+    assert out.split() == ["1"]
 
 
 def test_concurrent_first_table_use():
