@@ -658,6 +658,11 @@ _ABEL_BLOCK = 256
 _SERIES_TERMS = 24
 _SERIES_EPS = 1e-17
 _SERIES_OVERLAP = 16
+# knots of the d = 1 table below the series' end over which its values pass
+# linearly from the series to the route: at alpha < 0.2 the route's own error
+# (1e-13 at 0.15) would otherwise step there, and the Abel chain amplifies a
+# step as 1/r
+_SERIES_BLEND = 48
 
 
 def _small_r_series(alpha: float, d: int):
@@ -706,8 +711,9 @@ def _abel_pdf(alpha: float, d: int, r: np.ndarray) -> np.ndarray:
 
     f = np.concatenate(_map_blocks(block, range(0, r.size, _ABEL_BLOCK)))
     # a radial stable density falls with r; the chain's error grows as 1/r at
-    # small r and breaks that at alpha 0.12-0.18 from d = 3, 0.2-0.25 from
-    # d = 4, 0.3-0.4 from d = 5 and 0.5 at d = 6 (alpha 0.7 and up hold to 6)
+    # small r and breaks that at alpha 0.13-0.145 from d = 2, 0.12-0.125 and
+    # 0.15-0.195 from d = 3, 0.2-0.255 from d = 4, 0.115 and 0.3-0.4 from
+    # d = 5 and 0.45-0.5 at d = 6 (alpha 0.11 and 0.6 and up hold to 6)
     bad = ~((f > 0.0) & np.isfinite(f) & (np.diff(f, append=0.0) < 0.0))
     if np.any(bad):
         raise QuadratureFailure(f"Abel transform failed at alpha={alpha}, d={d}, r={r[bad][0]}")
@@ -722,8 +728,9 @@ class _StandardDensity:
     Fourier or Zolotarev route on one u, or the power-tail series beyond
     TAIL_CUTOFF.  The vectorized `log_pdf_vec`, the workhorse behind the
     strength and quantizer integrands, interpolates a not-a-knot cubic
-    spline (`_Spline`) of log f against ln u, built lazily: at d = 1 from one
-    batched call of both routes, at d >= 2 by the inverse Abel transform.
+    spline (`_Spline`) of log f against ln u, built lazily: at d = 1 from the
+    small-u series and, above its end, one batched call of both routes; at
+    d >= 2 by the inverse Abel transform.
     """
 
     TABLE_FLOOR = 1e-14
@@ -743,9 +750,10 @@ class _StandardDensity:
         self.tail_constant = 0.0 if a == 2.0 else (
             math.exp(math.lgamma(a + 1.0)) * math.sin(math.pi * a / 2.0) / math.pi if d == 1
             else math.exp(_tail_coefficients(a, d)[0]))
-        # below the table: the constant f0(0) at d = 1, the small-r series at
-        # d >= 2, whose table starts at the last knot the series covers
-        self._series = _small_r_series(a, d) if d > 1 else (None, None, None, math.log(self.TABLE_FLOOR))
+        # the small-r series below the table and up to _first, the last knot
+        # it covers: at d >= 2 the table starts there, at d = 1 the series
+        # gives the table's knots up to there
+        self._series = _small_r_series(a, d)
         self._first = max(0, int(np.searchsorted(self.KNOTS, self._series[3], side="right")) - 1)
         self._floor = math.exp(self.KNOTS[self._first]) if d > 1 else self.TABLE_FLOOR
 
@@ -778,8 +786,16 @@ class _StandardDensity:
     def _build_table(self):
         t = self.KNOTS
         if self.d == 1:
-            f = _pdf0_vec(self.alpha, np.exp(t))
-            vals = np.array([math.log(v) for v in f])
+            # the route from _SERIES_BLEND knots below the series' end up, the
+            # series below, and a linear blend of the two in between
+            first = self._first
+            start = max(0, first - _SERIES_BLEND)
+            vals = np.empty(t.size)
+            vals[start:] = [math.log(v) for v in _pdf0_vec(self.alpha, np.exp(t[start:]))]
+            series = self._below_table(np.exp(t[:first]))[0]
+            w = (np.arange(start - first, 0) + _SERIES_BLEND + 1.0) / (_SERIES_BLEND + 1.0)
+            vals[:start] = series[:start]
+            vals[start:first] = series[start:] + w * (vals[start:first] - series[start:])
             return _Spline(t, vals)
         if self.alpha == 2.0:
             raise ValueError("the batched density routes do not serve alpha = 2")
@@ -806,9 +822,8 @@ class _StandardDensity:
         With slope, the stack (log f, kappa) of shape (2,) + u.shape, where
         kappa = d log f / d ln u: -u^2/2 at alpha = 2, -(d+1)u^2/(1+u^2) at
         alpha = 1, the spline's own derivative in ln u on the table, the
-        differentiated series in the tail and below the table: at d = 1 that
-        is 0 below TABLE_FLOOR, where the table's constant value stands in
-        for f0; at d >= 2 the small-r series.
+        differentiated series in the tail and below the table, where the
+        small-r series serves at every d.
         """
         a, d = self.alpha, self.d
         u = np.abs(np.asarray(u, dtype=float))
@@ -872,10 +887,9 @@ class _StandardDensity:
         return out
 
     def _below_table(self, u):
-        """(log f, kappa) below the table, from the small-r series."""
+        """(log f, kappa) from the small-r series: below the table, and at
+        d = 1 on the table's knots up to _first."""
         log_f0, p, q, end = self._series
-        if log_f0 is None:  # d = 1: the constant f0(0), by the scalar route on each call
-            return math.log(self.pdf(0.0)), 0.0
         # below about alpha 0.13 the series ends below the table: held there
         x = np.minimum(u, math.exp(end)) ** 2
         p = np.polynomial.polynomial.polyval(x, p)

@@ -59,9 +59,9 @@ SOURCES = {
 
 PINNED = {
     "uniform": {
-        "error_strength": 0.15387604875057814,
+        "error_strength": 0.15387604875057817,
         "output_entropy": 1.0960673284468554,
-        "uniform_error_strength": 0.056509780482134495,
+        "uniform_error_strength": 0.056509780482134515,
         "levels_strength": 0.11454432828180594,
         "levels_entropy": 1.5637452929222075,
         "solve_strength": 0.45207824386469403,
@@ -70,28 +70,28 @@ PINNED = {
     "triangle": {
         "error_strength": 0.13368817714106418,
         "output_entropy": 1.0325892856988514,
-        "uniform_error_strength": 0.056509780482134495,
-        "levels_strength": 0.07587553174804748,
+        "uniform_error_strength": 0.056509780482134515,
+        "levels_strength": 0.07587553174804744,
         "levels_entropy": 1.5825825142645626,
         "solve_strength": 0.30700782344853206,
         "cb_strength": 0.17505864191390685,
     },
     "laplace": {
-        "error_strength": 0.565655060564024,
+        "error_strength": 0.5656550605640239,
         "output_entropy": 1.0856954039879534,
         "uniform_error_strength": 0.056447749700113244,
-        "levels_strength": 0.5527473281184732,
+        "levels_strength": 0.5527473281184734,
         "levels_entropy": 1.4927658691523313,
-        "solve_strength": 0.9222822854090112,
+        "solve_strength": 0.9222822854090111,
         "cb_strength": 0.48250711187256606,
     },
     "stable": {
-        "error_strength": 7.615950155850761,
+        "error_strength": 7.615950155850771,
         "output_entropy": 1.033879717524604,
         "uniform_error_strength": 0.056509361775282,
-        "levels_strength": 7.614849188376568,
+        "levels_strength": 7.614849188376572,
         "levels_entropy": 1.345135938730626,
-        "solve_strength": 7.9875588247912885,
+        "solve_strength": 7.987558824791292,
         "cb_strength": 2.412389819111111,
     },
 }
@@ -125,12 +125,12 @@ class TestPinnedSourceOutputs:
 
 
 # The uniform optimum is a = 0.5 exactly, whose root is 0.22603912194328546;
-# the pin sits 7.4e-16 above it, inside Nelder-Mead's fatol (1e-9 s) and
+# the pin sits 8.6e-16 above it, inside Nelder-Mead's fatol (1e-9 s) and
 # xatol (1e-7 in ln a).
 @pytest.mark.parametrize("kind, strength, point", [
-    ("uniform", 0.22603912194328563, 0.5000000142248026),
-    ("laplace", 0.6075328411050204, 0.7341141526000362),
-    ("stable", 7.027664214765498, 2.6536630037302564),
+    ("uniform", 0.22603912194328565, 0.5000000142248026),
+    ("laplace", 0.6075328411050206, 0.7341141526000362),
+    ("stable", 7.0276642147655, 2.6536631921892853),
 ], ids=["uniform", "laplace", "stable"])
 def test_pinned_two_point_design(kind, strength, point):
     report = design_optimal(SOURCES[kind], ALPHA, 2, seed=1)

@@ -345,7 +345,7 @@ class TestTableBuild:
             plain = np.log(stable_core._fourier_block(alpha, u[first], stable_core._gl_rules())[0])
         np.testing.assert_allclose(plain, y[first], rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("alpha, at", [(0.65, 100), (0.65, 2300), (1.05, 2300), (0.1, 7)])
+    @pytest.mark.parametrize("alpha, at", [(0.65, 1950), (0.65, 2300), (1.05, 2300), (0.1, 7)])
     def test_estimate_disagreement_raises(self, alpha, at):
         # one node's 16-node estimate pushed 1e-9 off: the build fails, naming
         # alpha and that node, on the plain, Zolotarev and Fourier routes alike
@@ -365,6 +365,54 @@ class TestTableBuild:
                 mock.patch.object(stable_core, "_zolotarev_block", forced(stable_core._zolotarev_block)):
             with pytest.raises(QuadratureFailure, match=re.escape(f"alpha={alpha}, u={target}")):
                 _StandardDensity(alpha)._build_table()
+
+    @pytest.mark.parametrize("alpha, routed", [(0.1, 2400), (0.15, 2018), (0.65, 487), (1.35, 298), (1.9, 280)])
+    def test_route_runs_from_the_blend_up(self, alpha, routed):
+        # the small-u series gives the knots below the blend, through the
+        # engine's own below-table path; _pdf0_vec is handed exactly the knots
+        # from _SERIES_BLEND below the series' end up, all of them at alpha
+        # 0.1, where the series ends below the table
+        handed = []
+        real = stable_core._pdf0_vec
+
+        def recorded(a, u):
+            handed.append(np.array(u))
+            return real(a, u)
+
+        eng = _StandardDensity(alpha)
+        start = max(0, eng._first - stable_core._SERIES_BLEND)
+        with mock.patch.object(stable_core, "_pdf0_vec", recorded):
+            y = eng._build_table()(eng.KNOTS)
+        assert len(handed) == 1 and handed[0].tobytes() == _KNOTS_U[start:].tobytes()
+        assert _KNOTS_U.size - start == routed
+        _, ys, _ = _table_nodes(alpha)
+        assert ys[:start].tobytes() == eng._below_table(_KNOTS_U[:start])[0].tobytes()
+        assert y.shape == ys.shape
+
+    @pytest.mark.parametrize("alpha", [0.15, 0.2, 0.3, 0.65, 0.97, 1.35, 1.9])
+    def test_series_and_blended_knots_against_oracle(self, alpha):
+        # every 50th series knot and every blended one; at alpha 0.15, where the
+        # route is 1e-13 off, no knot is farther off than the route's value
+        u, y, _ = _table_nodes(alpha)
+        first = _StandardDensity(alpha)._first
+        start = max(0, first - stable_core._SERIES_BLEND)
+        pick = np.r_[0:start:50, start:first]
+        assert pick.size >= 48
+        ref = np.array([oracles.log_pdf0(alpha, x) for x in u[pick]])
+        err = np.abs(y[pick] - ref)
+        if alpha >= 0.2:
+            assert err.max() <= 5e-15
+        else:
+            route = np.log(stable_core._pdf0_vec(alpha, u[pick]))
+            assert np.all(err <= np.abs(route - ref))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st_.floats(0.2, 1.99, exclude_max=True))
+    def test_series_and_route_agree_across_the_blend(self, alpha):
+        eng = _StandardDensity(alpha)
+        u = _KNOTS_U[max(0, eng._first - stable_core._SERIES_BLEND):eng._first + 1]
+        route = np.log(stable_core._pdf0_vec(alpha, u))
+        assert np.max(np.abs(eng._below_table(u)[0] - route)) <= 1e-14
 
     def test_alpha_01_table_against_series_oracle(self):
         # every node of the alpha 0.1 table, all on the Zolotarev route,
@@ -762,6 +810,17 @@ class TestRadialDensity:
         h = reference_entropy(ReferenceLaw(0.3, 4))
         assert h == pytest.approx(31.96678995054937, rel=0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("alpha", [
+        0.125, 0.15,
+        *(pytest.param(a, marks=pytest.mark.xfail(raises=QuadratureFailure, strict=True, reason=(
+            "the d = 1 route is 1.4e-12 (0.13) and 4.8e-13 (0.14) off at the series' end, "
+            "and the Abel chain's 1/r makes the d = 2 table rise near its start")))
+          for a in (0.13, 0.14)),
+    ])
+    def test_small_alpha_d2_table_builds(self, alpha):
+        with mock.patch.object(stable_core, "_DENSITY_CACHE", {}):
+            _StandardDensity(alpha, 2)._build_table()
+
     def test_a_rising_table_is_refused(self):
         # the chain amplifies the table error of d - 1 as 1/r at small r; at
         # alpha 0.15 it makes the d = 3 values rise near the table's start
@@ -984,7 +1043,9 @@ class TestKappa:
         want = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / 12e-4
         err = np.abs(kappa - want) / np.maximum(1.0, np.abs(want))
         assert err.max() <= 1e-9, (err.max(), u[err.argmax()])
-        assert kappa[0] == 0.0 or alpha in (1.0, 2.0)  # the constant below TABLE_FLOOR
+        # below TABLE_FLOOR the small-u series: kappa = -Gamma(3/a)/Gamma(1/a) u^2 to first order
+        want0 = -math.exp(math.lgamma(3.0 / alpha) - math.lgamma(1.0 / alpha)) * u[0] ** 2
+        assert kappa[0] == pytest.approx(want0, rel=1e-12, abs=0.0)
 
     def test_closed_forms(self):
         u = np.array([0.0, 0.3, 2.0, 50.0])
