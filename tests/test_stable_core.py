@@ -382,12 +382,11 @@ class TestTableBuild:
         eng = _StandardDensity(alpha)
         start = max(0, eng._first - stable_core._SERIES_BLEND)
         with mock.patch.object(stable_core, "_pdf0_vec", recorded):
-            y = eng._build_table()(eng.KNOTS)
+            eng._build_table()
         assert len(handed) == 1 and handed[0].tobytes() == _KNOTS_U[start:].tobytes()
         assert _KNOTS_U.size - start == routed
-        _, ys, _ = _table_nodes(alpha)
-        assert ys[:start].tobytes() == eng._below_table(_KNOTS_U[:start])[0].tobytes()
-        assert y.shape == ys.shape
+        _, y, _ = _table_nodes(alpha)
+        assert y[:start].tobytes() == eng._below_table(_KNOTS_U[:start])[0].tobytes()
 
     @pytest.mark.parametrize("alpha", [0.15, 0.2, 0.3, 0.65, 0.97, 1.35, 1.9])
     def test_series_and_blended_knots_against_oracle(self, alpha):
