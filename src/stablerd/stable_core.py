@@ -169,7 +169,8 @@ def char_fn(params: StableParams, omega: float) -> complex:
 #     does not cancel where f0 is small (alpha near 2, large u), but its ln g
 #     loses about a/|a-1| ulps, hence the band around alpha = 1.
 # A node whose two estimates disagree raises QuadratureFailure; nothing falls
-# back.
+# back.  The d = 1 table runs the routes on the nodes of certified Chebyshev
+# panels in ln u, not on its knots (see _chebyshev_route).
 # Beyond |u| = TAIL_CUTOFF the power-tail series takes over:
 #     f0(u) = (1/pi) sum_{k>=1} (-1)^{k-1} Gamma(a k + 1)/k! sin(k pi a/2) u^{-a k - 1}
 # (convergent for alpha < 1, asymptotic with certified truncation otherwise).
@@ -398,6 +399,87 @@ def _pdf0_vec(alpha: float, u) -> np.ndarray:
     return f
 
 
+# The d = 1 table reads the routes through Chebyshev panels in y = ln u:
+# _CHEB_PANELS equal panels over [ln TABLE_FLOOR, ln TAIL_CUTOFF], the ones
+# that reach above the series blend kept, each interpolating ln f0 at the
+# _CHEB_NODES first-kind Chebyshev nodes (L. N. Trefethen, Approximation
+# Theory and Approximation Practice, SIAM 2013).  A panel is certified when
+# its two trailing Chebyshev coefficients are at most
+#     _CHEB_TOL max(1, |ln f0|) + eps f0(0)/f0(u)  (the latter on Fourier nodes),
+# the second term the rounding of the Fourier sum, whose terms cancel down
+# to f0(u) from a sum of |terms| of f0(0).  A panel that fails is bisected,
+# up to _CHEB_DEPTH times, and the route runs again on the new nodes only.
+_CHEB_PANELS = 40
+_CHEB_NODES = 24
+_CHEB_TOL = 2e-15
+_CHEB_DEPTH = 4
+_CHEB_ANGLE = math.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES
+# the nodes on [-1, 1], ascending, and their barycentric weights
+_CHEB_X = -np.cos(_CHEB_ANGLE)
+_CHEB_W = (-1.0) ** np.arange(_CHEB_NODES) * np.sin(_CHEB_ANGLE)
+# C @ v: the Chebyshev coefficients of the interpolant through v at _CHEB_X
+# (the first one doubled), T_k(x_j) = cos(k (pi - angle_j))
+_CHEB_COEF = (2.0 / _CHEB_NODES) * np.cos(np.outer(np.arange(_CHEB_NODES), math.pi - _CHEB_ANGLE))
+for _a in (_CHEB_X, _CHEB_W, _CHEB_COEF):
+    _a.flags.writeable = False
+
+
+def _chebyshev_route(alpha: float, t: np.ndarray):
+    """(ln f0 at the ascending t = ln u, stats) from certified Chebyshev panels
+    of the batched routes over the panels that reach above t[0]; stats holds
+    the route's node count, the panels, the bisections, and the largest
+    trailing coefficient of a certified panel and of its ratio to the panel's
+    tolerance.
+
+    Raises QuadratureFailure, naming alpha and the panel's u-range, where a
+    panel bisected _CHEB_DEPTH times still fails, and where the route does.
+    """
+    edges = np.linspace(math.log(_StandardDensity.TABLE_FLOOR), math.log(TAIL_CUTOFF), _CHEB_PANELS + 1)
+    keep = edges[1:] > t[0]
+    lo, hi = edges[:-1][keep], edges[1:][keep]
+    log_f00 = math.lgamma(1.0 + 1.0 / alpha) - math.log(math.pi)
+    eps = np.finfo(float).eps
+    done, nodes, splits, trails, ratios = [], 0, 0, [0.0], [0.0]
+    for depth in range(_CHEB_DEPTH + 1):
+        u = np.exp(0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _CHEB_X)
+        v = np.log(_pdf0_vec(alpha, u.ravel())).reshape(u.shape)
+        nodes += v.size
+        # about the panel's mean, so that rounding scales with its spread
+        mean = v.mean(axis=1, keepdims=True)
+        trail = np.max(np.abs((v - mean) @ _CHEB_COEF[-2:].T), axis=1)
+        fourier = (_n_osc(alpha, u) <= _PLAIN_OSC) | (abs(alpha - 1.0) <= _FOURIER_BAND)
+        rounding = eps * np.max(np.exp(log_f00 - v, where=fourier, out=np.zeros_like(v)), axis=1)
+        ratio = trail / (_CHEB_TOL * np.maximum(1.0, np.max(np.abs(v), axis=1)) + rounding)
+        ok = ratio <= 1.0
+        if depth == _CHEB_DEPTH and not np.all(ok):
+            k = np.flatnonzero(~ok)[0]
+            raise QuadratureFailure(
+                f"Chebyshev panel not certified at alpha={alpha}, u in [{math.exp(lo[k])}, {math.exp(hi[k])}]"
+            )
+        done += zip(lo[ok], hi[ok], mean[ok, 0], v[ok] - mean[ok])
+        trails.append(float(np.max(trail[ok], initial=0.0)))
+        ratios.append(float(np.max(ratio[ok], initial=0.0)))
+        if np.all(ok):
+            break
+        splits += int(np.count_nonzero(~ok))
+        mid = 0.5 * (lo[~ok] + hi[~ok])
+        lo, hi = np.column_stack((lo[~ok], mid)).ravel(), np.column_stack((mid, hi[~ok])).ravel()
+    done.sort(key=lambda p: p[0])
+    lo, hi, mean, dv = (np.array(a) for a in zip(*done))
+    # barycentric interpolation in the panel that holds each t
+    k = np.maximum(np.searchsorted(lo, t, side="right") - 1, 0)
+    x = (2.0 * t - lo[k] - hi[k]) / (hi[k] - lo[k])
+    diff = x[:, None] - _CHEB_X
+    at_node = diff == 0.0
+    diff[at_node] = 1.0
+    q = _CHEB_W / diff
+    vals = mean[k] + np.sum(q * dv[k], axis=1) / np.sum(q, axis=1)
+    hit, j = np.nonzero(at_node)
+    vals[hit] = mean[k[hit]] + dv[k[hit], j]
+    return vals, {"nodes": nodes, "panels": lo.size, "splits": splits,
+                  "trail": max(trails), "ratio": max(ratios)}
+
+
 def _pdf0_quadrature(alpha: float, u: float) -> float:
     """Standard symmetric density at u below the tail, by the batched routes."""
     u = abs(float(u))
@@ -585,6 +667,28 @@ class _Spline:
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
         # one row per interval: its left knot, then c[3], c[2], c[1], c[0]
         self._rows = np.ascontiguousarray(np.column_stack((x[:-1], self.c[::-1].T)))
+        # interval i holds lo[i] <= t < hi[i]; the outer bounds are NaN, which
+        # fails every comparison, so that the first interval holds everything
+        # below x[1] and the last everything from x[-2] up
+        self._lo = np.concatenate([[np.nan], x[1:-1]])
+        self._hi = np.concatenate([x[1:-1], [np.nan]])
+        self._per_step = (n - 1) / (x[-1] - x[0])
+
+    def _interval(self, t: np.ndarray) -> np.ndarray:
+        """The interval i with x[i] <= t < x[i+1], clipped to [0, n - 2] as
+        PPoly does (NaN takes the first one): the guess of equal spacing,
+        stepped to the holding interval, so that it is exact for any knots
+        and takes one step or none on equally spaced ones."""
+        last = self._lo.size - 1
+        i = np.fmin(np.fmax((t - self.x[0]) * self._per_step, 0.0), last).astype(np.intp)
+        off = np.flatnonzero((self._lo[i] > t) | (self._hi[i] <= t))
+        while off.size:
+            j, tj = i[off], t[off]
+            j += self._hi[j] <= tj
+            j -= self._lo[j] > tj
+            i[off] = j
+            off = off[(self._lo[j] > tj) | (self._hi[j] <= tj)]
+        return i
 
     def __call__(self, t, slope: bool = False) -> np.ndarray:
         """The spline at t, shape t.shape; with slope, the stack of it and its
@@ -594,11 +698,7 @@ class _Spline:
         out = np.empty((2 if slope else 1, flat.size))
         for lo in range(0, flat.size, _SPLINE_BLOCK):
             tb = flat[lo:lo + _SPLINE_BLOCK]
-            # the interval i with x[i] <= t < x[i+1], clipped to [0, n - 2] as
-            # PPoly does: t below x[0] takes the first interval, t at or above
-            # x[-1] the last, and NaN the last (it evaluates to NaN)
-            i = np.searchsorted(self.x, tb, side="right") - 1
-            x, c3, c2, c1, c0 = self._rows.take(i, axis=0, mode="clip").T
+            x, c3, c2, c1, c0 = self._rows.take(self._interval(tb), axis=0).T
             s = tb - x
             s2 = s * s
             # PPoly's sums: c3 + c2 s + c1 s^2 + c0 (s^2 s), c2 + c1 s 2 + c0 s^2 3
@@ -729,8 +829,9 @@ class _StandardDensity:
     TAIL_CUTOFF.  The vectorized `log_pdf_vec`, the workhorse behind the
     strength and quantizer integrands, interpolates a not-a-knot cubic
     spline (`_Spline`) of log f against ln u, built lazily: at d = 1 from the
-    small-u series and, above its end, one batched call of both routes; at
-    d >= 2 by the inverse Abel transform.
+    small-u series and, above its end, the certified Chebyshev panels of
+    `_chebyshev_route`, which run both routes on 120-960 nodes (more where a
+    panel is bisected near alpha 2); at d >= 2 by the inverse Abel transform.
     """
 
     TABLE_FLOOR = 1e-14
@@ -791,7 +892,7 @@ class _StandardDensity:
             first = self._first
             start = max(0, first - _SERIES_BLEND)
             vals = np.empty(t.size)
-            vals[start:] = [math.log(v) for v in _pdf0_vec(self.alpha, np.exp(t[start:]))]
+            vals[start:] = _chebyshev_route(self.alpha, t[start:])[0]
             series = self._below_table(np.exp(t[:first]))[0]
             w = (np.arange(start - first, 0) + _SERIES_BLEND + 1.0) / (_SERIES_BLEND + 1.0)
             vals[:start] = series[:start]

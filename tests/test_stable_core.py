@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+import warnings
 from functools import lru_cache
 from unittest import mock
 
@@ -312,6 +313,35 @@ def _table_nodes(alpha):
     return np.exp(seen["t"]), seen["y"], seen["quad"]
 
 
+def _route_calls(alpha):
+    """The u that each _pdf0_vec call of a cold alpha build is handed."""
+    handed = []
+    real = stable_core._pdf0_vec
+
+    def recorded(a, u):
+        handed.append(np.array(u))
+        return real(a, u)
+
+    with mock.patch.object(stable_core, "_pdf0_vec", recorded):
+        _StandardDensity(alpha)._build_table()
+    return handed
+
+
+def _route_is_accurate(alpha):
+    """Where the route is within 7.1e-15 of oracles.log_pdf0 at its nodes:
+    alpha 0.2 to 1.995 off the Fourier band around 1."""
+    return 0.2 <= alpha <= 1.995 and abs(alpha - 1.0) > stable_core._FOURIER_BAND
+
+
+def _assert_within_the_routes_error(alpha, u, y):
+    """Knot values y at u no farther from oracles.log_pdf0 than 3 times the
+    route's worst error at those u, plus 1e-14: a panel interpolates the
+    route's errors at its nodes with a Lebesgue constant below 3."""
+    ref = np.array([oracles.log_pdf0(alpha, x) for x in u])
+    route = np.log(stable_core._pdf0_vec(alpha, u))
+    assert np.max(np.abs(y - ref)) <= 3.0 * np.max(np.abs(route - ref)) + 1e-14
+
+
 class TestTableBuild:
     """The spline table's nodes: one batched call of the two density routes."""
 
@@ -345,15 +375,12 @@ class TestTableBuild:
             plain = np.log(stable_core._fourier_block(alpha, u[first], stable_core._gl_rules())[0])
         np.testing.assert_allclose(plain, y[first], rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("alpha, at", [(0.65, 1950), (0.65, 2300), (1.05, 2300), (0.1, 7)])
+    @pytest.mark.parametrize("alpha, at", [(0.65, 30), (0.65, 200), (1.05, 100), (0.1, 7)])
     def test_estimate_disagreement_raises(self, alpha, at):
-        # one node's 16-node estimate pushed 1e-9 off: the build fails, naming
-        # alpha and that node, on the plain, Zolotarev and Fourier routes alike
-        t, _ = np.linspace(
-            math.log(_StandardDensity.TABLE_FLOOR), math.log(TAIL_CUTOFF),
-            _StandardDensity.TABLE_NODES, retstep=True,
-        )
-        target = np.exp(t)[at]
+        # one panel node's 16-node estimate pushed 1e-9 off: the build fails,
+        # naming alpha and that node, on the plain, Zolotarev and Fourier
+        # routes alike
+        target = _route_calls(alpha)[0][at]
 
         def forced(block):
             def run(a, u, *rest):
@@ -366,27 +393,76 @@ class TestTableBuild:
             with pytest.raises(QuadratureFailure, match=re.escape(f"alpha={alpha}, u={target}")):
                 _StandardDensity(alpha)._build_table()
 
-    @pytest.mark.parametrize("alpha, routed", [(0.1, 2400), (0.15, 2018), (0.65, 487), (1.35, 298), (1.9, 280)])
-    def test_route_runs_from_the_blend_up(self, alpha, routed):
-        # the small-u series gives the knots below the blend, through the
-        # engine's own below-table path; _pdf0_vec is handed exactly the knots
-        # from _SERIES_BLEND below the series' end up, all of them at alpha
-        # 0.1, where the series ends below the table
-        handed = []
+    def test_uncertifiable_panel_raises(self):
+        # route values that zigzag by 1e-9 over u in [1, 2] keep their panels'
+        # trailing coefficients up at every depth: the build names alpha and
+        # the u-range of the first panel that fails at the last one
         real = stable_core._pdf0_vec
 
-        def recorded(a, u):
-            handed.append(np.array(u))
-            return real(a, u)
+        def zigzag(a, u):
+            f = real(a, u)
+            return f * np.where((u >= 1.0) & (u <= 2.0), 1.0 + 1e-9 * (-1.0) ** np.arange(u.size), 1.0)
 
+        with mock.patch.object(stable_core, "_pdf0_vec", zigzag):
+            with pytest.raises(QuadratureFailure, match=r"alpha=0\.65, u in \[") as info:
+                _StandardDensity(0.65)._build_table()
+        lo, hi = map(float, re.search(r"u in \[(.*), (.*)\]", str(info.value)).groups())
+        width = (_StandardDensity.KNOTS[-1] - _StandardDensity.KNOTS[0]) / stable_core._CHEB_PANELS
+        assert lo < 2.0 and hi > 1.0
+        assert math.log(hi / lo) == pytest.approx(width / 2 ** stable_core._CHEB_DEPTH, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, most", [(0.1, 960), (0.15, 816), (0.65, 250), (1.35, 150), (1.9, 216)])
+    def test_route_runs_from_the_blend_up(self, alpha, most):
+        # the small-u series gives the knots below the blend, through the
+        # engine's own below-table path; _pdf0_vec is first handed exactly the
+        # Chebyshev nodes of the panels that reach above the blend start (all
+        # 40 at alpha 0.1, where the series ends below the table), in one call
+        # where no panel splits, and later only the nodes of bisected panels
         eng = _StandardDensity(alpha)
         start = max(0, eng._first - stable_core._SERIES_BLEND)
-        with mock.patch.object(stable_core, "_pdf0_vec", recorded):
-            eng._build_table()
-        assert len(handed) == 1 and handed[0].tobytes() == _KNOTS_U[start:].tobytes()
-        assert _KNOTS_U.size - start == routed
+        edges = np.linspace(_StandardDensity.KNOTS[0], _StandardDensity.KNOTS[-1], stable_core._CHEB_PANELS + 1)
+        keep = edges[1:] > _StandardDensity.KNOTS[start]
+        lo, hi = edges[:-1][keep], edges[1:][keep]
+        want = np.exp(0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * stable_core._CHEB_X).ravel()
+        handed = _route_calls(alpha)
+        assert handed[0].tobytes() == want.tobytes()
+        assert sum(h.size for h in handed) <= most
+        if alpha < 1.5:
+            assert len(handed) == 1
+        for h in handed[1:]:
+            assert h.size % stable_core._CHEB_NODES == 0 and np.all(np.diff(h) > 0.0)
+            assert want[0] < h[0] and h[-1] < want[-1]
         _, y, _ = _table_nodes(alpha)
         assert y[:start].tobytes() == eng._below_table(_KNOTS_U[:start])[0].tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st_.floats(0.1, 1.999))
+    def test_panel_knots_within_the_stated_bound(self, alpha):
+        # every knot from the blend start up: within 1e-14 of the route at
+        # that knot where the route is accurate; elsewhere (alpha < 0.2, near
+        # 1 and near 2) every 60th knot no farther from oracles.log_pdf0 than
+        # the Lebesgue constant (< 3) of the 24 nodes times the route's worst
+        # error there, plus 1e-14
+        start = max(0, _StandardDensity(alpha)._first - stable_core._SERIES_BLEND)
+        y = _capture_table(alpha)["y"][start:]
+        u = _KNOTS_U[start:]
+        if _route_is_accurate(alpha):
+            assert np.max(np.abs(y - np.log(stable_core._pdf0_vec(alpha, u)))) <= 1e-14
+        else:
+            _assert_within_the_routes_error(alpha, u[::60], y[::60])
+
+    @pytest.mark.parametrize("alpha", [a for a in FIG3_ALPHAS if a not in (1.0, 2.0)] + [1.99])
+    def test_panel_knots_against_oracle(self, alpha):
+        # every 60th knot from the blend start up
+        eng = _StandardDensity(alpha)
+        start = max(0, eng._first - stable_core._SERIES_BLEND)
+        u, y, _ = _table_nodes(alpha)
+        u, y = u[start::60], y[start::60]
+        if _route_is_accurate(alpha):
+            ref = np.array([oracles.log_pdf0(alpha, x) for x in u])
+            assert np.max(np.abs(y - ref)) <= 1e-14
+        else:
+            _assert_within_the_routes_error(alpha, u, y)
 
     @pytest.mark.parametrize("alpha", [0.15, 0.2, 0.3, 0.65, 0.97, 1.35, 1.9])
     def test_series_and_blended_knots_against_oracle(self, alpha):
@@ -670,6 +746,33 @@ class TestSpline:
         assert value.tobytes() == ref(p).tobytes()
         assert kappa.tobytes() == ref(p, 1).tobytes()
 
+    @pytest.mark.parametrize("knots", ["uniform", "geometric", "random"])
+    def test_interval_is_the_binary_search_one(self, knots):
+        # the guess of equal spacing, stepped to its interval, against
+        # searchsorted(side="right") - 1, clipped as PPoly clips it: on every
+        # knot, its two neighbouring floats, +-inf and t beyond either end
+        x = {
+            "uniform": _StandardDensity.KNOTS,
+            "geometric": np.concatenate([[1e-8], np.geomspace(1e-4, 60.0, 140)]),
+            "random": np.cumsum(np.random.default_rng(3).uniform(1e-3, 1.0, 300)),
+        }[knots]
+        spl = stable_core._Spline(x, np.sin(x))
+        span = x[-1] - x[0]
+        t = np.concatenate([
+            x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf), [-np.inf, np.inf],
+            np.random.default_rng(4).uniform(x[0] - span, x[-1] + span, 5000),
+        ])
+        want = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+        assert np.array_equal(spl._interval(t), want)
+
+    def test_nan_gives_nan_without_a_warning(self):
+        spl = stable_core._Spline(_StandardDensity.KNOTS, np.cos(_StandardDensity.KNOTS))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, kappa = spl(np.array([np.nan, 0.0, np.nan]), slope=True)
+        assert np.isnan(value[[0, 2]]).all() and np.isnan(kappa[[0, 2]]).all()
+        assert np.isfinite(value[1]) and np.isfinite(kappa[1])
+
     def test_pivoting_solve(self):
         # spacings growing by 3 each step make the elimination swap rows,
         # which neither caller's knots do
@@ -890,7 +993,7 @@ class TestReferenceEntropy:
         assert reference_entropy(ReferenceLaw(1.0, d)) == pytest.approx(float(want), rel=4.5e-16, abs=0.0)
 
     @pytest.mark.parametrize("alpha, d, want", [
-        (0.8, 2, 5.896283942476467),
+        (0.8, 2, 5.896283942476465),
         (1.5, 3, 5.212280192615365),
         (1.3, 2, 3.9182231326854957),
     ])

@@ -258,7 +258,7 @@ class TestTabulatedTail:
     # tail's density was still read a second time by the partition
     G_AT_INDEX_HALF = [
         ("0x1.58a03a7b57664p-4", "0x1.52582ad5803c6p+2", "-0x1.2ef99e3056b4bp+0"),
-        ("0x1.aec8491a2d3fdp-4", "0x1.41ad91a5704ecp+2", "-0x1.266b61ad1493dp+0"),
+        ("0x1.aec8491a2d3fdp-4", "0x1.41ad91a5704edp+2", "-0x1.266b61ad1493dp+0"),
         ("0x1.0d3d2db05c47ep-3", "0x1.31824a0b4f22fp+2", "-0x1.1d242f54a0fbap+0"),
     ]
 
