@@ -830,8 +830,8 @@ class _StandardDensity:
     strength and quantizer integrands, interpolates a not-a-knot cubic
     spline (`_Spline`) of log f against ln u, built lazily: at d = 1 from the
     small-u series and, above its end, the certified Chebyshev panels of
-    `_chebyshev_route`, which run both routes on 120-960 nodes (more where a
-    panel is bisected near alpha 2); at d >= 2 by the inverse Abel transform.
+    `_chebyshev_route`, which run both routes on 120-1,008 nodes between
+    alpha 0.1 and 1.995; at d >= 2 by the inverse Abel transform.
     """
 
     TABLE_FLOOR = 1e-14

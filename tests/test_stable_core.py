@@ -375,12 +375,13 @@ class TestTableBuild:
             plain = np.log(stable_core._fourier_block(alpha, u[first], stable_core._gl_rules())[0])
         np.testing.assert_allclose(plain, y[first], rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("alpha, at", [(0.65, 30), (0.65, 200), (1.05, 100), (0.1, 7)])
+    @pytest.mark.parametrize("alpha, at", [(0.65, 1950), (0.65, 2300), (1.05, 2300), (0.1, 7)])
     def test_estimate_disagreement_raises(self, alpha, at):
-        # one panel node's 16-node estimate pushed 1e-9 off: the build fails,
-        # naming alpha and that node, on the plain, Zolotarev and Fourier
-        # routes alike
-        target = _route_calls(alpha)[0][at]
+        # the 16-node estimate of the panel node nearest knot `at` pushed 1e-9
+        # off: the build fails, naming alpha and that node, on the plain,
+        # Zolotarev and Fourier routes alike
+        nodes = _route_calls(alpha)[0]
+        target = nodes[np.argmin(np.abs(np.log(nodes) - _StandardDensity.KNOTS[at]))]
 
         def forced(block):
             def run(a, u, *rest):
@@ -411,22 +412,27 @@ class TestTableBuild:
         assert lo < 2.0 and hi > 1.0
         assert math.log(hi / lo) == pytest.approx(width / 2 ** stable_core._CHEB_DEPTH, rel=1e-12)
 
-    @pytest.mark.parametrize("alpha, most", [(0.1, 960), (0.15, 816), (0.65, 250), (1.35, 150), (1.9, 216)])
-    def test_route_runs_from_the_blend_up(self, alpha, most):
+    # the most route nodes a cold build may take, per alpha
+    ROUTE_NODES = {0.1: 960, 0.15: 816, 0.65: 250, 1.35: 150, 1.9: 216}
+
+    @pytest.mark.parametrize("alpha, routed", [(0.1, 2400), (0.15, 2018), (0.65, 487), (1.35, 298), (1.9, 280)])
+    def test_route_runs_from_the_blend_up(self, alpha, routed):
         # the small-u series gives the knots below the blend, through the
-        # engine's own below-table path; _pdf0_vec is first handed exactly the
+        # engine's own below-table path, and the `routed` knots from the blend
+        # start up read the panels; _pdf0_vec is first handed exactly the
         # Chebyshev nodes of the panels that reach above the blend start (all
         # 40 at alpha 0.1, where the series ends below the table), in one call
         # where no panel splits, and later only the nodes of bisected panels
         eng = _StandardDensity(alpha)
         start = max(0, eng._first - stable_core._SERIES_BLEND)
+        assert _KNOTS_U.size - start == routed
         edges = np.linspace(_StandardDensity.KNOTS[0], _StandardDensity.KNOTS[-1], stable_core._CHEB_PANELS + 1)
         keep = edges[1:] > _StandardDensity.KNOTS[start]
         lo, hi = edges[:-1][keep], edges[1:][keep]
         want = np.exp(0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * stable_core._CHEB_X).ravel()
         handed = _route_calls(alpha)
         assert handed[0].tobytes() == want.tobytes()
-        assert sum(h.size for h in handed) <= most
+        assert sum(h.size for h in handed) <= self.ROUTE_NODES[alpha]
         if alpha < 1.5:
             assert len(handed) == 1
         for h in handed[1:]:
