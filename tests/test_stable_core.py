@@ -343,7 +343,8 @@ def _assert_within_the_routes_error(alpha, u, y):
 
 
 class TestTableBuild:
-    """The spline table's nodes: one batched call of the two density routes."""
+    """The spline table's knots: the small-u series below the blend, and above
+    it the two density routes read through certified Chebyshev panels."""
 
     @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 1.5])
     def test_plain_nodes_against_small_u_series(self, alpha):
