@@ -6,9 +6,12 @@ For each alpha, a cold build of the d = 1 table (`_StandardDensity(alpha)
 (`stable_core._chebyshev_route` on the same knots): the route's node count,
 the certified panels, the bisections, the largest trailing Chebyshev
 coefficient of a certified panel and its largest ratio to the panel's
-tolerance.  A build that raises prints FAIL and the message.  The default
-grid is alpha 0.1 to 1.995 in steps of 0.005 (about a minute on 2 cores);
-the numbers in README's numerical notes come from it:
+tolerance.  Where the panels do not serve (`stable_core._route_is_accurate`
+false: alpha below 0.2 and in the band around 1) the route runs on the
+knots, and the line gives their count and "knots" in place of the panel
+columns.  A build that raises prints FAIL and the message.  The default grid
+is alpha 0.1 to 1.995 in steps of 0.005 (about a minute on 2 cores); the
+numbers in README's numerical notes come from it:
 
     python scripts/table_map.py [alpha ...]
 """
@@ -33,6 +36,9 @@ def main(argv):
             t0 = time.perf_counter()
             eng._build_table()
             seconds = time.perf_counter() - t0
+            if not stable_core._route_is_accurate(alpha):
+                print(f"{alpha} {eng.KNOTS.size - start} knots - - - {seconds:.4f}", flush=True)
+                continue
             _, st = stable_core._chebyshev_route(alpha, eng.KNOTS[start:])
         except QuadratureFailure as exc:
             print(f"{alpha} FAIL {exc}", flush=True)

@@ -18,9 +18,7 @@ All logarithms are natural; entropies are in nats.
 from __future__ import annotations
 
 import cmath
-import contextvars
 import math
-import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -169,8 +167,8 @@ def char_fn(params: StableParams, omega: float) -> complex:
 #     does not cancel where f0 is small (alpha near 2, large u), but its ln g
 #     loses about a/|a-1| ulps, hence the band around alpha = 1.
 # A node whose two estimates disagree raises QuadratureFailure; nothing falls
-# back.  The d = 1 table runs the routes on the nodes of certified Chebyshev
-# panels in ln u, not on its knots (see _chebyshev_route).
+# back.  Where the routes are accurate, the d = 1 table runs them on the nodes
+# of certified Chebyshev panels in ln u, not on its knots (see _chebyshev_route).
 # Beyond |u| = TAIL_CUTOFF the power-tail series takes over:
 #     f0(u) = (1/pi) sum_{k>=1} (-1)^{k-1} Gamma(a k + 1)/k! sin(k pi a/2) u^{-a k - 1}
 # (convergent for alpha < 1, asymptotic with certified truncation otherwise).
@@ -309,45 +307,6 @@ def _zolotarev_block(alpha: float, u: np.ndarray, peak: np.ndarray, rules):
     return [v * scale for v in _gl_block(edges, weighted_sum, rules)]
 
 
-# Most threads that one batched build runs on.
-_MAX_WORKERS = 4
-
-
-def _map_blocks(fn, blocks):
-    """[fn(b) for b in blocks], in block order, on min(_MAX_WORKERS, usable
-    CPUs, len(blocks)) threads: inline when that is 1, else on the caller
-    and a pool made for this call, whose threads end before it returns.
-    Each block runs in its own copy of the caller's context, so np.errstate
-    holds there.  An exception in a block propagates once the running blocks
-    end; the queued ones are cancelled."""
-    blocks = list(blocks)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(_MAX_WORKERS, cpus, len(blocks))
-    if workers <= 1:
-        return list(map(fn, blocks))
-    from concurrent.futures import ThreadPoolExecutor
-
-    contexts = [contextvars.copy_context() for _ in blocks]
-    pool = ThreadPoolExecutor(workers - 1)
-    try:
-        futures = [pool.submit(ctx.run, fn, b) for ctx, b in zip(contexts, blocks)]
-        out = [None] * len(blocks)
-        # the caller works too: it takes the blocks from the back, each one
-        # the pool, which takes them from the front, has not started yet, so
-        # that the pool needs one thread fewer
-        k = len(blocks)
-        while k and futures[k - 1].cancel():
-            k -= 1
-            out[k] = contexts[k].run(fn, blocks[k])
-        out[:k] = [f.result() for f in futures[:k]]
-        return out
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _pdf0_vec(alpha: float, u) -> np.ndarray:
     """f0 at each u > 0 below the tail, u ascending, by the batched routes.
 
@@ -378,18 +337,14 @@ def _pdf0_vec(alpha: float, u) -> np.ndarray:
             j = min(end, i + _ZOLOTAREV_BLOCK)
         blocks.append((i, j))
         i = j
-    # fetched here, so that no pool thread calls _gauss_legendre
     rules = _gl_rules()
-
-    def block(ij):
-        i, j = ij
-        if i < fourier_end:
-            return _fourier_block(alpha, u[i:j], rules)
-        return _zolotarev_block(alpha, u[i:j], peak[i - fourier_end:j - fourier_end], rules)
-
     f = np.empty(u.size)
-    # checked in block order, so that a failure names the first failing u
-    for (i, j), (f32, f16) in zip(blocks, _map_blocks(block, blocks)):
+    # in block order, so that a failure names the first failing u
+    for i, j in blocks:
+        if i < fourier_end:
+            f32, f16 = _fourier_block(alpha, u[i:j], rules)
+        else:
+            f32, f16 = _zolotarev_block(alpha, u[i:j], peak[i - fourier_end:j - fourier_end], rules)
         ok = (np.abs(f32 - f16) <= np.maximum(_QUAD_EPSABS, _QUAD_EPSREL * np.abs(f32))) & (f32 > 0.0)
         if not np.all(ok):
             raise QuadratureFailure(
@@ -399,16 +354,20 @@ def _pdf0_vec(alpha: float, u) -> np.ndarray:
     return f
 
 
-# The d = 1 table reads the routes through Chebyshev panels in y = ln u:
-# _CHEB_PANELS equal panels over [ln TABLE_FLOOR, ln TAIL_CUTOFF], the ones
-# that reach above the series blend kept, each interpolating ln f0 at the
-# _CHEB_NODES first-kind Chebyshev nodes (L. N. Trefethen, Approximation
-# Theory and Approximation Practice, SIAM 2013).  A panel is certified when
-# its two trailing Chebyshev coefficients are at most
-#     _CHEB_TOL max(1, |ln f0|) + eps f0(0)/f0(u)  (the latter on Fourier nodes),
-# the second term the rounding of the Fourier sum, whose terms cancel down
-# to f0(u) from a sum of |terms| of f0(0).  A panel that fails is bisected,
-# up to _CHEB_DEPTH times, and the route runs again on the new nodes only.
+# Where the routes are within 1e-14 of f0, the d = 1 table reads them
+# through Chebyshev panels in y = ln u: _CHEB_PANELS equal panels over
+# [ln TABLE_FLOOR, ln TAIL_CUTOFF], the ones that reach above the series blend
+# kept, each interpolating ln f0 at the _CHEB_NODES first-kind Chebyshev nodes
+# (L. N. Trefethen, Approximation Theory and Approximation Practice, SIAM
+# 2013).  A panel is certified when its two trailing Chebyshev coefficients
+# are at most _CHEB_TOL max(1, |ln f0|); one that fails is bisected, up to
+# _CHEB_DEPTH times, and the route runs again on the new nodes only.
+# Elsewhere (alpha below 0.2 or above 1.995, and in the band around 1) the
+# routes are 1e-13 to 5e-12 off, by an error that is not smooth in u: the
+# panels, certified on their nodes, read up to 1.7e-13 (alpha 0.12) and
+# 3.4e-13 (1.001 and 1.9999) from the route at the knots between them.  There
+# the route runs on the knots.
+_CHEB_ALPHAS = (0.2, 1.995)
 _CHEB_PANELS = 40
 _CHEB_NODES = 24
 _CHEB_TOL = 2e-15
@@ -424,6 +383,13 @@ for _a in (_CHEB_X, _CHEB_W, _CHEB_COEF):
     _a.flags.writeable = False
 
 
+def _route_is_accurate(alpha: float) -> bool:
+    """Whether the routes are within 1e-14 of f0, so that the d = 1 table
+    reads them through Chebyshev panels: alpha in _CHEB_ALPHAS off the band
+    around 1."""
+    return _CHEB_ALPHAS[0] <= alpha <= _CHEB_ALPHAS[1] and abs(alpha - 1.0) > _FOURIER_BAND
+
+
 def _chebyshev_route(alpha: float, t: np.ndarray):
     """(ln f0 at the ascending t = ln u, stats) from certified Chebyshev panels
     of the batched routes over the panels that reach above t[0]; stats holds
@@ -437,8 +403,6 @@ def _chebyshev_route(alpha: float, t: np.ndarray):
     edges = np.linspace(math.log(_StandardDensity.TABLE_FLOOR), math.log(TAIL_CUTOFF), _CHEB_PANELS + 1)
     keep = edges[1:] > t[0]
     lo, hi = edges[:-1][keep], edges[1:][keep]
-    log_f00 = math.lgamma(1.0 + 1.0 / alpha) - math.log(math.pi)
-    eps = np.finfo(float).eps
     done, nodes, splits, trails, ratios = [], 0, 0, [0.0], [0.0]
     for depth in range(_CHEB_DEPTH + 1):
         u = np.exp(0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _CHEB_X)
@@ -447,9 +411,7 @@ def _chebyshev_route(alpha: float, t: np.ndarray):
         # about the panel's mean, so that rounding scales with its spread
         mean = v.mean(axis=1, keepdims=True)
         trail = np.max(np.abs((v - mean) @ _CHEB_COEF[-2:].T), axis=1)
-        fourier = (_n_osc(alpha, u) <= _PLAIN_OSC) | (abs(alpha - 1.0) <= _FOURIER_BAND)
-        rounding = eps * np.max(np.exp(log_f00 - v, where=fourier, out=np.zeros_like(v)), axis=1)
-        ratio = trail / (_CHEB_TOL * np.maximum(1.0, np.max(np.abs(v), axis=1)) + rounding)
+        ratio = trail / (_CHEB_TOL * np.maximum(1.0, np.max(np.abs(v), axis=1)))
         ok = ratio <= 1.0
         if depth == _CHEB_DEPTH and not np.all(ok):
             k = np.flatnonzero(~ok)[0]
@@ -785,9 +747,6 @@ def _small_r_series(alpha: float, d: int):
 def _abel_pdf(alpha: float, d: int, r: np.ndarray) -> np.ndarray:
     """f_d at each radius r > 0 from the (d - 1)-dimensional engine."""
     low = standard_density(alpha, d - 1)
-    # built here, so that no block waits on the build of a table
-    if not low._closed:
-        low._table()
     xg, wg = _gauss_legendre(16)
     rho_max = math.exp(math.log(TAIL_CUTOFF) + _ABEL_REACH / (alpha + d))
     t1 = _ABEL_SPLIT
@@ -809,7 +768,7 @@ def _abel_pdf(alpha: float, d: int, r: np.ndarray) -> np.ndarray:
         far += ((f1 - fr) / math.sinh(t1) + fr / np.sinh(T))[:, 0]
         return (near + far / rb[:, 0]) / math.pi
 
-    f = np.concatenate(_map_blocks(block, range(0, r.size, _ABEL_BLOCK)))
+    f = np.concatenate([block(lo) for lo in range(0, r.size, _ABEL_BLOCK)])
     # a radial stable density falls with r; the chain's error grows as 1/r at
     # small r and breaks that at alpha 0.13-0.145 from d = 2, 0.12-0.125 and
     # 0.15-0.195 from d = 3, 0.2-0.255 from d = 4, 0.115 and 0.3-0.4 from
@@ -829,9 +788,10 @@ class _StandardDensity:
     TAIL_CUTOFF.  The vectorized `log_pdf_vec`, the workhorse behind the
     strength and quantizer integrands, interpolates a not-a-knot cubic
     spline (`_Spline`) of log f against ln u, built lazily: at d = 1 from the
-    small-u series and, above its end, the certified Chebyshev panels of
-    `_chebyshev_route`, which run both routes on 120-1,008 nodes between
-    alpha 0.1 and 1.995; at d >= 2 by the inverse Abel transform.
+    small-u series and, above its end, the routes: read through the
+    certified Chebyshev panels of `_chebyshev_route` where they are accurate
+    (alpha 0.2 to 1.995 off the band around 1), else run on the knots; at
+    d >= 2 by the inverse Abel transform.
     """
 
     TABLE_FLOOR = 1e-14
@@ -892,7 +852,10 @@ class _StandardDensity:
             first = self._first
             start = max(0, first - _SERIES_BLEND)
             vals = np.empty(t.size)
-            vals[start:] = _chebyshev_route(self.alpha, t[start:])[0]
+            if _route_is_accurate(self.alpha):
+                vals[start:] = _chebyshev_route(self.alpha, t[start:])[0]
+            else:
+                vals[start:] = [math.log(v) for v in _pdf0_vec(self.alpha, np.exp(t[start:]))]
             series = self._below_table(np.exp(t[:first]))[0]
             w = (np.arange(start - first, 0) + _SERIES_BLEND + 1.0) / (_SERIES_BLEND + 1.0)
             vals[:start] = series[:start]

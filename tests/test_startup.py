@@ -161,20 +161,22 @@ def test_import_starts_no_thread_and_loads_no_pool():
 
 
 def test_build_threads_end_with_the_build():
+    # a build starts no thread and loads no pool
     out = _run_fresh("""
         import threading
         import numpy as np
         from stablerd.stable_core import standard_density
         assert np.all(np.isfinite(standard_density(0.65).log_pdf_vec(np.array([0.5, 5.0]))))
         print(threading.active_count())
+        print(sorted(m for m in sys.modules if m == "concurrent" or m.startswith("concurrent.")))
     """, timeout=60)
-    assert out.split() == ["1"]
+    assert out.split("\n")[:2] == ["1", "[]"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_builds_a_table():
-    # the parent's build has run its pool before the fork; the child, which
-    # holds no pool of it, makes its own (and dies in 60 s if it hangs)
+    # the parent builds a table before the fork and the child another (it
+    # dies in 60 s if it hangs)
     out = _run_fresh("""
         import os, signal, threading
         import numpy as np
@@ -192,11 +194,10 @@ def test_forked_child_builds_a_table():
 
 
 def test_concurrent_builds_match_serial_builds():
-    # two user threads build two tables at once, each on its own pool
+    # two user threads build two tables at once, each on its own thread
     out = _run_fresh("""
         import threading
         import numpy as np
-        from stablerd import stable_core
         from stablerd.stable_core import _StandardDensity, standard_density
 
         alphas = (0.65, 1.35)
@@ -215,7 +216,6 @@ def test_concurrent_builds_match_serial_builds():
             t.join(timeout=90)
         assert not any(t.is_alive() for t in threads)
         assert threading.active_count() == 1
-        stable_core._MAX_WORKERS = 1
         for a in alphas:
             serial = _StandardDensity(a)
             assert serial.log_pdf_vec(u).tobytes() == results[a].tobytes(), a
@@ -229,7 +229,7 @@ def test_concurrent_builds_match_serial_builds():
 
 def test_cold_d3_build_finishes():
     # the d = 3 build runs the d = 2 build inside it, which runs the d = 1
-    # build: each table is built before the blocks that read it fan out
+    # build, each under its own engine's lock
     out = _run_fresh("""
         import threading
         import numpy as np
