@@ -364,8 +364,8 @@ def _pdf0_vec(alpha: float, u) -> np.ndarray:
 # _CHEB_DEPTH times, and the route runs again on the new nodes only.
 # Elsewhere (alpha below 0.2 or above 1.995, and in the band around 1) the
 # routes are 1e-13 to 5e-12 off, by an error that is not smooth in u: the
-# panels, certified on their nodes, read up to 1.7e-13 (alpha 0.12) and
-# 3.4e-13 (1.001 and 1.9999) from the route at the knots between them.  There
+# panels, certified on their nodes, read 1.7e-13 (alpha 0.12), 3.4e-13 (1.001)
+# and 4.3e-13 (1.9999) from the route at the knots between them.  There
 # the route runs on the knots.
 _CHEB_ALPHAS = (0.2, 1.995)
 _CHEB_PANELS = 40
