@@ -20,7 +20,6 @@ import numpy as np
 # stablerd` does not load it.
 from . import stable_core, strength
 from .errors import DegenerateDesignWarning, NotSorted, OutOfRange
-from .stable_core import ReferenceLaw, reference_entropy
 from .strength import (
     DEFAULT_TOL,
     EmpiricalSource,
@@ -29,7 +28,6 @@ from .strength import (
     _outer_regions,
     _solve_g,
     _solve_monotone,
-    reference_neg_log_density,
     solve_strength,
 )
 
@@ -171,8 +169,6 @@ def _error_strength_raw(
     tol: float = DEFAULT_TOL,
     s_hint: float | None = None,
 ) -> StrengthSolution:
-    psi = reference_neg_log_density(alpha, slope=True)
-    h = reference_entropy(ReferenceLaw(alpha, 1))
     if s_hint is not None and s_hint > 0.0:
         s0 = s_hint
     else:
@@ -181,7 +177,7 @@ def _error_strength_raw(
             s0 = max(float(np.median(np.diff(pts))) * 0.3, 1e-12)
         else:
             s0 = max(source.scale, 1e-12)
-    return _solve_g(source.error_nodes(points, boundaries, alpha), psi, h, s0, tol)
+    return _solve_g(source.error_nodes(points, boundaries, alpha), alpha, s0, tol)
 
 
 def error_strength(
@@ -363,10 +359,8 @@ def uniform_error_strength(
     `SymmetricStableSource.lattice_nodes` for when the lattice is summed
     directly instead.
     """
-    psi = reference_neg_log_density(alpha, slope=True)
-    h = reference_entropy(ReferenceLaw(alpha, 1))
     u, W = _uniform_weights(spec, source)
-    return _solve_g(lambda s: (u, W), psi, h, 0.2 * spec.delta, tol)
+    return _solve_g(lambda s: (u, W), alpha, 0.2 * spec.delta, tol)
 
 
 def high_rate_prediction(alpha: float, delta: float) -> float:
@@ -458,8 +452,7 @@ def _uniform_levels_from(delta, M, source, alpha, s0, tol=DEFAULT_TOL):
     """(strength solution, output entropy) of `uniform_levels_strength`, with
     its root solve started at s0."""
     nodes, probs = _truncated_uniform_g(delta, M, source, alpha)
-    psi = reference_neg_log_density(alpha, slope=True)
-    sol = _solve_g(nodes, psi, reference_entropy(ReferenceLaw(alpha, 1)), s0, tol)
+    sol = _solve_g(nodes, alpha, s0, tol)
     p = probs[probs > 0.0]
     p = p / p.sum()
     entropy = float(-np.sum(p * np.log(p)))

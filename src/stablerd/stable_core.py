@@ -211,16 +211,16 @@ def _gl_rules():
     return _gauss_legendre(32), _gauss_legendre(16)
 
 
-def _gl_block(edges: np.ndarray, weighted_sum, rules):
-    """The 32-node Gauss-Legendre integrals over the panels between edges (one
-    row shared, or one per integral), and the 16-node ones as their estimate;
-    weighted_sum(t, w) sums them from nodes t and weights w flattened per row,
-    and rules holds the two rules' (nodes, weights), as `_gl_rules` gives them.
-    """
-    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None]
-    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
+def _gl_map(edges: np.ndarray, rules):
+    """[(t, w) per rule]: the nodes t and weights w, flattened per row, of each
+    Gauss-Legendre rule in rules (its nodes and weights on [-1, 1]) on the
+    panels between edges (one row shared, or one per integral), so that
+    sum_i w_i g(t_i) integrates g over the panels.  The batched routes map
+    both rules of `_gl_rules` at once, `_gl_nodes` one rule."""
+    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     shape = edges.shape[:-1] + (-1,)
-    return [weighted_sum((mid + half * xg).reshape(shape), (half * wg).reshape(shape)) for xg, wg in rules]
+    return [((mid + half * xg).reshape(shape), (half * wg).reshape(shape)) for xg, wg in rules]
 
 
 def _fourier_block(alpha: float, u: np.ndarray, rules):
@@ -237,7 +237,7 @@ def _fourier_block(alpha: float, u: np.ndarray, rules):
         ut = np.multiply.outer(u, t)
         return np.cos(ut, out=ut) @ (w * np.exp(-(t ** alpha))) / math.pi
 
-    return _gl_block(edges, weighted_sum, rules)
+    return [weighted_sum(t, w) for t, w in _gl_map(edges, rules)]
 
 
 def _zolotarev_log_g(alpha: float, th, phi, log_uc):
@@ -257,12 +257,18 @@ def _zolotarev_peak(alpha: float, u: np.ndarray) -> np.ndarray:
     log_uc = alpha / (alpha - 1.0) * np.log(u)
     lo = np.zeros_like(u)
     hi = np.full_like(u, 0.5 * math.pi)
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        # ln g increases with th for alpha < 1 and decreases for alpha > 1
-        left = (_zolotarev_log_g(alpha, mid, 0.5 * math.pi - mid, log_uc) > 0.0) == (alpha < 1.0)
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
+    # mid reaches pi/2 itself where a peak lies within an ulp of it (alpha
+    # within ulps of 2).  There cos th = 0: ln(cos th / sin(a th)) is -inf
+    # and cos((a-1) th) / cos th is inf, both their limits, and ln g reads
+    # -inf + inf = NaN, which the test below, as it would ln g's limit -inf,
+    # reads as g < 1: the peak lies to the left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            # ln g increases with th for alpha < 1 and decreases for alpha > 1
+            left = (_zolotarev_log_g(alpha, mid, 0.5 * math.pi - mid, log_uc) > 0.0) == (alpha < 1.0)
+            hi = np.where(left, mid, hi)
+            lo = np.where(left, lo, mid)
     # at alpha = 2 and u > 2, g > 1 throughout: the peak is the end pi/2
     return np.minimum(0.5 * (lo + hi), 0.5 * math.pi - _ZOLOTAREV_DEPTH)
 
@@ -304,7 +310,7 @@ def _zolotarev_block(alpha: float, u: np.ndarray, peak: np.ndarray, rules):
         return np.sum(np.exp(lg - np.exp(lg)) * w, axis=1)
 
     scale = alpha / (math.pi * abs(alpha - 1.0) * u)
-    return [v * scale for v in _gl_block(edges, weighted_sum, rules)]
+    return [weighted_sum(s, w) * scale for s, w in _gl_map(edges, rules)]
 
 
 def _pdf0_vec(alpha: float, u) -> np.ndarray:
@@ -326,24 +332,18 @@ def _pdf0_vec(alpha: float, u) -> np.ndarray:
         peak = _zolotarev_peak(alpha, u[fourier_end:])
         # th* grows with u; past pi/4 the nodes are placed in pi/2 - th
         bounds.append(fourier_end + int(np.searchsorted(peak, 0.25 * math.pi, side="right")))
-    blocks = []
+    rules = _gl_rules()
+    f = np.empty(u.size)
     i = 0
+    # block by block in order of u, so that a failure names the first failing u
     while i < u.size:
         # a block never crosses n_osc = 8, the route switch or th* = pi/4
         end = min(b for b in bounds if b > i)
         if i < fourier_end:
             j = min(end, i + (_PLAIN_BLOCK if i < plain_end else _FOURIER_BLOCK))
-        else:
-            j = min(end, i + _ZOLOTAREV_BLOCK)
-        blocks.append((i, j))
-        i = j
-    rules = _gl_rules()
-    f = np.empty(u.size)
-    # in block order, so that a failure names the first failing u
-    for i, j in blocks:
-        if i < fourier_end:
             f32, f16 = _fourier_block(alpha, u[i:j], rules)
         else:
+            j = min(end, i + _ZOLOTAREV_BLOCK)
             f32, f16 = _zolotarev_block(alpha, u[i:j], peak[i - fourier_end:j - fourier_end], rules)
         ok = (np.abs(f32 - f16) <= np.maximum(_QUAD_EPSABS, _QUAD_EPSREL * np.abs(f32))) & (f32 > 0.0)
         if not np.all(ok):
@@ -351,6 +351,7 @@ def _pdf0_vec(alpha: float, u) -> np.ndarray:
                 f"stable density inversion failed at alpha={alpha}, u={u[i:j][~ok][0]}"
             )
         f[i:j] = f32
+        i = j
     return f
 
 
@@ -805,8 +806,12 @@ class _StandardDensity:
         self._lock = threading.Lock()
         self._spline = None
         a, d = self.alpha, self.d
-        # whether log_pdf_vec takes the closed forms (off, alpha 1 builds a table)
+        # whether log_pdf_vec takes the closed forms (off, alpha 1 builds a
+        # table), and their constant term and h = (d + 1)/2 (see log_pdf_vec)
         self._closed = a in (1.0, 2.0)
+        h = 0.5 * (d + 1.0)
+        self._closed_terms = ((d / 2.0) * math.log(4.0 * math.pi) if a == 2.0
+                              else math.lgamma(h) - h * math.log(math.pi)), h
         # k with f(u) ~ k u^-(alpha+d); the first-order tail coefficient
         self.tail_constant = 0.0 if a == 2.0 else (
             math.exp(math.lgamma(a + 1.0)) * math.sin(math.pi * a / 2.0) / math.pi if d == 1
@@ -891,39 +896,34 @@ class _StandardDensity:
         """
         a, d = self.alpha, self.d
         u = np.abs(np.asarray(u, dtype=float))
+        out = np.empty((2,) + u.shape if slope else u.shape)
+        # views, also for a 0-d u, where out[0] would be a NumPy scalar
+        lp, kappa = (out[0, ...], out[1, ...]) if slope else (out, None)
         if self._closed:
-            if d > 1:
-                # N(0, 2 I) and the circular Cauchy
-                u2, h = u * u, 0.5 * (d + 1.0)
-                lp, kappa = (-u2 / 4.0 - (d / 2.0) * math.log(4.0 * math.pi), -0.5 * u2) if a == 2.0 else (
-                    math.lgamma(h) - h * math.log(math.pi) - h * np.log1p(u2), -(d + 1.0) * u2 / (1.0 + u2))
-                return np.stack([lp, kappa]) if slope else lp
-            if not slope:
-                if a == 2.0:
-                    return -u * u / 4.0 - 0.5 * math.log(4.0 * math.pi)
-                return -math.log(math.pi) - np.log1p(u * u)
-            # both rows in place, in the operation order of the expressions
-            # above and of the slopes -0.5 * (u * u) and -2.0 * u2 / (1.0 + u2)
-            out = np.empty((2,) + u.shape)
-            lp, kappa = out[0, ...], out[1, ...]
-            np.multiply(u, u, out=kappa)
+            # N(0, 2 I) and the circular Cauchy, in place, in the operation
+            # order of -u^2/4 - (d/2) ln 4 pi and -0.5 u^2 at alpha 2, and of
+            # ln Gamma(h) - h ln pi - h ln(1 + u^2) and -(d + 1) u^2 / (1 + u^2)
+            # at alpha 1, whose product by h = 1 at d = 1 is exact and skipped
+            c, h = self._closed_terms
             if a == 2.0:
                 np.negative(u, out=lp)
                 lp *= u
                 lp /= 4.0
-                lp -= 0.5 * math.log(4.0 * math.pi)
-                kappa *= -0.5
-            else:
-                np.log1p(kappa, out=lp)
-                np.subtract(-math.log(math.pi), lp, out=lp)
-                num = -2.0 * kappa
+                lp -= c
+                if slope:
+                    np.multiply(u, u, out=kappa)
+                    kappa *= -0.5
+                return out
+            np.log1p(np.multiply(u, u, out=kappa if slope else lp), out=lp)
+            if h != 1.0:
+                lp *= h
+            np.subtract(c, lp, out=lp)
+            if slope:
+                num = -(d + 1.0) * kappa
                 kappa += 1.0
                 np.divide(num, kappa, out=kappa)
             return out
         spline = self._table()
-        out = np.empty((2,) + u.shape if slope else u.shape)
-        # views, also for a 0-d u, where out[0] would be a NumPy scalar
-        lp, kappa = (out[0, ...], out[1, ...]) if slope else (out, None)
         tiny = u < self._floor
         tail = u >= TAIL_CUTOFF
         core = ~tiny & ~tail
@@ -1056,11 +1056,8 @@ def _gauss_legendre(n: int = 16):
 
 def _gl_nodes(edges: np.ndarray, n: int = 16):
     """Nodes x and weights w of an n-node Gauss-Legendre rule on each panel
-    of edges, flattened: sum_i w_i g(x_i) integrates g over the panels."""
-    xg, wg = _gauss_legendre(n)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (mid + half * xg[None, :]).ravel(), (half * wg[None, :]).ravel()
+    of edges, flattened (`_gl_map`)."""
+    return _gl_map(edges, (_gauss_legendre(n),))[0]
 
 
 def _panel_integral(fn, edges: np.ndarray):

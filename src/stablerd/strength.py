@@ -519,8 +519,12 @@ def _g(nodes, psi, s: float):
     return np.sum(W * psi(e / s), axis=-1)
 
 
-def _solve_g(nodes, psi, h: float, s0: float, tol: float) -> StrengthSolution:
-    """The root of G(s) = h for the node set nodes(s) and a stacked psi."""
+def _solve_g(nodes, alpha: float, s0: float, tol: float, d: int = 1) -> StrengthSolution:
+    """The root of G(s) = h(ref) for the node set nodes(s), started at s0:
+    every strength equation's psi and h, those of the d-dimensional reference
+    law at index alpha, are built here."""
+    h = stable_core.reference_entropy(ReferenceLaw(alpha, d))
+    psi = reference_neg_log_density(alpha, True, d)
     return _solve_monotone(lambda s: _g(nodes, psi, s) - (h, 0.0), s0, tol)
 
 
@@ -859,12 +863,10 @@ def solve_strength(source: SourceSpec, alpha: float, tol: float = DEFAULT_TOL) -
     """Solve g(s) = h(ref) for the strength of the source at index alpha."""
     if source.is_zero:
         return StrengthSolution(0.0, 0.0, (0.0, 0.0), 0)
-    h = stable_core.reference_entropy(ReferenceLaw(alpha, source.dim))
     s0 = source.start_scale
     if not s0 > 0.0:
         s0 = 1.0
-    psi = reference_neg_log_density(alpha, True, source.dim)
-    return _solve_g(source.strength_nodes(alpha), psi, h, s0, tol)
+    return _solve_g(source.strength_nodes(alpha), alpha, s0, tol, source.dim)
 
 
 def strength_closed_form(alpha: float, gamma: float) -> float:
@@ -899,10 +901,10 @@ def cb_strength(source: SourceSpec, d: int = 1, tol: float = DEFAULT_TOL) -> flo
         q = z ** 2
         return np.stack([np.log1p(q), -2.0 * q / (1.0 + q)])
 
-    s0 = source.start_scale
+    nodes, s0 = source.strength_nodes(1.0), source.start_scale
     if not s0 > 0.0:
         s0 = 1.0
-    return _solve_g(source.strength_nodes(1.0), psi, math.log(4.0), s0, tol).value
+    return _solve_monotone(lambda s: _g(nodes, psi, s) - (math.log(4.0), 0.0), s0, tol).value
 
 
 def strength_of_uniform(alpha: float, tol: float = DEFAULT_TOL) -> float:

@@ -366,11 +366,13 @@ class TestTableBuild:
             plain = np.log(stable_core._fourier_block(alpha, u[first], stable_core._gl_rules())[0])
         np.testing.assert_allclose(plain, y[first], rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("alpha, at", [(0.65, 1950), (0.65, 2300), (1.05, 2300), (0.1, 7)])
+    @pytest.mark.parametrize("alpha, at", [(0.65, 1950), (0.65, 2300), (1.05, 2300), (0.1, 7), (1.03, 2300)])
     def test_estimate_disagreement_raises(self, alpha, at):
         # the 16-node estimate of the panel node nearest knot `at` pushed 1e-9
         # off: the build fails, naming alpha and that node, on the plain,
-        # Zolotarev and Fourier routes alike
+        # Zolotarev and Fourier routes alike.  1.05 - 1 is above _FOURIER_BAND
+        # in floating point, so (1.05, 2300) is a Zolotarev node; (1.03, 2300),
+        # u about 6.9 past n_osc = 8, is a Fourier node of the band around 1
         nodes = _route_calls(alpha)[0]
         target = nodes[np.argmin(np.abs(np.log(nodes) - _StandardDensity.KNOTS[at]))]
 
@@ -442,6 +444,8 @@ class TestTableBuild:
     @example(1.9999)
     @example(1.99995)
     @example(1.99999)
+    @example(2.0 - 2.0 ** -52)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_panel_knots_within_the_stated_bound(self, alpha):
         # every knot from the blend start up: within 1e-14 of the route at
         # that knot where the panels serve; elsewhere (alpha < 0.2, near 1
@@ -1188,6 +1192,21 @@ class TestKappa:
             for alpha, rows in want.items():
                 got = stable_core.standard_density(alpha).log_pdf_vec(x, slope=True)
                 assert (got.shape, got.tobytes()) == (rows.shape, rows.tobytes())
+        # the d-dimensional expressions, byte for byte, with and without slope
+        for d in (1, 2, 3):
+            h = 0.5 * (d + 1.0)
+            for x in (np.array(-2.5), -u, np.outer(u, [-1.0, 0.5, 3.0])):
+                a = np.abs(x)
+                u2 = a * a
+                want = {
+                    1.0: (math.lgamma(h) - h * math.log(math.pi) - h * np.log1p(u2), -(d + 1.0) * u2 / (1.0 + u2)),
+                    2.0: (-u2 / 4.0 - (d / 2.0) * math.log(4.0 * math.pi), -0.5 * u2),
+                }
+                for alpha, (lp, kappa) in want.items():
+                    eng = stable_core.standard_density(alpha, d)
+                    for got, rows in ((eng.log_pdf_vec(x, slope=True), np.stack([lp, kappa])),
+                                      (eng.log_pdf_vec(x), np.asarray(lp))):
+                        assert (got.shape, got.tobytes()) == (rows.shape, rows.tobytes()), (d, alpha)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.5])
     def test_zero_d_u_at_generic_alpha(self, alpha):
