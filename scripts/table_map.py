@@ -9,9 +9,9 @@ coefficient of a certified panel and its largest ratio to the panel's
 tolerance.  Where the panels do not serve (`stable_core._route_is_accurate`
 false: alpha below 0.2, in the band around 1 and above 1.995) the route
 runs on the knots, and the line gives their count and "knots" in place of
-the panel columns.  A build that raises prints FAIL and the message.  The default grid
-is alpha 0.1 to 1.995 in steps of 0.005 (about a minute on 2 cores); the
-numbers in README's numerical notes come from it:
+the panel columns.  A build that raises prints FAIL and the message.  The
+default grid is alpha 0.1 to 1.995 in steps of 0.005 (about 13 s on 2
+cores); the numbers in README's numerical notes come from it:
 
     python scripts/table_map.py [alpha ...]
 """
