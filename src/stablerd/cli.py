@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     config = _config_from_args(args)
     try:
         return args.fn(args, config)
-    except (StableRDError, ValueError, OSError) as exc:
+    except (StableRDError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,16 +18,15 @@ import numpy as np
 
 # scipy.optimize is imported by the functions that use it, so `import
 # stablerd` does not load it.
-from . import stable_core, strength
+from . import strength
 from .errors import DegenerateDesignWarning, NotSorted, OutOfRange
 from .strength import (
     DEFAULT_TOL,
-    EmpiricalSource,
     SourceSpec,
     StrengthSolution,
-    _outer_regions,
     _solve_g,
     _solve_monotone,
+    _uniform_points,
     solve_strength,
 )
 
@@ -379,71 +378,17 @@ def truncated_uniform(delta: float, M: int) -> Quantizer:
     return Quantizer.from_points(_uniform_points(delta, M), symmetric=True)
 
 
-def _uniform_points(delta: float, M: int) -> np.ndarray:
-    """The points of `truncated_uniform(delta, M)`, without building it."""
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    if M % 2 == 0:
-        ks = np.arange(1, M // 2 + 1)
-        return np.concatenate([-(ks[::-1] - 0.5), ks - 0.5]) * delta
-    half = (M - 1) // 2
-    return np.arange(-half, half + 1) * delta
-
-
 def _truncated_uniform_g(delta, M, source, alpha):
-    """The node set s -> (e, W) of G and the region masses of the M-level
-    uniform quantizer: the inner regions' lattice density at 32 fixed
-    offsets, and both outer regions placed from s."""
-    pts = _uniform_points(delta, M)
-    top = pts[-1]
-    edge = top - 0.5 * delta  # the top region is (top - delta/2, infinity)
-    n_inner = M - 2
-    xg, wg = stable_core._gauss_legendre(32)
-    u = 0.5 * delta * xg
-    # The left outer region (-inf, -edge] is the right one of the reflected
-    # source; a source that is its own reflection reuses the right one.
-    reflected = source.reflected
-    mirrored = reflected is source
-    if n_inner > 0:
-        inner_pts = pts[1:-1]
-        # The points and the nodes u are exact negatives of each other read
-        # backwards, and a mirrored density is even to the bit, so its row at
-        # -x is the row at x reversed: only the cells at x >= 0 are evaluated.
-        evaluated = inner_pts[inner_pts >= 0.0] if mirrored else inner_pts
-        nodes = evaluated[:, None] + u[None, :]
-        fvals = source.pdf_vec(nodes.ravel()).reshape(nodes.shape)
-        if mirrored:
-            fvals = np.concatenate([fvals[::-1, ::-1][: n_inner // 2], fvals])
-        W = 0.5 * delta * wg * fvals.sum(axis=0)
-        p_inner = (0.5 * delta * wg[None, :] * fvals).sum(axis=1)
-    else:
-        u = W = p_inner = np.empty(0)
-
-    def nodes_at(s):
-        x, e, w, f = _outer_regions(source, alpha, (top, edge), (top, edge), s)
-        return np.concatenate([u, e]), np.concatenate([W, w * (source.pdf_vec(x) if f is None else f)])
-
-    p_right = source.tail_mass(edge)
-    p_left = p_right if mirrored else reflected.tail_mass(edge)
-    probs = np.concatenate([[p_left], p_inner, [p_right]])
-    return nodes_at, probs
-
-
-def _require_density(source: SourceSpec) -> None:
-    """The M-level uniform G integrates a density; samples have none yet."""
-    if isinstance(source, EmpiricalSource):
-        raise ValueError(
-            "the M-level uniform quantizer's G needs a density source; "
-            "sample sources are not supported"
-        )
+    """The source's `levels_nodes`: the node set s -> (e, W) of G and the
+    region masses of the M-level uniform quantizer."""
+    return source.levels_nodes(delta, M, alpha)
 
 
 def uniform_levels_strength(
     delta: float, M: int, source: SourceSpec, alpha: float, tol: float = DEFAULT_TOL
 ):
     """(strength solution, output entropy, quantizer) for the M-level uniform
-    quantizer of width delta, for a density source."""
-    _require_density(source)
+    quantizer of width delta."""
     sol, entropy = _uniform_levels_from(delta, M, source, alpha, 0.3 * delta, tol)
     return sol, entropy, truncated_uniform(delta, M)
 
@@ -465,12 +410,10 @@ def best_uniform_design(source: SourceSpec, alpha: float, M: int, tol: float = 1
     Returns (delta, strength solution, output entropy, quantizer).  Each
     solve starts from the strength at the nearest width already solved,
     scaled by the ratio of the widths, and the chosen width's solve is
-    reused for the result; only its quantizer is built.  The source must have
-    a density.
+    reused for the result; only its quantizer is built.
     """
     from scipy import optimize
 
-    _require_density(source)
     scale = source.scale
     solved = {}  # ln delta -> (strength solution, output entropy)
 

@@ -92,8 +92,8 @@ def reverse_waterfill(alpha: float, component_strengths, D: float) -> WaterFillA
     s = np.asarray(component_strengths, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("component_strengths must be a nonempty 1-d array")
-    if np.any(s <= 0.0):
-        raise ValueError("all component strengths must be positive")
+    if not np.all((s > 0.0) & (s < math.inf)):  # NaN fails both
+        raise ValueError("all component strengths must be positive and finite")
     if not D > 0.0:
         raise InvalidDistortion("D must be positive")
     total = float(np.sum(s))

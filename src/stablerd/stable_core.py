@@ -812,10 +812,6 @@ class _StandardDensity:
         h = 0.5 * (d + 1.0)
         self._closed_terms = ((d / 2.0) * math.log(4.0 * math.pi) if a == 2.0
                               else math.lgamma(h) - h * math.log(math.pi)), h
-        # k with f(u) ~ k u^-(alpha+d); the first-order tail coefficient
-        self.tail_constant = 0.0 if a == 2.0 else (
-            math.exp(math.lgamma(a + 1.0)) * math.sin(math.pi * a / 2.0) / math.pi if d == 1
-            else math.exp(_tail_coefficients(a, d)[0]))
         # the small-r series below the table and up to _first, the last knot
         # it covers: at d >= 2 the table starts there, at d = 1 the series
         # gives the table's knots up to there
@@ -1090,24 +1086,25 @@ _TAIL_INDEX = np.arange(_TAIL_PANELS + 1.0)
 _TAIL_INDEX.flags.writeable = False
 
 
-def _tail_edges(alpha: float, u0: float):
-    """(edges, X): the tail's 31 equal panels in y = ln u over [ln u0, y_max],
-    y_max = 60/alpha + ln u0 + 5, and X = e^y_max."""
-    log_u0 = math.log(u0)
-    y_max = 60.0 / alpha + log_u0 + 5.0
-    edges = _TAIL_INDEX * ((y_max - log_u0) / _TAIL_PANELS) + log_u0
-    edges[-1] = y_max
-    return edges, math.exp(y_max)
-
-
 def _tail_nodes(alpha: float, u0: float):
     """Nodes u and weights w with int_{u0}^inf f(u) phi(u) du = sum_i w_i
     f(u_i) phi(u_i) for u0 >= TAIL_CUTOFF, f with the power tail
-    k u^-(alpha+1) and phi of log growth: 16-node rules on `_tail_edges`
-    (weights u dy), and last X, weighted X / alpha.  Beyond X, f(u) =
-    f(X) (X/u)^(alpha+1) to first order, which adds f(X) X / alpha =
-    k X^-alpha / alpha times phi frozen at X."""
-    edges, X = _tail_edges(alpha, u0)
+    k u^-(alpha+1) and phi of log growth: 16-node rules on 31 equal panels in
+    y = ln u over [ln u0, y_max], y_max = 60/alpha + ln u0 + 5 (weights
+    u dy), and last X = e^y_max, weighted X / alpha.  Beyond X, f(u) = f(X)
+    (X/u)^(alpha+1) to first order, which adds f(X) X / alpha = k X^-alpha /
+    alpha times phi frozen at X.  Raises QuadratureFailure when X / alpha
+    overflows (alpha below about 0.086, or a huge u0)."""
+    log_u0 = math.log(u0)
+    y_max = 60.0 / alpha + log_u0 + 5.0
+    try:
+        X = math.exp(y_max)
+    except OverflowError:
+        X = math.inf
+    if not X / alpha < math.inf:
+        raise QuadratureFailure(f"tail nodes overflow float at alpha={alpha}, u0={u0}")
+    edges = _TAIL_INDEX * ((y_max - log_u0) / _TAIL_PANELS) + log_u0
+    edges[-1] = y_max
     y, w = _gl_nodes(edges)
     u = np.exp(y)
     return np.append(u, X), np.append(w * u, X / alpha)
@@ -1116,30 +1113,14 @@ def _tail_nodes(alpha: float, u0: float):
 def _tail_integral(alpha: float, phi, u0: float, d: int = 1):
     """int_{u0}^inf f(u) phi(u) u^(d-1) du for u0 >= TAIL_CUTOFF, the standard
     d-dimensional radial density f (f0 at d = 1) and a vectorized phi of log
-    growth: the reference entropy's tail.
-
-    log f comes from the density engine (the power-tail series, or the closed
-    form at alpha = 1), integrated on `_tail_edges` by `_panel_integral`, and
-    beyond X the first-order remainder k X^-alpha / alpha * phi(X) is added.
-    A stacked phi, shape (k, N), gives k integrals.  phi runs once, on the
-    nodes with X, the largest argument, appended.  (The sum over
-    `_tail_nodes` moves the alpha-0.7 entropy by an ulp.)
-    """
-    eng = standard_density(alpha, d)
-    edges, X = _tail_edges(alpha, u0)
-    phi_X = []
-
-    def fn(y):
-        u = np.exp(y)
-        vals = np.asarray(phi(np.append(u, X)))
-        phi_X.append(vals[..., -1])
-        if d == 1:
-            return np.exp(eng.log_pdf_vec(u)) * vals[..., :-1] * u
-        return np.exp(eng.log_pdf_vec(u) + d * y) * vals[..., :-1]  # u^d overflows at small alpha
-
-    val = _panel_integral(fn, edges)
-    rem = eng.tail_constant * X ** (-alpha) / alpha * phi_X[0]
-    return val + _reduced(rem)
+    growth: the sum over `_tail_nodes`, which every stable G's tail reads,
+    with log f from the density engine.  A stacked phi, shape (k, N), gives
+    k integrals; phi runs once, on all the nodes."""
+    u, w = _tail_nodes(alpha, u0)
+    log_f = standard_density(alpha, d).log_pdf_vec(u)
+    if d > 1:
+        log_f += (d - 1) * np.log(u)  # u^(d-1) overflows at small alpha
+    return _reduced(np.sum(w * np.exp(log_f) * phi(u), axis=-1))
 
 
 def _standard_entropy(alpha: float, d: int = 1) -> float:

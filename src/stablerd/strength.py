@@ -56,20 +56,21 @@ class _Source:
     Every kind has `dim`, `is_zero`, `scale` (for panel placement),
     `start_scale` (where strength root solves start), `tail_k`,
     `abs_quantile(p)`, `region_masses(boundaries)`,
-    `check_symmetric_unimodal()` and three node sets, offsets e_i and
+    `check_symmetric_unimodal()` and four node sets, offsets e_i and
     weights W_i with G(s) = sum_i W_i psi(e_i / s) (see `_g`):
     `strength_nodes(alpha)` of X and `error_nodes(points, boundaries, alpha)`
-    of a partition's error, both functions of s, and `lattice_nodes(delta)`
-    of the uniform quantizer's error.  Density-backed kinds also have
-    `support`, `core_extent`, `breakpoints`, `pdf_vec(x)`, `mass(a, b)`,
-    `tail_mass(x)`, `tail_nodes(x0, moment)` (nodes x and weights w with
-    sum_i w_i f(x_i) phi(x_i) the integral of f phi over (x0, infinity),
-    x0 >= core_extent, for a phi of log growth or of growth x^moment, and
-    f(x) where placing the nodes read it, else None) and
-    `reflected` (the source of -X; a symmetric kind returns itself).  The
-    defaults serve every density-backed kind; `EmpiricalSource` answers from
-    its samples, and `SymmetricStableSource` sums its lattice by the
-    aliasing series where that is shorter.
+    of a partition's error, both functions of s, `lattice_nodes(delta)` of
+    the uniform quantizer's error, and `levels_nodes(delta, M, alpha)`, the
+    M-level uniform quantizer's function of s with its region masses.
+    Density-backed kinds also have `support`, `core_extent`, `breakpoints`,
+    `pdf_vec(x)`, `mass(a, b)`, `tail_mass(x)`, `tail_nodes(x0, moment)`
+    (nodes x and weights w with sum_i w_i f(x_i) phi(x_i) the integral of
+    f phi over (x0, infinity), x0 >= core_extent, for a phi of log growth or
+    of growth x^moment, and f(x) where placing the nodes read it, else
+    None) and `reflected` (the source of -X; a symmetric kind returns
+    itself).  The defaults serve every density-backed kind; `EmpiricalSource`
+    answers from its samples, and `SymmetricStableSource` sums its lattice
+    by the aliasing series where that is shorter.
     """
 
     dim = 1
@@ -107,6 +108,32 @@ class _Source:
         """(u, W) of the error of x -> round(x / delta) delta: the lattice
         density summed directly (`_direct_weights`)."""
         return _direct_weights(delta, self, _direct_radius(delta, self))
+
+    def levels_nodes(self, delta: float, M: int, alpha: float):
+        """(s -> (e, W), region masses) of the M-level uniform quantizer of
+        width delta: the inner cells' density at 32 fixed offsets, and both
+        outer regions placed from s.  The left one, (-inf, -edge], is the
+        right one of the reflected source, whose mass a mirrored source
+        reuses."""
+        pts = _uniform_points(delta, M)
+        top = pts[-1]
+        edge = top - 0.5 * delta  # the top region is (top - delta/2, infinity)
+        if M > 2:
+            xg, wg = stable_core._gauss_legendre(32)
+            u = 0.5 * delta * xg
+            f = _cell_density(self, pts[1:-1], u)
+            W = 0.5 * delta * wg * f.sum(axis=0)
+            p_inner = (0.5 * delta * wg[None, :] * f).sum(axis=1)
+        else:
+            u = W = p_inner = np.empty(0)
+
+        def nodes(s):
+            x, e, w, f = _outer_regions(self, alpha, (top, edge), (top, edge), s)
+            return np.concatenate([u, e]), np.concatenate([W, w * (self.pdf_vec(x) if f is None else f)])
+
+        p_right = self.tail_mass(edge)
+        p_left = p_right if self.reflected is self else self.reflected.tail_mass(edge)
+        return nodes, np.concatenate([[p_left], p_inner, [p_right]])
 
     def region_masses(self, boundaries) -> np.ndarray:
         """P(X in R_j) for the regions (r_{j-1}, r_j] between the boundaries;
@@ -161,8 +188,9 @@ class SymmetricStableSource(_Source):
 
     @cached_property
     def tail_k(self) -> float:
-        p = self.params
-        return standard_density(p.alpha).tail_constant * p.gamma ** p.alpha
+        a = self.params.alpha
+        k = 0.0 if a == 2.0 else math.exp(math.lgamma(a + 1.0)) * math.sin(math.pi * a / 2.0) / math.pi
+        return k * self.params.gamma ** a
 
     @property
     def reflected(self) -> "SymmetricStableSource":
@@ -198,6 +226,8 @@ class SymmetricStableSource(_Source):
     def tail_mass(self, x0: float) -> float:
         """P(X > x0)."""
         a_s, g = self.params.alpha, self.params.gamma
+        if math.isinf(x0):
+            return float(x0 < 0.0)
         if a_s == 2.0:
             return 0.5 * math.erfc(x0 / (2.0 * g))
         if x0 / g < stable_core.TAIL_CUTOFF:
@@ -291,6 +321,13 @@ class EmpiricalSource(_Source):
     def lattice_nodes(self, delta: float):
         vals = self.sorted_values
         return np.sort(vals - np.round(vals / delta) * delta), 1.0 / vals.size  # see sorted_values
+
+    def levels_nodes(self, delta: float, M: int, alpha: float):
+        """The partition's error nodes and region masses at the points of
+        `_uniform_points` and their midpoints."""
+        pts = _uniform_points(delta, M)
+        bnd = 0.5 * (pts[:-1] + pts[1:])
+        return self.error_nodes(pts, bnd, alpha), self.region_masses(bnd)
 
     def region_masses(self, boundaries) -> np.ndarray:
         vals = self.sorted_values
@@ -664,14 +701,37 @@ def _direct_radius(delta: float, source) -> int:
     return min(k_core, 200_000)
 
 
+def _uniform_points(delta: float, M: int) -> np.ndarray:
+    """The points of `quantizer.truncated_uniform(delta, M)`."""
+    if M < 2:
+        raise ValueError("M must be >= 2")
+    if M % 2 == 0:
+        ks = np.arange(1, M // 2 + 1)
+        return np.concatenate([-(ks[::-1] - 0.5), ks - 0.5]) * delta
+    half = (M - 1) // 2
+    return np.arange(-half, half + 1) * delta
+
+
+def _cell_density(source, centres: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """f(c_j + u_i), a row per cell centre c_j, for centres and offsets that
+    are their own negatives read backwards.  A source that is its own
+    reflection is even to the bit, so its row at -c is the row at c
+    reversed: only the cells at c >= 0 are evaluated."""
+    mirrored = source.reflected is source
+    evaluated = centres[centres >= 0.0] if mirrored else centres
+    nodes = evaluated[:, None] + u[None, :]
+    f = source.pdf_vec(nodes.ravel()).reshape(nodes.shape)
+    if mirrored:
+        f = np.concatenate([f[::-1, ::-1][: centres.size // 2], f])
+    return f
+
+
 def _direct_weights(delta: float, source, k_core: int):
     """(u, W) from the lattice density summed term by term over |k| <= k_core,
     with all remaining regions grouped through their exact tail mass."""
     xg, wg = stable_core._gauss_legendre(_LATTICE_NODES)
     u = 0.5 * delta * xg  # offsets within a region
-    ks = np.arange(-k_core, k_core + 1)
-    nodes = ks[:, None] * delta + u[None, :]
-    fsum = source.pdf_vec(nodes.ravel()).reshape(nodes.shape).sum(axis=0)
+    fsum = _cell_density(source, np.arange(-k_core, k_core + 1) * delta, u).sum(axis=0)
     # grouped mass of all remaining regions on each side: the left side's is
     # the right side's of -X
     edge = k_core * delta + 0.5 * delta

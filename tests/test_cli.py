@@ -148,6 +148,18 @@ class TestErrorsAndExitCodes:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["strength", "--source", "stable", "--alpha", "0.05"],  # the tail span
+        ["strength", "--source", "stable", "--alpha", "1.5", "--gamma", "1e300"],  # gamma^alpha
+        ["uniform-sweep", "--source", "stable", "--alpha", "1.5", "--deltas", "1e300"],
+        ["waterfill", "--alpha", "1", "--strengths", "1,nan", "--D", "1"],
+    ], ids=["tiny-alpha", "huge-gamma", "huge-delta", "nan-strength"])
+    def test_out_of_range_is_one_error_line(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line[:7] for line in captured.err.splitlines()] == ["error: "]
+
 
 class TestReproduce:
     def test_fig1(self, tmp_path):

@@ -889,7 +889,10 @@ class TestOneSidedLattice:
 
 class _FullLattice:
     """A source seen through a proxy that is not its own reflection, so
-    `_truncated_uniform_g` evaluates the density at every inner node."""
+    `_truncated_uniform_g` evaluates the density at every inner node: the
+    density default of `levels_nodes` runs on the proxy."""
+
+    levels_nodes = strength._Source.levels_nodes
 
     def __init__(self, source):
         self._source = source
@@ -951,6 +954,21 @@ class TestMirroredLattice:
             normal = np.abs(both) >= np.finfo(float).tiny
             assert both[normal].tobytes() == W[inner:][normal].tobytes()
             assert np.all(np.abs(W[inner:][~normal]) < np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("source", [
+        SymmetricStableSource(StableParams(0.7, 0.0, 1.3, 0.0)),
+        gaussian_source(1.0),
+        cauchy_source(1.0),
+        UniformSource(2.0),
+    ], ids=["stable0.7", "gaussian", "cauchy", "uniform"])
+    def test_direct_lattice_bitwise_equal_to_full_cells(self, source, monkeypatch):
+        # the direct lattice sum reads the cells at k delta >= 0 only
+        u, W = _direct_weights(0.3, source, 40)
+        u_full, W_full = _direct_weights(0.3, _FullLattice(source), 40)
+        assert (u.tobytes(), W.tobytes()) == (u_full.tobytes(), W_full.tobytes())
+        sizes = _count_pdf_points(monkeypatch, type(source))
+        _direct_weights(0.3, source, 40)
+        assert sizes[0] == 41 * 48  # the tail masses read the density after it
 
     @pytest.mark.parametrize("M", [8, 9])
     def test_density_sees_half_the_inner_nodes(self, M, monkeypatch):
@@ -1048,12 +1066,20 @@ class TestOnePsiCall:
 
 
 class TestBestUniform:
-    def test_sample_source_rejected(self):
+    def test_sample_source_solves(self):
+        # samples answer `levels_nodes` with the partition's error nodes and
+        # region masses, so the M-level G is the partition's G; both solves
+        # start at 0.3 delta
         src = EmpiricalSource(sample(StableParams(1.5, 0.0, 1.0, 0.0), 2000, seed=21))
-        with pytest.raises(ValueError, match="needs a density source"):
-            uniform_levels_strength(0.5, 8, src, 1.5)
-        with pytest.raises(ValueError, match="needs a density source"):
-            quantizer.best_uniform_design(src, 1.5, 8)
+        sol, entropy, q = uniform_levels_strength(0.5, 8, src, 1.5)
+        want = error_strength(truncated_uniform(0.5, 8), src, 1.5)
+        assert (sol.value, sol.residual, sol.evaluations) == (want.value, want.residual, want.evaluations)
+        assert entropy == pytest.approx(output_entropy(q, src), rel=1e-14, abs=0.0)
+        d, best, best_entropy, best_q = quantizer.best_uniform_design(src, 1.5, 8)
+        assert best.residual <= 1e-9 and best.value <= sol.value
+        cold, cold_entropy, cold_q = uniform_levels_strength(d, 8, src, 1.5)
+        assert best.value == pytest.approx(cold.value, rel=1e-8, abs=0.0)
+        assert (best_entropy, best_q.points.tobytes()) == (cold_entropy, cold_q.points.tobytes())
 
     def test_result_is_the_solve_at_the_returned_width(self, monkeypatch):
         source = SymmetricStableSource(StableParams(1.5, 0.0, 1.0, 0.0))

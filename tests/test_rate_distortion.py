@@ -132,6 +132,12 @@ class TestReverseWaterfill:
         with pytest.raises(ValueError):
             reverse_waterfill(1.0, [1.0, -2.0], 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_strength(self, bad):
+        # NaN passes a test for s <= 0, and inf gives an infinite rate
+        with pytest.raises(ValueError, match="finite"):
+            reverse_waterfill(1.0, [1.0, bad], 1.0)
+
     @given(
         st_.lists(st_.floats(0.05, 20.0), min_size=1, max_size=6),
         st_.floats(0.01, 0.99),

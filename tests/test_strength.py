@@ -210,6 +210,19 @@ class TestUniformStrength:
         assert generic == pytest.approx(strength_of_uniform(1.0), rel=1e-8)
 
 
+class TestStableInfiniteEnds:
+    """Masses of a stable source with an infinite end."""
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5])
+    def test_masses(self, alpha):
+        src = SymmetricStableSource(StableParams(alpha, 0.0, 1.0, 0.0))
+        assert (src.tail_mass(math.inf), src.tail_mass(-math.inf)) == (0.0, 1.0)
+        for a in (0.0, 2.5, 30.0, 100.0, math.inf):
+            assert src.mass(a, math.inf) == src.tail_mass(a)
+        # short of 1 by the table's deficit
+        assert src.mass(-math.inf, math.inf) == pytest.approx(1.0, rel=0.0, abs=1e-10)
+
+
 class TestTabulatedValidation:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
