@@ -1124,8 +1124,8 @@ class TestTailIntegralTrims:
 
     @pytest.mark.parametrize("alpha", [0.1, 0.37, 0.7, 1.0, 1.3, 1.55, 1.99])
     def test_node_sum_matches_the_panel_sum(self, alpha):
-        # the tail integral is this node sum (bitwise, see the linspace
-        # reference above); the bound is the one the panel sum it replaced met
+        # the tail integral is this node sum, bitwise (see the linspace
+        # reference above)
         eng = stable_core.standard_density(alpha)
         for u0 in (30.0, 47.3, 1e3, 1e9):
             u, w = stable_core._tail_nodes(alpha, u0)
